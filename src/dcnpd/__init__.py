@@ -26,7 +26,6 @@ from .dcn import (
     dcn_forward,
     estimate_ite,
     predict_deterministic,
-    sample_masks,
 )
 from .experiment import (
     ConfigError,
@@ -103,7 +102,6 @@ __all__ = [
     "predict_deterministic",
     "predict_propensity",
     "run_experiment",
-    "sample_masks",
     "save_csv",
     "split_batches",
     "standardize",

@@ -17,14 +17,12 @@ import numpy as np
 
 from .data import ObservationalDataset
 from .nn import (
-    AdamState,
-    DropoutMask,
     MLPParams,
-    adam_step,
-    bernoulli_mask,
     build_mlp,
-    mlp_backward,
+    draw_masks,
+    minibatches,
     mlp_forward,
+    train_step,
 )
 from .training import TrainConfig
 
@@ -127,29 +125,23 @@ def train_direct_nn(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     net = build_mlp((dataset.d + 1, *arch, 1), rng, output_activation="identity")
-    keep = 1.0 - dropout_prob
+    keep_all = np.full(dataset.n, 1.0 - dropout_prob)
     hidden_widths = net.hidden_widths()
     inputs = np.column_stack([dataset.X, dataset.W.astype(np.float64)])
-    state = AdamState.for_params(
-        net.parameter_arrays(),
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
-    for _ in range(config.epochs):
-        perm = rng.permutation(dataset.n)
-        for start in range(0, dataset.n, config.batch_size):
-            rows = perm[start : start + config.batch_size]
-            xb, yb = inputs[rows], dataset.Y[rows]
-            mask = DropoutMask(
-                [bernoulli_mask((len(rows), w), keep, rng) for w in hidden_widths],
-                keep,
-            )
-            out, cache = mlp_forward(net, xb, mask)
-            grad_out = (2.0 * (out[:, 0] - yb) / len(rows))[:, None]
-            grads, _ = mlp_backward(net, cache, grad_out)
-            adam_step(
-                net.parameter_arrays(), [g for pair in grads for g in pair], state
-            )
+    state = config.adam_state(net.parameter_arrays())
+    for epoch in range(1, config.epochs + 1):
+        try:
+            for rows in minibatches(dataset.n, config.batch_size, rng):
+                yb = dataset.Y[rows]
+                mask = draw_masks(hidden_widths, keep_all[rows], rng)
+                # held until the next step returns (see train_step)
+                last_step = train_step(
+                    [net],
+                    [state],
+                    inputs[rows],
+                    [mask],
+                    lambda out: (2.0 * (out[:, 0] - yb) / len(rows))[:, None],
+                )
+        except FloatingPointError as e:
+            raise FloatingPointError(f"direct net training, epoch {epoch}: {e}") from None
     return DirectModel(net)

@@ -40,6 +40,12 @@ class ValidationError(ValueError):
     """Parsed values violate a dataset invariant (e.g. non-binary treatment)."""
 
 
+def _require_finite(**arrays: np.ndarray) -> None:
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} contains NaN or infinite values")
+
+
 @dataclass
 class ObservationalDataset:
     """n subjects: features X (n x d), treatment W in {0,1}, factual outcome Y.
@@ -59,6 +65,7 @@ class ObservationalDataset:
         self.X = np.asarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValidationError("X must be 2-D (subjects x features)")
+        _require_finite(X=self.X)
         n = self.X.shape[0]
         self.W = np.asarray(self.W)
         if self.W.shape != (n,):
@@ -69,6 +76,7 @@ class ObservationalDataset:
         self.Y = np.asarray(self.Y, dtype=np.float64)
         if self.Y.shape != (n,):
             raise ValidationError("Y length does not match X rows")
+        _require_finite(Y=self.Y)
         if (self.mu0 is None) != (self.mu1 is None):
             raise ValidationError("mu0 and mu1 must be supplied together")
         if self.mu0 is not None:
@@ -76,6 +84,7 @@ class ObservationalDataset:
             self.mu1 = np.asarray(self.mu1, dtype=np.float64)
             if self.mu0.shape != (n,) or self.mu1.shape != (n,):
                 raise ValidationError("mu0/mu1 lengths do not match X rows")
+            _require_finite(mu0=self.mu0, mu1=self.mu1)
             derived = self.mu1 - self.mu0
             if self.true_ite is None:
                 self.true_ite = derived
@@ -188,6 +197,17 @@ def load_csv(path, schema: CsvSchema | None = None) -> ObservationalDataset:
         if has_mu0:
             mu0[i - 1] = _parse_cell(row[positions[schema.mu0]], i, schema.mu0)
             mu1[i - 1] = _parse_cell(row[positions[schema.mu1]], i, schema.mu1)
+    # whole-array checks; only a failing file pays for locating the first bad cell
+    if not all(np.isfinite(v).all() for v in (X, Y, mu0, mu1) if v is not None):
+        parsed = {name: X[:, j] for j, name in enumerate(feature_names)}
+        parsed[schema.outcome] = Y
+        if has_mu0:
+            parsed[schema.mu0], parsed[schema.mu1] = mu0, mu1
+        bad = ~np.isfinite(np.column_stack(list(parsed.values())))
+        i = int(np.argmax(bad.any(axis=1)))
+        column = min((name for name, b in zip(parsed, bad[i]) if b), key=positions.get)
+        raw = rows[i][positions[column]]
+        raise ParseError(i + 1, column, f"not a finite number: {raw!r}")
     return ObservationalDataset(X, W, Y, mu0, mu1)
 
 

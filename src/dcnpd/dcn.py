@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import DropoutMask, MLPParams, bernoulli_mask, build_mlp, mlp_forward
+from .nn import DropoutMask, MLPParams, build_mlp, draw_masks, mlp_forward
 from .propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -110,30 +110,6 @@ class DcnMasks:
     head1: DropoutMask
 
 
-def sample_masks(
-    keep_prob: float,
-    widths: tuple[Sequence[int], Sequence[int], Sequence[int]],
-    rng: np.random.Generator,
-) -> DcnMasks:
-    """Independent Bernoulli(keep_prob) mask vectors for every maskable layer.
-
-    ``widths`` is the `DCNParams.mask_widths` triple. Draw order is shared
-    layers first, then head0, then head1.
-    """
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError("keep_prob must lie in (0, 1]; 0 would silence the network")
-    shared_w, head0_w, head1_w = widths
-
-    def draw(ws):
-        return [bernoulli_mask(w, keep_prob, rng) for w in ws]
-
-    return DcnMasks(
-        DropoutMask(draw(shared_w), keep_prob),
-        DropoutMask(draw(head0_w), keep_prob),
-        DropoutMask(draw(head1_w), keep_prob),
-    )
-
-
 def dcn_forward(
     params: DCNParams,
     x: np.ndarray,
@@ -203,6 +179,31 @@ def _summarize(t_samples: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> ITEEsti
     )
 
 
+def _mc_outcomes(
+    params: DCNParams,
+    prop: PropensityModel,
+    schedule: DropoutSchedule,
+    X: np.ndarray,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(y0, y1) draws, each (n, n_samples): one batched masked pass per draw.
+
+    Row i keeps units with probability 1 - its scheduled dropout; each draw
+    takes fresh masks for the shared stack, then head0, then head1.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    keep = 1.0 - dropout_probability(predict_propensity(prop, X), schedule)
+    if np.any(keep <= 0.0):
+        raise ValueError("schedule yields keep probability 0 for some subject")
+    y0, y1 = np.empty((2, X.shape[0], n_samples))
+    for m in range(n_samples):
+        masks = DcnMasks(*(draw_masks(w, keep, rng) for w in params.mask_widths()))
+        y0[:, m], y1[:, m] = dcn_forward(params, X, masks)
+    return y0, y1
+
+
 def estimate_ite(
     params: DCNParams,
     prop: PropensityModel,
@@ -221,20 +222,10 @@ def estimate_ite(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("estimate_ite takes a single feature vector")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     if rng is None:
         rng = np.random.default_rng()
-    keep = 1.0 - dropout_probability(predict_propensity(prop, x), schedule)
-    if keep <= 0.0:
-        raise ValueError("schedule yields keep probability 0 for this subject")
-    widths = params.mask_widths()
-    y0 = np.empty(n_samples)
-    y1 = np.empty(n_samples)
-    for m in range(n_samples):
-        masks = sample_masks(keep, widths, rng)
-        y0[m], y1[m] = dcn_forward(params, x, masks, head="both")
-    return _summarize(y1 - y0, y0, y1)
+    y0, y1 = _mc_outcomes(params, prop, schedule, x[None, :], n_samples, rng)
+    return _summarize(y1[0] - y0[0], y0[0], y1[0])
 
 
 def mc_ite_matrix(
@@ -247,31 +238,11 @@ def mc_ite_matrix(
 ) -> np.ndarray:
     """Effect draws for a whole batch: (n, n_samples), row i for subject i.
 
-    Same schedule as `estimate_ite` but with per-row keep probabilities and
-    per-row masks, one vectorized forward pass per Monte Carlo draw.
+    Same schedule as `estimate_ite`, with per-row keep probabilities and
+    per-row masks.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (subjects x features)")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    keep = 1.0 - dropout_probability(predict_propensity(prop, X), schedule)
-    if np.any(keep <= 0.0):
-        raise ValueError("schedule yields keep probability 0 for some subject")
-    n = X.shape[0]
-    shared_w, head0_w, head1_w = params.mask_widths()
-    keep_col = keep[:, None]
-
-    def draw(ws):
-        return [bernoulli_mask((n, w), keep_col, rng) for w in ws]
-
-    out = np.empty((n, n_samples))
-    for m in range(n_samples):
-        masks = DcnMasks(
-            DropoutMask(draw(shared_w), keep),
-            DropoutMask(draw(head0_w), keep),
-            DropoutMask(draw(head1_w), keep),
-        )
-        y0, y1 = dcn_forward(params, X, masks, head="both")
-        out[:, m] = y1 - y0
-    return out
+    y0, y1 = _mc_outcomes(params, prop, schedule, X, n_samples, rng)
+    return y1 - y0

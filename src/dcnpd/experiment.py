@@ -427,6 +427,11 @@ def predict_from_bundle(
     bundle: dict, X: np.ndarray, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Predicted effects for raw (unstandardized) feature rows."""
+    version = bundle.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported bundle schema_version {version!r}; expected {SCHEMA_VERSION}"
+        )
     transform = Standardization.from_dict(bundle["standardization"])
     X_scaled = transform.transform(np.asarray(X, dtype=np.float64))
     kind = bundle["kind"]

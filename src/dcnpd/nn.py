@@ -12,8 +12,8 @@ to an output layer (see `DropoutMask`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,6 +194,27 @@ def bernoulli_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64)
 
 
+def draw_masks(
+    widths: Sequence[int], keep: np.ndarray, rng: np.random.Generator
+) -> DropoutMask:
+    """One ``(rows, width)`` Bernoulli mask per width, drawn in order.
+
+    ``keep`` is the per-row keep probability vector; row ``i`` of every mask
+    is drawn with ``keep[i]`` and the vector is stored on the result.
+    """
+    keep = np.asarray(keep, dtype=np.float64)
+    keep_col = keep[:, None]
+    masks = [bernoulli_mask((len(keep), w), keep_col, rng) for w in widths]
+    return DropoutMask(masks, keep)
+
+
+def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Index arrays of one shuffled pass over ``range(n)``; the last may be short."""
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield perm[start : start + batch_size]
+
+
 @dataclass
 class ForwardCache:
     """Intermediates retained by `mlp_forward` for the backward pass."""
@@ -351,11 +372,49 @@ def adam_step(
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # lr * (m/bc1) / (sqrt(v/bc2) + eps), operation for operation, in two
+        # scratch arrays instead of a fresh full-size temporary per operation
+        step, denom = np.empty_like(p), np.empty_like(p)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=step)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        v += np.multiply(np.multiply(g, g, out=denom), 1.0 - state.beta2, out=denom)
+        np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.epsilon, out=denom)
+        p -= np.divide(step, denom, out=step)
+
+
+def train_step(
+    nets: Sequence[MLPParams],
+    states: Sequence[AdamState],
+    x: np.ndarray,
+    masks: Sequence[DropoutMask | None],
+    loss_grad: Callable[[np.ndarray], np.ndarray],
+) -> tuple[list[list[tuple[np.ndarray, np.ndarray]]], list[ForwardCache]]:
+    """One Adam step on a chain of nets, each feeding the next.
+
+    ``masks[i]`` applies to ``nets[i]``; ``loss_grad`` maps the last net's
+    output to ``dloss/doutput``. Every net is updated in place with its own
+    ``states[i]``. Raises FloatingPointError, before any update, if the
+    forward output is not finite.
+
+    Returns each net's applied gradients and forward cache. A training loop
+    holds them until its next step returns: freeing a whole step's arrays at
+    once lets glibc trim the heap and fault it back in on every step.
+    """
+    caches = []
+    h = x
+    for net, mask in zip(nets, masks):
+        h, cache = mlp_forward(net, h, mask)
+        caches.append(cache)
+    if not np.isfinite(h).all():
+        raise FloatingPointError("forward output is not finite")
+    g = loss_grad(h)
+    grads = [None] * len(nets)
+    for i in reversed(range(len(nets))):
+        grads[i], g = mlp_backward(nets[i], caches[i], g)
+        adam_step(nets[i].parameter_arrays(), flatten_grads(grads[i]), states[i])
+    return grads, caches
 
 
 def grad_check(

@@ -20,11 +20,10 @@ from .nn import (
     AdamState,
     DenseLayer,
     MLPParams,
-    adam_step,
     build_mlp,
-    mlp_backward,
     mlp_forward,
     stable_sigmoid,
+    train_step,
 )
 
 PROB_CLAMP = 1e-12
@@ -35,16 +34,13 @@ DEFAULT_EPOCHS = 300
 
 @dataclass(frozen=True)
 class DropoutSchedule:
-    """Offset gamma in [0,1]; entropy base pinned to 2 so H(1/2) = 1."""
+    """Offset gamma in [0,1]; entropy is always base 2, so H(1/2) = 1."""
 
     gamma: float = 1.0
-    entropy_base: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.entropy_base != 2:
-            raise ValueError("entropy base is fixed at 2")
 
 
 def binary_entropy(p):
@@ -93,15 +89,17 @@ class PropensityModel:
             "net": self.net.to_dict(),
             "standardization": self.standardization.to_dict(),
             "gamma": self.schedule.gamma,
-            "entropy_base": self.schedule.entropy_base,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PropensityModel":
+        # older bundles record the entropy base, which has only ever been 2
+        if payload.get("entropy_base", 2) != 2:
+            raise ValueError("entropy base is fixed at 2")
         return cls(
             MLPParams.from_dict(payload["net"]),
             Standardization.from_dict(payload["standardization"]),
-            DropoutSchedule(payload["gamma"], payload.get("entropy_base", 2)),
+            DropoutSchedule(payload["gamma"]),
         )
 
 
@@ -119,13 +117,9 @@ def predict_propensity(model: PropensityModel, x: np.ndarray):
     return float(scores[0]) if single else scores
 
 
-def _bce_and_grad(logits: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    # mean of softplus(-z) + (1-w) z, the overflow-safe cross-entropy form
-    z = logits[:, 0]
-    softplus = np.logaddexp(0.0, -z)
-    loss = float(np.mean(softplus + (1.0 - w) * z))
-    grad = ((stable_sigmoid(z) - w) / len(w))[:, None]
-    return loss, grad
+def _bce_grad(logits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # gradient of the mean cross-entropy with respect to the logits
+    return ((stable_sigmoid(logits[:, 0]) - w) / len(w))[:, None]
 
 
 def train_propensity(
@@ -160,10 +154,12 @@ def train_propensity(
     )
     w = scaled.W.astype(np.float64)
     state = AdamState.for_params(logit_view.parameter_arrays(), lr=learning_rate)
-    for _ in range(epochs):
-        logits, cache = mlp_forward(logit_view, scaled.X)
-        _, grad_out = _bce_and_grad(logits, w)
-        grads, _ = mlp_backward(logit_view, cache, grad_out)
-        flat = [g for pair in grads for g in pair]
-        adam_step(logit_view.parameter_arrays(), flat, state)
+    for epoch in range(1, epochs + 1):
+        try:
+            # held until the next step returns (see train_step)
+            last_step = train_step(
+                [logit_view], [state], scaled.X, [None], lambda z: _bce_grad(z, w)
+            )
+        except FloatingPointError as e:
+            raise FloatingPointError(f"propensity training, epoch {epoch}: {e}") from None
     return PropensityModel(net, transform, schedule)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import ObservationalDataset
 from .dcn import DCNParams, build_dcn, dcn_forward
-from .nn import AdamState, DropoutMask, adam_step, bernoulli_mask, mlp_backward, mlp_forward
+from .nn import AdamState, draw_masks, minibatches, train_step
 from .propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -57,6 +57,12 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 
+    def adam_state(self, arrays) -> AdamState:
+        """Fresh Adam moments for ``arrays`` with this config's optimizer settings."""
+        return AdamState.for_params(
+            arrays, self.learning_rate, self.beta1, self.beta2, self.epsilon
+        )
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -86,10 +92,6 @@ def factual_mse(params: DCNParams, batch: ObservationalDataset) -> float:
     return float(np.mean((pred - batch.Y) ** 2))
 
 
-def _minibatch_masks(widths, m, keep_col, rng):
-    return DropoutMask([bernoulli_mask((m, w), keep_col, rng) for w in widths], keep_col[:, 0])
-
-
 def _train_alternating(
     dataset: ObservationalDataset,
     keep_all: np.ndarray,
@@ -104,54 +106,40 @@ def _train_alternating(
     if len(treated_idx) == 0 or len(control_idx) == 0:
         raise ValueError("training needs both treated and control subjects")
     params = build_dcn(dataset.d, rng, config.shared_widths, config.head_widths)
-    adam = dict(
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
-    shared_state = AdamState.for_params(params.shared.parameter_arrays(), **adam)
-    head_states = (
-        AdamState.for_params(params.head0.parameter_arrays(), **adam),
-        AdamState.for_params(params.head1.parameter_arrays(), **adam),
-    )
+    shared_state = config.adam_state(params.shared.parameter_arrays())
     shared_widths, head0_widths, head1_widths = params.mask_widths()
+    arms = (
+        ("control", control_idx, params.head0, head0_widths),
+        ("treated", treated_idx, params.head1, head1_widths),
+    )
+    head_states = [config.adam_state(head.parameter_arrays()) for _, _, head, _ in arms]
     for k in range(1, config.epochs + 1):
-        control_phase = k % 2 == 1
-        arm = 0 if control_phase else 1
-        idx = control_idx if control_phase else treated_idx
-        head = params.head0 if control_phase else params.head1
-        head_widths = head0_widths if control_phase else head1_widths
-        perm = rng.permutation(len(idx))
-        for start in range(0, len(idx), config.batch_size):
-            rows = idx[perm[start : start + config.batch_size]]
-            xb, yb, keep = dataset.X[rows], dataset.Y[rows], keep_all[rows]
-            keep_col = keep[:, None]
-            # masks are drawn unconditionally, even at keep 1, so runs that
-            # differ only in schedule stay on the same random stream
-            shared_mask = _minibatch_masks(shared_widths, len(rows), keep_col, rng)
-            head_mask = _minibatch_masks(head_widths, len(rows), keep_col, rng)
-            if mask_observer is not None:
-                mask_observer(rows, keep)
-            rep, shared_cache = mlp_forward(params.shared, xb, shared_mask)
-            out, head_cache = mlp_forward(head, rep, head_mask)
-            grad_out = (2.0 * (out[:, 0] - yb) / len(rows))[:, None]
-            head_grads, grad_rep = mlp_backward(head, head_cache, grad_out)
-            shared_grads, _ = mlp_backward(params.shared, shared_cache, grad_rep)
-            adam_step(
-                params.shared.parameter_arrays(),
-                [g for pair in shared_grads for g in pair],
-                shared_state,
-            )
-            adam_step(
-                head.parameter_arrays(),
-                [g for pair in head_grads for g in pair],
-                head_states[arm],
-            )
+        arm = 0 if k % 2 == 1 else 1
+        phase, idx, head, head_widths = arms[arm]
+        try:
+            for batch in minibatches(len(idx), config.batch_size, rng):
+                rows = idx[batch]
+                yb, keep = dataset.Y[rows], keep_all[rows]
+                # masks are drawn unconditionally, even at keep 1, so runs that
+                # differ only in schedule stay on the same random stream
+                shared_mask = draw_masks(shared_widths, keep, rng)
+                head_mask = draw_masks(head_widths, keep, rng)
+                if mask_observer is not None:
+                    mask_observer(rows, keep)
+                # held until the next step returns (see train_step)
+                last_step = train_step(
+                    [params.shared, head],
+                    [shared_state, head_states[arm]],
+                    dataset.X[rows],
+                    [shared_mask, head_mask],
+                    lambda out: (2.0 * (out[:, 0] - yb) / len(rows))[:, None],
+                )
+        except FloatingPointError as e:
+            raise FloatingPointError(f"epoch {k} ({phase} phase): {e}") from None
         if on_epoch is not None or metrics_out is not None:
             record = EpochRecord(
                 epoch=k,
-                phase="control" if control_phase else "treated",
+                phase=phase,
                 factual_mse=factual_mse(params, dataset.subset(idx)),
             )
             if on_epoch is not None:

@@ -196,6 +196,13 @@ class TestDirectTraining:
         X = ds.X[:5]
         np.testing.assert_array_equal(a.predict_ite(X), b.predict_ite(X))
 
+    def test_divergence_raises_naming_the_epoch(self):
+        ds = _linear_toy(40, seed=17)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="epoch 1"):
+                train_direct_nn(ds, (8, 8), cfg, np.random.default_rng(18))
+
     def test_dropout_domain(self):
         ds = _linear_toy(30, seed=16)
         with pytest.raises(ValueError):

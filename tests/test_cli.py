@@ -146,6 +146,19 @@ class TestTrainAndEvaluate:
                      "--model-file", str(model_file)]) == 2
 
 
+    def test_evaluate_rejects_unknown_bundle_version(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        model_file = tmp_path / "model.json"
+        assert main(["train", "--config", str(config), "--out", str(model_file)]) == 0
+        bundle = json.loads(model_file.read_text())
+        bundle["schema_version"] = 99
+        model_file.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--model-file", str(model_file)]) == 2
+        assert "schema_version 99" in capsys.readouterr().err
+
+
 class TestBenchmark:
     def test_writes_report_and_csv(self, tmp_path, capsys):
         config = write_config(tmp_path)

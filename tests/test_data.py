@@ -58,6 +58,20 @@ class TestDatasetInvariants:
                 true_ite=np.array([1.0, 2.0]),
             )
 
+    @pytest.mark.parametrize("name", ["X", "Y", "mu0", "mu1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, name, bad):
+        arrays = {
+            "X": np.ones((3, 2)),
+            "Y": np.zeros(3),
+            "mu0": np.zeros(3),
+            "mu1": np.ones(3),
+        }
+        arrays[name].flat[1] = bad
+        with pytest.raises(ValidationError, match=name):
+            ObservationalDataset(arrays["X"], np.array([0, 1, 0]), arrays["Y"],
+                                 arrays["mu0"], arrays["mu1"])
+
     def test_mu0_without_mu1_rejected(self):
         with pytest.raises(ValidationError):
             ObservationalDataset(
@@ -108,6 +122,23 @@ class TestCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path)
         assert err.value.row == 2 and err.value.column == "x1"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_cell_carries_location(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "x1,x2,w,y,mu0,mu1\n"
+            "1.0,2.0,0,2.0,0.0,1.0\n"
+            f"1.0,2.0,1,3.0,0.0,{cell}\n"
+            f"1.0,{cell},1,{cell},0.0,1.0\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.row == 2 and err.value.column == "mu1"
+        path.write_text(f"y,x1,w\n{cell},{cell},0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.row == 1 and err.value.column == "y"
 
     def test_mu0_without_mu1_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -9,15 +9,20 @@ from dcnpd.data import Standardization
 from dcnpd.dcn import (
     DCNParams,
     DcnMasks,
+    _summarize,
     build_dcn,
     dcn_forward,
     estimate_ite,
     mc_ite_matrix,
     predict_deterministic,
-    sample_masks,
 )
-from dcnpd.nn import DenseLayer, DropoutMask, MLPParams
-from dcnpd.propensity import DropoutSchedule, PropensityModel
+from dcnpd.nn import DenseLayer, DropoutMask, MLPParams, bernoulli_mask, draw_masks
+from dcnpd.propensity import (
+    DropoutSchedule,
+    PropensityModel,
+    dropout_probability,
+    predict_propensity,
+)
 
 
 def small_dcn(seed=0, d=3, shared=(6, 6), heads=()):
@@ -38,6 +43,30 @@ def zero_dcn(d=3, width=4):
         stack(width, 1, out_act="identity"),
         stack(width, 1, out_act="identity"),
     )
+
+
+def dcn_masks(keep, widths, rows, rng):
+    """A DCN mask set for a ``rows``-row batch with every row at ``keep``."""
+    keep = np.full(rows, keep)
+    return DcnMasks(*(draw_masks(ws, keep, rng) for ws in widths))
+
+
+def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
+    """The per-draw loop that `estimate_ite` ran before it became one-row MC.
+
+    Each draw samples flat ``(width,)`` masks at the subject's scalar keep
+    probability (shared stack, head0, head1) and runs one single-vector pass.
+    """
+    keep = 1.0 - dropout_probability(predict_propensity(prop, x), schedule)
+    y0 = np.empty(n_samples)
+    y1 = np.empty(n_samples)
+    for m in range(n_samples):
+        groups = [
+            DropoutMask([bernoulli_mask(w, keep, rng) for w in ws], keep)
+            for ws in params.mask_widths()
+        ]
+        y0[m], y1[m] = dcn_forward(params, x, DcnMasks(*groups))
+    return y1 - y0, y0, y1
 
 
 def stub_propensity(logit, d=3, gamma=1.0):
@@ -94,7 +123,7 @@ class TestForward:
         params = small_dcn(3)
         params.head1 = params.head0.copy()
         rng = np.random.default_rng(4)
-        masks = sample_masks(0.5, params.mask_widths(), rng)
+        masks = dcn_masks(0.5, params.mask_widths(), 1, rng)
         x = rng.normal(size=3)
         y0, y1 = dcn_forward(params, x, masks)
         assert y0 == y1
@@ -102,7 +131,7 @@ class TestForward:
     def test_all_ones_masks_equal_maskless(self):
         params = small_dcn(5)
         x = np.random.default_rng(6).normal(size=(4, 3))
-        masks = sample_masks(1.0, params.mask_widths(), np.random.default_rng(7))
+        masks = dcn_masks(1.0, params.mask_widths(), 4, np.random.default_rng(7))
         with_mask = dcn_forward(params, x, masks)
         bare = dcn_forward(params, x)
         np.testing.assert_array_equal(with_mask[0], bare[0])
@@ -111,7 +140,7 @@ class TestForward:
     def test_both_equals_two_single_head_calls(self):
         params = small_dcn(8, heads=(4,))
         rng = np.random.default_rng(9)
-        masks = sample_masks(0.6, params.mask_widths(), rng)
+        masks = dcn_masks(0.6, params.mask_widths(), 6, rng)
         x = rng.normal(size=(6, 3))
         y0, y1 = dcn_forward(params, x, masks)
         np.testing.assert_array_equal(y0, dcn_forward(params, x, masks, head=0))
@@ -150,35 +179,42 @@ class TestPredictDeterministic:
 
 
 class TestSampleMasks:
+    """The DCN mask set drawn group by group through `draw_masks`."""
+
     def test_keep_one_gives_all_ones(self):
-        masks = sample_masks(1.0, ([5, 6], [4], []), np.random.default_rng(0))
+        masks = dcn_masks(1.0, ([5, 6], [4], []), 3, np.random.default_rng(0))
         for m in masks.shared.masks + masks.head0.masks:
             np.testing.assert_array_equal(m, np.ones_like(m))
         assert masks.head1.masks == []
 
     def test_keep_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_masks(0.0, ([5], [], []), np.random.default_rng(0))
+            draw_masks([5], np.zeros(2), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            draw_masks([5], np.array([0.5, 0.0]), np.random.default_rng(0))
 
     def test_binomial_concentration(self):
-        masks = sample_masks(0.5, ([10_000], [], []), np.random.default_rng(1))
-        frac = masks.shared.masks[0].mean()
-        assert 0.48 <= frac <= 0.52
+        masks = draw_masks([10_000], np.array([0.5, 0.2]), np.random.default_rng(1))
+        frac = masks.masks[0].mean(axis=1)
+        assert 0.48 <= frac[0] <= 0.52
+        assert 0.18 <= frac[1] <= 0.22
 
     def test_same_seed_same_masks(self):
-        a = sample_masks(0.7, ([8, 8], [3], [3]), np.random.default_rng(2))
-        b = sample_masks(0.7, ([8, 8], [3], [3]), np.random.default_rng(2))
+        a = dcn_masks(0.7, ([8, 8], [3], [3]), 2, np.random.default_rng(2))
+        b = dcn_masks(0.7, ([8, 8], [3], [3]), 2, np.random.default_rng(2))
         for ma, mb in zip(a.shared.masks, b.shared.masks):
             np.testing.assert_array_equal(ma, mb)
         np.testing.assert_array_equal(a.head0.masks[0], b.head0.masks[0])
         np.testing.assert_array_equal(a.head1.masks[0], b.head1.masks[0])
 
     def test_stored_keep_prob(self):
-        masks = sample_masks(0.35, ([4], [], []), np.random.default_rng(3))
-        assert masks.shared.keep_prob == 0.35
+        keep = np.array([0.35, 0.9, 1.0])
+        mask = draw_masks([4, 2], keep, np.random.default_rng(3))
+        np.testing.assert_array_equal(mask.keep_prob, keep)
+        assert [m.shape for m in mask.masks] == [(3, 4), (3, 2)]
 
     def test_head_masks_drawn_independently(self):
-        masks = sample_masks(0.5, ([4], [1000], [1000]), np.random.default_rng(4))
+        masks = dcn_masks(0.5, ([4], [1000], [1000]), 1, np.random.default_rng(4))
         assert not np.array_equal(masks.head0.masks[0], masks.head1.masks[0])
 
 
@@ -210,7 +246,7 @@ class TestEstimateIte:
         rng = np.random.default_rng(18)
         x = rng.normal(size=3)
         for _ in range(20):
-            masks = sample_masks(0.5, params.mask_widths(), rng)
+            masks = dcn_masks(0.5, params.mask_widths(), 1, rng)
             forced = DcnMasks(masks.shared, masks.head0, masks.head0)  # inject
             y0, y1 = dcn_forward(params, x, forced)
             assert y1 - y0 == 0.0
@@ -281,6 +317,22 @@ class TestEstimateIte:
         )
         assert est.mean == float(np.mean(est.samples))
         assert est.y1_mean - est.y0_mean == pytest.approx(est.mean, abs=1e-12)
+
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-4.0, 4.0), st.integers(1, 60))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_draw_reference_bitwise(self, seed, logit, n_samples):
+        params = small_dcn(33, heads=(4,))
+        prop = stub_propensity(logit)
+        sched = DropoutSchedule(0.6)
+        x = np.random.default_rng(seed).normal(size=3)
+        est = estimate_ite(params, prop, sched, x, n_samples, np.random.default_rng(seed))
+        ref = _summarize(
+            *reference_estimate_ite(params, prop, sched, x, n_samples, np.random.default_rng(seed))
+        )
+        np.testing.assert_array_equal(est.samples, ref.samples)
+        assert (est.mean, est.std, est.quantiles) == (ref.mean, ref.std, ref.quantiles)
+        assert (est.y0_mean, est.y1_mean) == (ref.y0_mean, ref.y1_mean)
 
 
 class TestMcMatrix:

@@ -366,6 +366,10 @@ class TestModelBundles:
     def test_unknown_bundle_kind_rejected(self):
         with pytest.raises(ConfigError):
             predict_from_bundle(
-                {"kind": "oracle", "standardization": {"mean": [0.0], "std": [1.0]}},
+                {
+                    "schema_version": 1,
+                    "kind": "oracle",
+                    "standardization": {"mean": [0.0], "std": [1.0]},
+                },
                 np.zeros((1, 1)),
             )

@@ -15,9 +15,11 @@ from dcnpd.nn import (
     build_mlp,
     flatten_grads,
     grad_check,
+    minibatches,
     mlp_backward,
     mlp_forward,
     stable_sigmoid,
+    train_step,
     xavier_init,
 )
 
@@ -246,6 +248,55 @@ class TestAdam:
         for _ in range(400):
             adam_step([p], [2 * (p - target)], state)
         assert np.sum((p - target) ** 2) < first * 0.01
+
+
+class TestTrainStep:
+    def test_matches_hand_chained_step(self):
+        rng = np.random.default_rng(30)
+        first, second = tiny_net(31, (3, 5, 4)), tiny_net(32, (4, 2, 1))
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=6)
+        mask = DropoutMask([bernoulli_mask((6, 5), 0.7, rng)], 0.7)
+        expected = [first.copy(), second.copy()]
+        exp_states = [AdamState.for_params(n.parameter_arrays()) for n in expected]
+        rep, cache1 = mlp_forward(expected[0], x, mask)
+        out, cache2 = mlp_forward(expected[1], rep)
+        grads2, grad_rep = mlp_backward(expected[1], cache2, (out - y[:, None]) / 6)
+        grads1, _ = mlp_backward(expected[0], cache1, grad_rep)
+        adam_step(expected[0].parameter_arrays(), flatten_grads(grads1), exp_states[0])
+        adam_step(expected[1].parameter_arrays(), flatten_grads(grads2), exp_states[1])
+
+        states = [AdamState.for_params(n.parameter_arrays()) for n in (first, second)]
+        applied, caches = train_step(
+            [first, second], states, x, [mask, None], lambda o: (o - y[:, None]) / 6
+        )
+        for got, want in zip((first, second), expected):
+            for a, b in zip(got.parameter_arrays(), want.parameter_arrays()):
+                np.testing.assert_array_equal(a, b)
+        for got, want in zip(applied, (grads1, grads2)):
+            for a, b in zip(flatten_grads(got), flatten_grads(want)):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(caches[1].inputs[0], rep)
+        assert [s.t for s in states] == [1, 1]
+
+    def test_nonfinite_output_raises_before_any_update(self):
+        net = tiny_net(33)
+        net.layers[-1].b[0] = np.inf
+        before = [a.copy() for a in net.parameter_arrays()]
+        state = AdamState.for_params(net.parameter_arrays())
+        with pytest.raises(FloatingPointError):
+            train_step([net], [state], np.ones((2, 3)), [None], lambda o: o)
+        for a, b in zip(net.parameter_arrays(), before):
+            np.testing.assert_array_equal(a, b)
+        assert state.t == 0
+
+    @given(st.integers(1, 50), st.integers(1, 20), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_minibatches_partition_one_permutation(self, n, batch_size, seed):
+        batches = list(minibatches(n, batch_size, np.random.default_rng(seed)))
+        np.testing.assert_array_equal(
+            np.concatenate(batches), np.random.default_rng(seed).permutation(n)
+        )
+        assert all(len(b) == batch_size for b in batches[:-1])
 
 
 class TestXavier:

@@ -92,8 +92,12 @@ class TestDropoutSchedule:
                 DropoutSchedule(bad)
 
     def test_entropy_base_pinned(self):
+        # the schedule has no base option; saved models may still record base 2
+        payload = PropensityModel(constant_net(0.3), identity_scaling(2)).to_dict()
+        assert "entropy_base" not in payload
+        assert PropensityModel.from_dict({**payload, "entropy_base": 2}).schedule.gamma == 1.0
         with pytest.raises(ValueError):
-            DropoutSchedule(1.0, entropy_base=10)
+            PropensityModel.from_dict({**payload, "entropy_base": 10})
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -182,6 +186,17 @@ class TestTraining:
         early = train_propensity(ds, epochs=1, rng=np.random.default_rng(9))
         late = train_propensity(ds, epochs=400, rng=np.random.default_rng(9))
         assert bce(late) <= bce(early)
+
+    def test_divergence_raises_naming_the_epoch(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="epoch 2"):
+                train_propensity(
+                    separable_toy(40, seed=13),
+                    arch=(4,),
+                    epochs=5,
+                    rng=np.random.default_rng(14),
+                    learning_rate=1e200,
+                )
 
     def test_epochs_validated(self):
         with pytest.raises(ValueError):

@@ -278,6 +278,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             train_dcn(ds, stub_propensity(0.0, d=4), SMALL, np.random.default_rng(0))
 
+    def test_divergence_raises_naming_epoch_and_phase(self):
+        ds = biased_toy(40, seed=3)
+        cfg = TrainConfig(epochs=4, batch_size=8, shared_widths=(8,), learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"epoch 1 \(control phase\)"):
+                train_dcn(ds, stub_propensity(0.3), cfg, np.random.default_rng(4))
+            with pytest.raises(FloatingPointError, match=r"epoch 1 \(control phase\)"):
+                train_dcn_fixed_dropout(ds, 0.2, cfg, np.random.default_rng(4))
+
     def test_dropout_domain(self):
         ds = biased_toy(20, seed=2)
         for bad in (-0.1, 1.0):

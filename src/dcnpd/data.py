@@ -85,7 +85,10 @@ class ObservationalDataset:
             if self.mu0.shape != (n,) or self.mu1.shape != (n,):
                 raise ValidationError("mu0/mu1 lengths do not match X rows")
             _require_finite(mu0=self.mu0, mu1=self.mu1)
-            derived = self.mu1 - self.mu0
+            with np.errstate(over="ignore"):
+                derived = self.mu1 - self.mu0
+            if not np.isfinite(derived).all():
+                raise ValidationError("mu1 - mu0 overflows: true_ite would not be finite")
             if self.true_ite is None:
                 self.true_ite = derived
             else:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import DropoutMask, MLPParams, build_mlp, draw_masks, mlp_forward
+from .nn import DropoutMask, ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
 from .propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -115,30 +115,40 @@ def dcn_forward(
     x: np.ndarray,
     masks: DcnMasks | None = None,
     head="both",
+    caches: list[ForwardCache | None] | None = None,
 ):
     """Evaluate the requested head(s); the shared stack runs exactly once.
 
     ``x`` may be a single feature vector (scalar results) or an (n, d) batch
     (length-n arrays). ``head`` is 0, 1, or "both" for a (y0, y1) pair.
+
+    ``caches`` is an optional three-slot list (shared, head0, head1): each
+    pass stores its `mlp_forward` cache in an empty slot and writes into
+    the cache of a filled one, so repeated calls of one shape and mask
+    layout reuse their buffers. Results returned for a batch are then views
+    of those buffers, overwritten by the next call.
     """
     if head not in (0, 1, "both"):
         raise ValueError('head must be 0, 1, or "both"')
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
-    rep, _ = mlp_forward(params.shared, rows, masks.shared if masks else None)
+    slots = [None] * 3 if caches is None else caches
+    rep, slots[0] = mlp_forward(
+        params.shared, rows, masks.shared if masks else None, slots[0]
+    )
 
-    def run_head(net, mask):
-        out = mlp_forward(net, rep, mask)[0][:, 0]
-        return float(out[0]) if single else out
+    def run_head(i, net, mask):
+        out, slots[i] = mlp_forward(net, rep, mask, slots[i])
+        return float(out[0, 0]) if single else out[:, 0]
 
     if head == 0:
-        return run_head(params.head0, masks.head0 if masks else None)
+        return run_head(1, params.head0, masks.head0 if masks else None)
     if head == 1:
-        return run_head(params.head1, masks.head1 if masks else None)
+        return run_head(2, params.head1, masks.head1 if masks else None)
     return (
-        run_head(params.head0, masks.head0 if masks else None),
-        run_head(params.head1, masks.head1 if masks else None),
+        run_head(1, params.head0, masks.head0 if masks else None),
+        run_head(2, params.head1, masks.head1 if masks else None),
     )
 
 
@@ -190,17 +200,23 @@ def _mc_outcomes(
     """(y0, y1) draws, each (n, n_samples): one batched masked pass per draw.
 
     Row i keeps units with probability 1 - its scheduled dropout; each draw
-    takes fresh masks for the shared stack, then head0, then head1.
+    takes fresh masks for the shared stack, then head0, then head1. ``X``
+    and the keep vector are checked once; the first draw allocates the
+    masks and forward caches and every later draw writes into them.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} of X contains NaN or infinite values")
     keep = 1.0 - dropout_probability(predict_propensity(prop, X), schedule)
-    if np.any(keep <= 0.0):
+    if not np.all(keep > 0.0):
         raise ValueError("schedule yields keep probability 0 for some subject")
     y0, y1 = np.empty((2, X.shape[0], n_samples))
+    groups, caches = [None] * 3, [None] * 3
     for m in range(n_samples):
-        masks = DcnMasks(*(draw_masks(w, keep, rng) for w in params.mask_widths()))
-        y0[:, m], y1[:, m] = dcn_forward(params, X, masks)
+        groups = [draw_masks(w, keep, rng, g) for w, g in zip(params.mask_widths(), groups)]
+        y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups), caches=caches)
     return y0, y1
 
 

@@ -20,10 +20,10 @@ import numpy as np
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 
-def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow for large |z|."""
+def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow for large |z|, optionally into ``out``."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
+    out = np.empty_like(z) if out is None else out
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     expz = np.exp(z[~pos])
@@ -31,11 +31,12 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, name: str) -> np.ndarray:
+def _activate(z: np.ndarray, name: str, out: np.ndarray | None = None) -> np.ndarray:
+    # identity returns z itself, so ``out`` is then z or unused
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "sigmoid":
-        return stable_sigmoid(z)
+        return stable_sigmoid(z, out)
     if name == "identity":
         return z
     raise ValueError(f"unknown activation {name!r}")
@@ -186,25 +187,49 @@ class DropoutMask:
     keep_prob: float | np.ndarray
 
 
-def bernoulli_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
-    """0/1 mask with entries Bernoulli(keep_prob); keep_prob=1 gives all ones."""
-    keep = np.asarray(keep_prob, dtype=np.float64)
-    if np.any(keep <= 0.0) or np.any(keep > 1.0):
+def _check_keep(keep: np.ndarray) -> None:
+    # written so that NaN fails too
+    if not ((keep > 0.0) & (keep <= 1.0)).all():
         raise ValueError("keep_prob must lie in (0, 1]")
-    return (rng.random(shape) < keep).astype(np.float64)
+
+
+def bernoulli_mask(
+    shape, keep_prob, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """0/1 mask with entries Bernoulli(keep_prob); keep_prob=1 gives all ones.
+
+    With ``out``, a float64 array of ``shape``, the mask is drawn into it and
+    ``out`` is returned: the same random stream and values as a fresh draw.
+    """
+    keep = np.asarray(keep_prob, dtype=np.float64)
+    _check_keep(keep)
+    if out is None:
+        return (rng.random(shape) < keep).astype(np.float64)
+    if out.shape != (tuple(shape) if np.iterable(shape) else (shape,)) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    rng.random(out=out)
+    return np.less(out, keep, out=out)
 
 
 def draw_masks(
-    widths: Sequence[int], keep: np.ndarray, rng: np.random.Generator
+    widths: Sequence[int],
+    keep: np.ndarray,
+    rng: np.random.Generator,
+    out: DropoutMask | None = None,
 ) -> DropoutMask:
     """One ``(rows, width)`` Bernoulli mask per width, drawn in order.
 
     ``keep`` is the per-row keep probability vector; row ``i`` of every mask
-    is drawn with ``keep[i]`` and the vector is stored on the result.
+    is drawn with ``keep[i]`` and the vector is stored on the result. With
+    ``out``, a result of an earlier call with the same widths and rows, the
+    masks are redrawn into its arrays.
     """
     keep = np.asarray(keep, dtype=np.float64)
     keep_col = keep[:, None]
-    masks = [bernoulli_mask((len(keep), w), keep_col, rng) for w in widths]
+    buffers = [None] * len(widths) if out is None else out.masks
+    if len(buffers) != len(widths):
+        raise ValueError("out holds a different number of masks")
+    masks = [bernoulli_mask((len(keep), w), keep_col, rng, b) for w, b in zip(widths, buffers)]
     return DropoutMask(masks, keep)
 
 
@@ -217,24 +242,32 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[n
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained by `mlp_forward` for the backward pass."""
+    """Intermediates retained by `mlp_forward` for the backward pass.
+
+    ``output`` is the network output, kept so that a later call can write
+    into it (see `mlp_forward`).
+    """
 
     inputs: list[np.ndarray]
     pre_acts: list[np.ndarray]
     acts: list[np.ndarray]
     scales: list[np.ndarray | None]
+    output: np.ndarray | None = None
 
 
 def _mask_scales(
-    params: MLPParams, mask: DropoutMask | None, n_rows: int
+    params: MLPParams,
+    mask: DropoutMask | None,
+    n_rows: int,
+    out: list[np.ndarray | None],
 ) -> list[np.ndarray | None]:
+    # out[i] receives layer i's scale; None entries allocate
     if mask is None:
         return [None] * len(params.layers)
     if len(mask.masks) > len(params.layers):
         raise ValueError("more mask vectors than layers")
     keep = np.asarray(mask.keep_prob, dtype=np.float64)
-    if np.any(keep <= 0.0) or np.any(keep > 1.0):
-        raise ValueError("keep_prob must lie in (0, 1]")
+    _check_keep(keep)
     if keep.ndim == 1:
         if keep.shape[0] != n_rows:
             raise ValueError("per-example keep_prob length does not match batch")
@@ -254,18 +287,27 @@ def _mask_scales(
             )
         if m.ndim == 2 and m.shape[0] != n_rows:
             raise ValueError("per-example mask rows do not match batch")
-        scales.append(m / keep)
+        scales.append(np.divide(m, keep, out=out[i]))
     return scales
 
 
 def mlp_forward(
-    params: MLPParams, x: np.ndarray, mask: DropoutMask | None = None
+    params: MLPParams,
+    x: np.ndarray,
+    mask: DropoutMask | None = None,
+    out: ForwardCache | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass over a batch; returns output and the backward cache.
 
     With a mask, each covered activation is multiplied elementwise by its
     0/1 mask and divided by ``keep_prob`` (inverted dropout), so an
     all-ones mask at keep_prob 1 reproduces the maskless output exactly.
+
+    With ``out``, the cache of an earlier call on the same network, an
+    input of the same shape and masks on the same layers, every
+    intermediate and the output are written into its arrays and ``out`` is
+    returned as the cache. The values are the same as from a fresh call;
+    ``x`` is never written. A mismatch raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -274,17 +316,28 @@ def mlp_forward(
         raise ValueError(
             f"input width {x.shape[1]} does not match network input {params.input_dim}"
         )
-    scales = _mask_scales(params, mask, x.shape[0])
-    inputs, pre_acts, acts = [], [], []
+    n_layers = len(params.layers)
+    reuse = out is not None
+    if not reuse:
+        out = ForwardCache(*([None] * n_layers for _ in range(4)))
+    elif len(out.pre_acts) != n_layers or out.inputs[0].shape != x.shape:
+        raise ValueError("cache was filled by a call of another shape")
+    scales = _mask_scales(params, mask, x.shape[0], out.scales)
+    if reuse and [s is None for s in scales] != [s is None for s in out.scales]:
+        raise ValueError("cache was filled with masks on other layers")
     h = x
-    for layer, scale in zip(params.layers, scales):
-        inputs.append(h)
-        z = h @ layer.W + layer.b
-        a = _activate(z, layer.activation)
-        pre_acts.append(z)
-        acts.append(a)
-        h = a if scale is None else a * scale
-    return h, ForwardCache(inputs, pre_acts, acts, scales)
+    for i, (layer, scale) in enumerate(zip(params.layers, scales)):
+        out.inputs[i] = h
+        z = np.add(np.matmul(h, layer.W, out=out.pre_acts[i]), layer.b, out=out.pre_acts[i])
+        a = _activate(z, layer.activation, out.acts[i])
+        out.pre_acts[i], out.acts[i] = z, a
+        if scale is None:
+            h = a
+        else:
+            # the output buffer is the next layer's input, or the net's own
+            h = np.multiply(a, scale, out=out.inputs[i + 1] if i + 1 < n_layers else out.output)
+    out.scales, out.output = scales, h
+    return h, out
 
 
 def mlp_backward(

@@ -1,6 +1,7 @@
 """Dataset plumbing: CSV round-trips, the generator's ground truth, splits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,17 +59,25 @@ class TestDatasetInvariants:
                 true_ite=np.array([1.0, 2.0]),
             )
 
-    @pytest.mark.parametrize("name", ["X", "Y", "mu0", "mu1"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_values_rejected(self, name, bad):
+    @pytest.mark.parametrize(
+        "cells, name",
+        [
+            pytest.param({name: bad}, name, id=f"{bad}-{name}")
+            for bad in (np.nan, np.inf, -np.inf)
+            for name in ("X", "Y", "mu0", "mu1")
+        ]
+        + [pytest.param({"mu0": -1e308, "mu1": 1e308}, "mu1 - mu0", id="overflow-true_ite")],
+    )
+    def test_nonfinite_values_rejected(self, cells, name):
         arrays = {
             "X": np.ones((3, 2)),
             "Y": np.zeros(3),
             "mu0": np.zeros(3),
             "mu1": np.ones(3),
         }
-        arrays[name].flat[1] = bad
-        with pytest.raises(ValidationError, match=name):
+        for key, value in cells.items():
+            arrays[key].flat[1] = value
+        with pytest.raises(ValidationError, match=re.escape(name)):
             ObservationalDataset(arrays["X"], np.array([0, 1, 0]), arrays["Y"],
                                  arrays["mu0"], arrays["mu1"])
 

@@ -69,6 +69,16 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     return y1 - y0, y0, y1
 
 
+def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
+    """The Monte Carlo loop before it reused buffers: fresh masks and arrays per draw."""
+    keep = 1.0 - dropout_probability(predict_propensity(prop, X), schedule)
+    y0, y1 = np.empty((2, X.shape[0], n_samples))
+    for m in range(n_samples):
+        masks = DcnMasks(*(draw_masks(w, keep, rng) for w in params.mask_widths()))
+        y0[:, m], y1[:, m] = dcn_forward(params, X, masks)
+    return y0, y1
+
+
 def stub_propensity(logit, d=3, gamma=1.0):
     """Constant-score model: every subject gets sigmoid(logit)."""
     net = MLPParams([DenseLayer(np.zeros((d, 1)), np.array([logit]), "sigmoid")])
@@ -192,6 +202,8 @@ class TestSampleMasks:
             draw_masks([5], np.zeros(2), np.random.default_rng(0))
         with pytest.raises(ValueError):
             draw_masks([5], np.array([0.5, 0.0]), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            draw_masks([2], np.array([np.nan, 0.5]), np.random.default_rng(0))
 
     def test_binomial_concentration(self):
         masks = draw_masks([10_000], np.array([0.5, 0.2]), np.random.default_rng(1))
@@ -302,6 +314,8 @@ class TestEstimateIte:
             estimate_ite(params, prop, DropoutSchedule(1.0), np.ones((2, 3)))
         with pytest.raises(ValueError):
             estimate_ite(params, prop, DropoutSchedule(1.0), np.ones(3), 0)
+        with pytest.raises(ValueError, match="row 0"):
+            estimate_ite(params, prop, DropoutSchedule(1.0), np.array([1.0, np.inf, 0.0]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -336,6 +350,33 @@ class TestEstimateIte:
 
 
 class TestMcMatrix:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.sampled_from([(), (1,), (5,), (4, 3)]),
+        st.floats(-4.0, 4.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_draw_reference_bitwise(self, seed, rows, n_samples, heads, logit):
+        params = small_dcn(seed % 1000, heads=heads)
+        prop = stub_propensity(logit)
+        sched = DropoutSchedule(0.4)
+        X = np.random.default_rng(seed).normal(size=(rows, 3))
+        samples = mc_ite_matrix(params, prop, sched, X, n_samples, np.random.default_rng(seed))
+        y0, y1 = reference_mc_outcomes(params, prop, sched, X, n_samples, np.random.default_rng(seed))
+        np.testing.assert_array_equal(samples, y1 - y0)
+
+    def test_rejects_nonfinite_row(self):
+        X = np.ones((5, 3))
+        X[3, 1] = np.nan
+        X[4, 0] = np.inf
+        with pytest.raises(ValueError, match="row 3"):
+            mc_ite_matrix(
+                small_dcn(), stub_propensity(1.0), DropoutSchedule(1.0), X, 4,
+                np.random.default_rng(0),
+            )
+
     def test_shape_and_determinism(self):
         params = small_dcn(27)
         prop = stub_propensity(1.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnpd.nn import (
+    ACTIVATIONS,
     AdamState,
     DenseLayer,
     DropoutMask,
@@ -13,6 +14,7 @@ from dcnpd.nn import (
     adam_step,
     bernoulli_mask,
     build_mlp,
+    draw_masks,
     flatten_grads,
     grad_check,
     minibatches,
@@ -154,6 +156,96 @@ class TestDropoutMasking:
     def test_bernoulli_mask_is_binary(self, seed):
         m = bernoulli_mask((7, 5), 0.6, np.random.default_rng(seed))
         assert set(np.unique(m)) <= {0.0, 1.0}
+
+
+def assert_same_cache(a, b):
+    for field in ("inputs", "pre_acts", "acts", "scales"):
+        for x, y in zip(getattr(a, field), getattr(b, field), strict=True):
+            if x is None or y is None:
+                assert x is None and y is None
+            else:
+                np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.output, b.output)
+
+
+class TestReusedBuffers:
+    """``out=`` refills earlier results: same values, same random stream, no new arrays."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.sampled_from(ACTIVATIONS),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mlp_forward_out_matches_fresh(self, seed, rows, hidden, masked):
+        rng = np.random.default_rng(seed)
+        params = build_mlp((4, 6, 5, 2), rng, hidden_activation=hidden)
+
+        def draw():
+            keep = rng.uniform(0.2, 1.0, rows)
+            masks = draw_masks([6, 5, 2], keep, rng).masks
+            return DropoutMask([m if on else None for m, on in zip(masks, masked)], keep)
+
+        x_a, mask_a = rng.normal(size=(rows, 4)), draw()
+        x_b, mask_b = rng.normal(size=(rows, 4)), draw()
+        _, cache = mlp_forward(params, x_a, mask_a)
+
+        def buffers():
+            return [id(a) for a in cache.pre_acts + cache.acts + cache.scales + cache.inputs[1:]]
+
+        before = buffers() + [id(cache.output)]
+        x_before = x_b.copy()
+        out, reused = mlp_forward(params, x_b, mask_b, out=cache)
+        fresh_out, fresh = mlp_forward(params, x_b, mask_b)
+        assert reused is cache and out is cache.output
+        assert buffers() + [id(out)] == before
+        np.testing.assert_array_equal(out, fresh_out)
+        assert_same_cache(reused, fresh)
+        np.testing.assert_array_equal(x_b, x_before)
+        g = rng.normal(size=fresh_out.shape)
+        for (dw, db), (fw, fb) in zip(
+            mlp_backward(params, reused, g)[0], mlp_backward(params, fresh, g)[0]
+        ):
+            np.testing.assert_array_equal(dw, fw)
+            np.testing.assert_array_equal(db, fb)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 20),
+        st.lists(st.integers(1, 9), max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draw_masks_out_matches_fresh(self, seed, rows, widths):
+        keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
+        first = draw_masks(widths, keep, np.random.default_rng(seed + 1))
+        arrays = list(first.masks)
+        rng_fresh, rng_out = np.random.default_rng(seed), np.random.default_rng(seed)
+        fresh = draw_masks(widths, keep, rng_fresh)
+        refilled = draw_masks(widths, keep, rng_out, out=first)
+        assert all(m is a for m, a in zip(refilled.masks, arrays, strict=True))
+        for m, f in zip(refilled.masks, fresh.masks, strict=True):
+            np.testing.assert_array_equal(m, f)
+        np.testing.assert_array_equal(refilled.keep_prob, keep)
+        assert rng_out.random() == rng_fresh.random()
+
+    def test_mismatched_out_rejected(self):
+        params, rng = tiny_net(), np.random.default_rng(0)
+        keep = np.full(2, 0.5)
+        mask = draw_masks([5], keep, rng)
+        _, cache = mlp_forward(params, np.ones((2, 3)), mask)
+        with pytest.raises(ValueError, match="shape"):
+            mlp_forward(params, np.ones((3, 3)), draw_masks([5], np.full(3, 0.5), rng), out=cache)
+        with pytest.raises(ValueError, match="layers"):
+            mlp_forward(params, np.ones((2, 3)), None, out=cache)
+        with pytest.raises(ValueError):
+            mlp_forward(tiny_net(widths=(3, 4, 1)), np.ones((2, 3)), out=cache)
+        with pytest.raises(ValueError):
+            bernoulli_mask((2, 4), 0.5, rng, out=np.empty((2, 5)))
+        with pytest.raises(ValueError):
+            bernoulli_mask((2, 5), 0.5, rng, out=np.empty((2, 5), dtype=np.float32))
+        with pytest.raises(ValueError):
+            draw_masks([5, 5], keep, rng, out=mask)
 
 
 class TestBackward:

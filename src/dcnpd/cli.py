@@ -9,15 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .data import SyntheticConfig, generate_synthetic, load_csv, save_csv
 from .experiment import (
+    MODEL_TOKENS,
     SCHEMA_VERSION,
     ConfigError,
     ExperimentConfig,
+    config_from_json,
     emit_report,
     ite_mse,
     predict_from_bundle,
@@ -29,7 +32,7 @@ from .experiment import (
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags below override its fields")
     sub.add_argument("--seed", type=int, help="master seed (required here or in the config)")
-    sub.add_argument("--model", help="dcn-pd | dcn-fixed:<p> | nn4 | knn:<k>")
+    sub.add_argument("--model", help=MODEL_TOKENS)
     sub.add_argument("--reps", type=int, help="number of repetitions")
     sub.add_argument("--out", help="output path")
 
@@ -116,22 +119,7 @@ def _require_seed(payload: dict, args: argparse.Namespace) -> int:
 
 
 def _synthetic_from(payload: dict) -> SyntheticConfig:
-    block = payload.get("synthetic") or {}
-    try:
-        return SyntheticConfig(**block)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad synthetic block: {e}") from None
-
-
-def _synthetic_echo(config: SyntheticConfig) -> dict:
-    return {
-        "n": config.n,
-        "d": config.d,
-        "bias_strength": config.bias_strength,
-        "noise_std": config.noise_std,
-        "surface": config.surface,
-        "seed": config.seed,
-    }
+    return config_from_json(SyntheticConfig, payload.get("synthetic") or {}, "synthetic block")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -149,7 +137,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "seed": seed,
-                "synthetic": _synthetic_echo(config),
+                "synthetic": asdict(config),
             },
             indent=2,
             sort_keys=True,

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,12 @@ from .data import (
     train_test_split,
 )
 from .dcn import DCNParams, mc_ite_matrix, predict_deterministic
-from .nn import MLPParams
 from .propensity import DropoutSchedule, PropensityModel, train_propensity
 from .training import TrainConfig, train_dcn, train_dcn_fixed_dropout
 
 SCHEMA_VERSION = 1
 
-MODEL_KINDS = ("dcn-pd", "dcn-fixed", "nn4", "knn")
+MODEL_TOKENS = "dcn-pd | dcn-fixed:<p> | nn4 | knn:<k>"
 
 
 class ConfigError(ValueError):
@@ -47,7 +46,7 @@ class ConfigError(ValueError):
 
 
 def parse_model(token: str) -> tuple[str, float | int | None]:
-    """Split a model token: dcn-pd | dcn-fixed:<p> | nn4 | knn:<k>."""
+    """Split a model token (one of `MODEL_TOKENS`) into its kind and parameter."""
     if token == "dcn-pd":
         return "dcn-pd", None
     if token == "nn4":
@@ -68,9 +67,30 @@ def parse_model(token: str) -> tuple[str, float | int | None]:
         if k < 1:
             raise ConfigError("k must be at least 1")
         return "knn", k
-    raise ConfigError(
-        f"unknown model {token!r}; expected dcn-pd, dcn-fixed:<p>, nn4, or knn:<k>"
-    )
+    raise ConfigError(f"unknown model {token!r}; expected {MODEL_TOKENS}")
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def config_from_json(cls, payload, where: str):
+    """``cls(**payload)`` from a JSON object; lists become tuple fields, bad input ConfigError."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"the {where} must be a JSON object, got {payload!r}")
+    kwargs = dict(payload)
+    for f in fields(cls):
+        if f.name in kwargs and str(f.type).startswith("tuple"):
+            if not isinstance(kwargs[f.name], (list, tuple)):
+                raise ConfigError(f"{where}: {f.name} must be a list, got {kwargs[f.name]!r}")
+            kwargs[f.name] = tuple(kwargs[f.name])
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {where}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -95,103 +115,43 @@ class ExperimentConfig:
         parse_model(self.model)
         if self.seed is None:
             raise ConfigError("a seed is required; reproducibility is not optional")
+        _check_count("seed", self.seed, least=0)
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one dataset source: synthetic or csv_path")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
+        _check_count("repetitions", self.repetitions)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be at least 1")
-        if self.propensity_epochs < 1:
-            raise ConfigError("propensity_epochs must be at least 1")
+        _check_count("n_samples", self.n_samples)
+        _check_count("propensity_epochs", self.propensity_epochs)
         if self.fixed_covariates and self.synthetic is None:
             raise ConfigError("fixed_covariates requires a synthetic source")
 
     def to_dict(self) -> dict:
-        payload = {
-            "model": self.model,
-            "seed": self.seed,
-            "csv_path": self.csv_path,
-            "repetitions": self.repetitions,
-            "train_fraction": self.train_fraction,
-            "n_samples": self.n_samples,
-            "propensity_arch": list(self.propensity_arch),
-            "propensity_epochs": self.propensity_epochs,
-            "fixed_split": self.fixed_split,
-            "fixed_covariates": self.fixed_covariates,
-            "out": self.out,
-            "train": {
-                "epochs": self.train.epochs,
-                "gamma": self.train.gamma,
-                "learning_rate": self.train.learning_rate,
-                "beta1": self.train.beta1,
-                "beta2": self.train.beta2,
-                "epsilon": self.train.epsilon,
-                "batch_size": self.train.batch_size,
-                "shared_widths": list(self.train.shared_widths),
-                "head_widths": list(self.train.head_widths),
-                "seed": self.train.seed,
+        # JSON has no tuples: widths and architectures are written as lists
+        return asdict(
+            self,
+            dict_factory=lambda items: {
+                k: list(v) if isinstance(v, tuple) else v for k, v in items
             },
-        }
-        if self.synthetic is not None:
-            payload["synthetic"] = {
-                "n": self.synthetic.n,
-                "d": self.synthetic.d,
-                "bias_strength": self.synthetic.bias_strength,
-                "noise_std": self.synthetic.noise_std,
-                "surface": self.synthetic.surface,
-                "seed": self.synthetic.seed,
-            }
-        else:
-            payload["synthetic"] = None
-        return payload
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {
-            "model",
-            "seed",
-            "synthetic",
-            "csv_path",
-            "train",
-            "repetitions",
-            "train_fraction",
-            "n_samples",
-            "propensity_arch",
-            "propensity_epochs",
-            "fixed_split",
-            "fixed_covariates",
-            "out",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "model" not in payload or "seed" not in payload:
+            raise ConfigError("config requires both a model and a seed")
         kwargs = dict(payload)
         if kwargs.get("synthetic") is not None:
-            try:
-                kwargs["synthetic"] = SyntheticConfig(**kwargs["synthetic"])
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad synthetic block: {e}") from None
+            kwargs["synthetic"] = config_from_json(
+                SyntheticConfig, kwargs["synthetic"], "synthetic block"
+            )
         if kwargs.get("train") is not None:
-            train = dict(kwargs["train"])
-            for key in ("shared_widths", "head_widths"):
-                if key in train:
-                    train[key] = tuple(train[key])
-            try:
-                kwargs["train"] = TrainConfig(**train)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad train block: {e}") from None
+            kwargs["train"] = config_from_json(TrainConfig, kwargs["train"], "train block")
         else:
             kwargs.pop("train", None)
-        if "propensity_arch" in kwargs:
-            kwargs["propensity_arch"] = tuple(kwargs["propensity_arch"])
-        if "model" not in kwargs or "seed" not in kwargs:
-            raise ConfigError("config requires both a model and a seed")
-        try:
-            return cls(**kwargs)
-        except TypeError as e:
-            raise ConfigError(str(e)) from None
+        return config_from_json(cls, kwargs, "config")
 
 
 @dataclass
@@ -208,29 +168,11 @@ class ExperimentReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "model": self.model,
-            "repetitions": self.repetitions,
-            "per_rep_mse": self.per_rep_mse,
-            "mean_mse": self.mean_mse,
-            "std_error": self.std_error,
-            "config": self.config,
-            "duration_seconds": self.duration_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentReport":
-        return cls(
-            model=payload["model"],
-            repetitions=payload["repetitions"],
-            per_rep_mse=list(payload["per_rep_mse"]),
-            mean_mse=payload["mean_mse"],
-            std_error=payload["std_error"],
-            config=payload["config"],
-            duration_seconds=payload["duration_seconds"],
-            schema_version=payload["schema_version"],
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 def ite_mse(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -250,34 +192,120 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 _DATA, _SPLIT, _TRAIN, _MC = range(4)
 
 
-def _fit_and_predict(
-    config: ExperimentConfig,
-    train_set: ObservationalDataset,
-    test_X: np.ndarray,
-    train_rng: np.random.Generator,
-    mc_rng: np.random.Generator,
-) -> np.ndarray:
-    kind, value = parse_model(config.model)
-    if kind == "dcn-pd":
+# --- the estimators: one entry of MODELS per model kind ---
+#
+# ``fit(train_set, config, value, rng)`` trains on standardized rows, where
+# ``value`` is the model token's parameter; the fitted object predicts effects
+# for standardized rows with ``predict_ite(X, rng)``, and ``to_dict`` /
+# ``from_dict`` write and read the kind's bundle fields. Trainers are called
+# through this module's globals, so rebinding them (as a tracer does) reaches
+# every call.
+
+
+@dataclass
+class _PropensityDropoutDCN:
+    """Propensity net, then the two-headed net under propensity-dropout; MC-averaged effects."""
+
+    propensity: PropensityModel
+    dcn: DCNParams
+    schedule: DropoutSchedule
+    n_samples: int
+
+    @classmethod
+    def fit(cls, train_set, config: ExperimentConfig, value, rng):
         schedule = DropoutSchedule(config.train.gamma)
         prop = train_propensity(
-            train_set,
-            config.propensity_arch,
-            config.propensity_epochs,
-            train_rng,
-            schedule=schedule,
+            train_set, config.propensity_arch, config.propensity_epochs, rng, schedule=schedule
         )
-        params = train_dcn(train_set, prop, config.train, train_rng)
-        samples = mc_ite_matrix(params, prop, schedule, test_X, config.n_samples, mc_rng)
+        return cls(prop, train_dcn(train_set, prop, config.train, rng), schedule, config.n_samples)
+
+    def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        samples = mc_ite_matrix(self.dcn, self.propensity, self.schedule, X, self.n_samples, rng)
         return samples.mean(axis=1)
-    if kind == "dcn-fixed":
-        params = train_dcn_fixed_dropout(train_set, value, config.train, train_rng)
-        return predict_deterministic(params, test_X)[2]
-    if kind == "nn4":
-        model = train_direct_nn(train_set, DEFAULT_DIRECT_ARCH, config.train, train_rng)
-        return model.predict_ite(test_X)
-    knn_config = KnnConfig(k=value)
-    return np.array([knn_ite(train_set, row, knn_config) for row in test_X])
+
+    def to_dict(self) -> dict:
+        return {
+            "gamma": self.schedule.gamma,
+            "n_samples": self.n_samples,
+            "propensity": self.propensity.to_dict(),
+            "dcn": self.dcn.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, bundle: dict):
+        return cls(
+            PropensityModel.from_dict(bundle["propensity"]),
+            DCNParams.from_dict(bundle["dcn"]),
+            DropoutSchedule(bundle["gamma"]),
+            int(bundle.get("n_samples", 100)),
+        )
+
+
+@dataclass
+class _FixedDropoutDCN:
+    """The two-headed net trained with one dropout rate; deterministic effects."""
+
+    dropout_prob: float
+    dcn: DCNParams
+
+    @classmethod
+    def fit(cls, train_set, config: ExperimentConfig, value, rng):
+        return cls(value, train_dcn_fixed_dropout(train_set, value, config.train, rng))
+
+    def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return predict_deterministic(self.dcn, X)[2]
+
+    def to_dict(self) -> dict:
+        return {"dropout_prob": self.dropout_prob, "dcn": self.dcn.to_dict()}
+
+    @classmethod
+    def from_dict(cls, bundle: dict):
+        return cls(bundle["dropout_prob"], DCNParams.from_dict(bundle["dcn"]))
+
+
+class _DirectNet(DirectModel):
+    """One four-layer regressor on (x, w); deterministic effects. Bundles as `DirectModel`."""
+
+    @classmethod
+    def fit(cls, train_set, config: ExperimentConfig, value, rng):
+        return cls(train_direct_nn(train_set, DEFAULT_DIRECT_ARCH, config.train, rng).net)
+
+    def predict_ite(self, X: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        return super().predict_ite(X)
+
+
+@dataclass
+class _Matching:
+    """k-NN matching against the training rows, which the bundle embeds."""
+
+    train_set: ObservationalDataset
+    knn: KnnConfig
+
+    @classmethod
+    def fit(cls, train_set, config: ExperimentConfig, value, rng):
+        return cls(train_set, KnnConfig(k=value))
+
+    def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.array([knn_ite(self.train_set, row, self.knn) for row in X])
+
+    def to_dict(self) -> dict:
+        rows = self.train_set
+        return {"k": self.knn.k, "x": rows.X.tolist(), "w": rows.W.tolist(), "y": rows.Y.tolist()}
+
+    @classmethod
+    def from_dict(cls, bundle: dict):
+        rows = ObservationalDataset(
+            np.asarray(bundle["x"]), np.asarray(bundle["w"]), np.asarray(bundle["y"])
+        )
+        return cls(rows, KnnConfig(k=int(bundle["k"])))
+
+
+MODELS = {
+    "dcn-pd": _PropensityDropoutDCN,
+    "dcn-fixed": _FixedDropoutDCN,
+    "nn4": _DirectNet,
+    "knn": _Matching,
+}
 
 
 def _run_repetition(
@@ -299,13 +327,9 @@ def _run_repetition(
     train_set, test_set = train_test_split(dataset, config.train_fraction, split_rng)
     train_scaled, transform = standardize(train_set)
     test_X = transform.transform(test_set.X)
-    predictions = _fit_and_predict(
-        config,
-        train_scaled,
-        test_X,
-        _stream(config.seed, 1, r, _TRAIN),
-        _stream(config.seed, 1, r, _MC),
-    )
+    kind, value = parse_model(config.model)
+    model = MODELS[kind].fit(train_scaled, config, value, _stream(config.seed, 1, r, _TRAIN))
+    predictions = model.predict_ite(test_X, _stream(config.seed, 1, r, _MC))
     return ite_mse(predictions, test_set.true_ite)
 
 
@@ -385,42 +409,13 @@ def train_model_bundle(config: ExperimentConfig) -> dict:
     dataset = load_source(config, _stream(config.seed, 1, 0, _DATA))
     scaled, transform = standardize(dataset)
     kind, value = parse_model(config.model)
-    train_rng = _stream(config.seed, 1, 0, _TRAIN)
-    bundle: dict = {
+    model = MODELS[kind].fit(scaled, config, value, _stream(config.seed, 1, 0, _TRAIN))
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "standardization": transform.to_dict(),
+        **model.to_dict(),
     }
-    if kind == "dcn-pd":
-        schedule = DropoutSchedule(config.train.gamma)
-        prop = train_propensity(
-            scaled,
-            config.propensity_arch,
-            config.propensity_epochs,
-            train_rng,
-            schedule=schedule,
-        )
-        params = train_dcn(scaled, prop, config.train, train_rng)
-        bundle.update(
-            gamma=config.train.gamma,
-            n_samples=config.n_samples,
-            propensity=prop.to_dict(),
-            dcn=params.to_dict(),
-        )
-    elif kind == "dcn-fixed":
-        params = train_dcn_fixed_dropout(scaled, value, config.train, train_rng)
-        bundle.update(dropout_prob=value, dcn=params.to_dict())
-    elif kind == "nn4":
-        model = train_direct_nn(scaled, DEFAULT_DIRECT_ARCH, config.train, train_rng)
-        bundle.update(net=model.to_dict()["net"])
-    else:
-        bundle.update(
-            k=value,
-            x=scaled.X.tolist(),
-            w=scaled.W.tolist(),
-            y=scaled.Y.tolist(),
-        )
-    return bundle
 
 
 def predict_from_bundle(
@@ -432,27 +427,15 @@ def predict_from_bundle(
         raise ConfigError(
             f"unsupported bundle schema_version {version!r}; expected {SCHEMA_VERSION}"
         )
-    transform = Standardization.from_dict(bundle["standardization"])
+    kind = bundle.get("kind")
+    if kind not in MODELS:
+        raise ConfigError(f"unknown bundle kind {kind!r}")
+    try:
+        transform = Standardization.from_dict(bundle["standardization"])
+        model = MODELS[kind].from_dict(bundle)
+    except KeyError as e:
+        raise ConfigError(f"{kind} bundle is missing the field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{kind} bundle holds an invalid field: {e}") from None
     X_scaled = transform.transform(np.asarray(X, dtype=np.float64))
-    kind = bundle["kind"]
-    if kind == "dcn-pd":
-        prop = PropensityModel.from_dict(bundle["propensity"])
-        params = DCNParams.from_dict(bundle["dcn"])
-        schedule = DropoutSchedule(bundle["gamma"])
-        if rng is None:
-            rng = np.random.default_rng()
-        samples = mc_ite_matrix(
-            params, prop, schedule, X_scaled, int(bundle.get("n_samples", 100)), rng
-        )
-        return samples.mean(axis=1)
-    if kind == "dcn-fixed":
-        return predict_deterministic(DCNParams.from_dict(bundle["dcn"]), X_scaled)[2]
-    if kind == "nn4":
-        return DirectModel(MLPParams.from_dict(bundle["net"])).predict_ite(X_scaled)
-    if kind == "knn":
-        train_set = ObservationalDataset(
-            np.asarray(bundle["x"]), np.asarray(bundle["w"]), np.asarray(bundle["y"])
-        )
-        knn_config = KnnConfig(k=int(bundle["k"]))
-        return np.array([knn_ite(train_set, row, knn_config) for row in X_scaled])
-    raise ConfigError(f"unknown bundle kind {kind!r}")
+    return model.predict_ite(X_scaled, np.random.default_rng() if rng is None else rng)

@@ -189,6 +189,20 @@ class TestBenchmark:
         assert code == 0  # defaults supply the synthetic source
         assert load_report(out).repetitions == 1
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": -1}, {"seed": 1.5}, {"seed": "1"}, {"repetitions": 1.5},
+         {"propensity_arch": 5}, {"train": {"shared_widths": 5}}, {"train": "x"}],
+        ids=["seed-negative", "seed-float", "seed-str", "reps-float", "arch-int",
+             "widths-int", "train-str"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, fields):
+        config = write_config(tmp_path, **fields)
+        code = main(["benchmark", "--config", str(config),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         config = write_config(
             tmp_path, model="knn:40", synthetic={"n": 30, "d": 2}, repetitions=1

@@ -16,6 +16,7 @@ from dcnpd.data import (
     train_test_split,
 )
 from dcnpd.experiment import (
+    MODELS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -95,6 +96,12 @@ class TestExperimentConfig:
     def test_validates_numeric_fields(self):
         with pytest.raises(ConfigError):
             quick_config(repetitions=0)
+        for bad in ({"repetitions": 1.5}, {"n_samples": 2.5}, {"propensity_epochs": True}):
+            with pytest.raises(ConfigError):
+                quick_config(**bad)
+        for seed in (-1, 1.5, "1"):
+            with pytest.raises(ConfigError, match="seed"):
+                quick_config(seed=seed)
         with pytest.raises(ConfigError):
             quick_config(train_fraction=1.0)
         with pytest.raises(ConfigError):
@@ -127,6 +134,23 @@ class TestExperimentConfig:
         payload = quick_config().to_dict()
         payload["typo_field"] = 1
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "override, field_name",
+        [
+            ({"propensity_arch": 5}, "propensity_arch"),
+            ({"train": {"shared_widths": 5}}, "shared_widths"),
+            ({"train": {"head_widths": "wide"}}, "head_widths"),
+            ({"train": "x"}, "train"),
+            ({"synthetic": [60, 3]}, "synthetic"),
+        ],
+        ids=["arch-int", "widths-int", "widths-str", "train-str", "synthetic-list"],
+    )
+    def test_from_dict_rejects_malformed_blocks(self, override, field_name):
+        payload = quick_config().to_dict()
+        payload.update(override)
+        with pytest.raises(ConfigError, match=field_name):
             ExperimentConfig.from_dict(payload)
 
     def test_from_dict_requires_model_and_seed(self):
@@ -320,10 +344,68 @@ class TestEmitReport:
         assert ExperimentReport.from_dict(report.to_dict()) == report
 
 
+HEADER_KEYS = {"schema_version", "kind", "standardization"}
+BUNDLE_KEYS = {
+    "dcn-pd": HEADER_KEYS | {"gamma", "n_samples", "propensity", "dcn"},
+    "dcn-fixed": HEADER_KEYS | {"dropout_prob", "dcn"},
+    "nn4": HEADER_KEYS | {"net"},
+    "knn": HEADER_KEYS | {"k", "x", "w", "y"},
+}
+
+
+def tiny_bundle_config(model: str) -> ExperimentConfig:
+    return quick_config(
+        model=model,
+        synthetic=SyntheticConfig(n=30, d=2, bias_strength=1.0),
+        repetitions=1,
+        train=TrainConfig(epochs=2, shared_widths=(6,), batch_size=8),
+        propensity_epochs=5,
+        propensity_arch=(4,),
+        n_samples=3,
+    )
+
+
+def fit_like_bundle(config: ExperimentConfig):
+    """The in-memory model and transform that `train_model_bundle` serializes."""
+    full = generate_synthetic(
+        config.synthetic,
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, 0, 0))),
+    )
+    scaled, transform = standardize(full)
+    kind, value = parse_model(config.model)
+    train_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, 0, 2)))
+    return MODELS[kind].fit(scaled, config, value, train_rng), transform
+
+
+def assert_bundle_matches_fitted_model(config, bundle, X_new):
+    """Same fields as the fitted object, and bit-identical predictions."""
+    model, transform = fit_like_bundle(config)
+    assert json.loads(json.dumps(model.to_dict())) == {
+        key: value for key, value in bundle.items() if key not in HEADER_KEYS
+    }
+    fresh = model.predict_ite(transform.transform(X_new), np.random.default_rng(5))
+    loaded = predict_from_bundle(bundle, X_new, rng=np.random.default_rng(5))
+    assert loaded.tobytes() == fresh.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_bundles():
+    return {
+        kind: json.loads(json.dumps(train_model_bundle(tiny_bundle_config(model))))
+        for kind, model in (
+            ("dcn-pd", "dcn-pd"),
+            ("dcn-fixed", "dcn-fixed:0.3"),
+            ("nn4", "nn4"),
+            ("knn", "knn:3"),
+        )
+    }
+
+
 class TestModelBundles:
     def test_knn_bundle_predicts_like_direct_knn(self):
         config = quick_config(model="knn:3", repetitions=1)
         bundle = json.loads(json.dumps(train_model_bundle(config)))
+        assert set(bundle) == BUNDLE_KEYS["knn"]
         rng = np.random.default_rng(99)
         X_new = rng.standard_normal((5, 3))
         predictions = predict_from_bundle(bundle, X_new)
@@ -336,22 +418,15 @@ class TestModelBundles:
             [knn_ite(scaled, row, KnnConfig(3)) for row in transform.transform(X_new)]
         )
         np.testing.assert_array_equal(predictions, expected)
+        assert_bundle_matches_fitted_model(config, bundle, X_new)
 
     def test_neural_bundles_round_trip_through_json(self):
-        tiny_train = TrainConfig(epochs=2, shared_widths=(6,), batch_size=8)
         X_new = np.random.default_rng(7).standard_normal((4, 2))
         for model in ("dcn-pd", "dcn-fixed:0.3", "nn4"):
-            config = quick_config(
-                model=model,
-                synthetic=SyntheticConfig(n=30, d=2, bias_strength=1.0),
-                repetitions=1,
-                train=tiny_train,
-                propensity_epochs=5,
-                propensity_arch=(4,),
-                n_samples=3,
-            )
+            config = tiny_bundle_config(model)
             bundle = json.loads(json.dumps(train_model_bundle(config)))
             assert bundle["schema_version"] == 1
+            assert set(bundle) == BUNDLE_KEYS[parse_model(model)[0]]
             rng = np.random.default_rng(5)
             predictions = predict_from_bundle(bundle, X_new, rng=rng)
             assert predictions.shape == (4,)
@@ -362,6 +437,7 @@ class TestModelBundles:
             else:  # Monte Carlo: same stream, same answer
                 repeat = predict_from_bundle(bundle, X_new, rng=np.random.default_rng(5))
                 np.testing.assert_array_equal(predictions, repeat)
+            assert_bundle_matches_fitted_model(config, bundle, X_new)
 
     def test_unknown_bundle_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -373,3 +449,23 @@ class TestModelBundles:
                 },
                 np.zeros((1, 1)),
             )
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [(kind, key) for kind, keys in BUNDLE_KEYS.items()
+         for key in sorted(keys - {"schema_version", "kind", "n_samples"})],
+    )
+    def test_bundle_missing_field_rejected(self, tiny_bundles, kind, key):
+        bundle = dict(tiny_bundles[kind])
+        del bundle[key]
+        with pytest.raises(ConfigError, match=f"{kind} bundle .*'{key}'"):
+            predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("knn", "k", 0), ("knn", "k", None), ("dcn-pd", "gamma", 1.5)],
+    )
+    def test_bundle_invalid_field_rejected(self, tiny_bundles, kind, key, value):
+        bundle = {**tiny_bundles[kind], key: value}
+        with pytest.raises(ConfigError, match=f"{kind} bundle"):
+            predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))

@@ -263,9 +263,12 @@ class TestBackward:
 
         assert grad_check(params, loss_fn) < 1e-6
 
-    def test_matches_finite_differences_with_mask(self):
+    @staticmethod
+    def masked_gradient_error(hidden_activation: str, epsilon: float = 1e-5) -> float:
         rng = np.random.default_rng(11)
-        params = tiny_net(11, widths=(2, 6, 1))
+        params = build_mlp(
+            (2, 6, 1), np.random.default_rng(11), hidden_activation=hidden_activation
+        )
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=(4, 1))
         mask = DropoutMask([bernoulli_mask((4, 6), 0.5, rng)], keep_prob=0.5)
@@ -276,7 +279,16 @@ class TestBackward:
             grads, _ = mlp_backward(p, cache, diff / len(x))
             return 0.5 * np.mean(np.sum(diff**2, axis=1)), grads
 
-        assert grad_check(params, loss_fn) < 1e-6
+        return grad_check(params, loss_fn, epsilon)
+
+    def test_matches_finite_differences_with_mask(self):
+        assert self.masked_gradient_error("relu") < 1e-6
+
+    def test_matches_finite_differences_with_masked_sigmoid_layer(self):
+        # sigmoid backprop reads the cached activation, which must stay unscaled
+        # (a mask-scaled one gives an error near 2). The smallest gradient here
+        # is ~6e-6, so a 1e-5 step would measure rounding, not the derivative.
+        assert self.masked_gradient_error("sigmoid", epsilon=1e-4) < 1e-6
 
     def test_grad_output_shape_mismatch_raises(self):
         params = tiny_net()

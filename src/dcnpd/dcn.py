@@ -26,6 +26,12 @@ from .propensity import (
 DEFAULT_SHARED_WIDTHS = (200, 200)
 DEFAULT_HEAD_WIDTHS: tuple[int, ...] = ()
 
+# Rows per stacked Monte Carlo pass: `_mc_outcomes` runs a chunk of
+# ROWS // n draws of an n-row input as one (draws, n, d) stack. A one-row
+# query then takes one pass for up to 256 draws; at n > ROWS / 2 every
+# draw is its own 2-D pass, where buffer reuse pays more than stacking.
+ROWS = 256
+
 
 @dataclass
 class DCNParams:
@@ -119,8 +125,10 @@ def dcn_forward(
 ):
     """Evaluate the requested head(s); the shared stack runs exactly once.
 
-    ``x`` may be a single feature vector (scalar results) or an (n, d) batch
-    (length-n arrays). ``head`` is 0, 1, or "both" for a (y0, y1) pair.
+    ``x`` may be a single feature vector (scalar results), an (n, d) batch
+    (length-n arrays) or a (c, n, d) stack of batches with masks of the
+    same leading axes ((c, n) arrays). ``head`` is 0, 1, or "both" for a
+    (y0, y1) pair.
 
     ``caches`` is an optional three-slot list (shared, head0, head1): each
     pass stores its `mlp_forward` cache in an empty slot and writes into
@@ -140,7 +148,7 @@ def dcn_forward(
 
     def run_head(i, net, mask):
         out, slots[i] = mlp_forward(net, rep, mask, slots[i])
-        return float(out[0, 0]) if single else out[:, 0]
+        return float(out[0, 0]) if single else out[..., 0]
 
     if head == 0:
         return run_head(1, params.head0, masks.head0 if masks else None)
@@ -197,12 +205,15 @@ def _mc_outcomes(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y0, y1) draws, each (n, n_samples): one batched masked pass per draw.
+    """(y0, y1) draws, each (n, n_samples), in chunks of c = ROWS // n draws.
 
     Row i keeps units with probability 1 - its scheduled dropout; each draw
     takes fresh masks for the shared stack, then head0, then head1. ``X``
-    and the keep vector are checked once; the first draw allocates the
-    masks and forward caches and every later draw writes into them.
+    and the keep vector are checked once. A chunk of c > 1 draws is one
+    stacked (c, n, d) pass whose masks come from one random block, in the
+    order that c single draws take them, so the results are the same bits.
+    With c = 1 each draw is one (n, d) pass, and the first draw allocates
+    the masks and forward caches that every later draw writes into.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -213,10 +224,21 @@ def _mc_outcomes(
     if not np.all(keep > 0.0):
         raise ValueError("schedule yields keep probability 0 for some subject")
     y0, y1 = np.empty((2, X.shape[0], n_samples))
-    groups, caches = [None] * 3, [None] * 3
-    for m in range(n_samples):
-        groups = [draw_masks(w, keep, rng, g) for w, g in zip(params.mask_widths(), groups)]
-        y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups), caches=caches)
+    widths = params.mask_widths()
+    chunk = max(1, min(n_samples, ROWS // X.shape[0]))
+    if chunk == 1:
+        groups, caches = [None] * 3, [None] * 3
+        for m in range(n_samples):
+            groups = [draw_masks(w, keep, rng, g) for w, g in zip(widths, groups)]
+            y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups), caches=caches)
+        return y0, y1
+    for start in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - start)
+        masks = iter(draw_masks([w for ws in widths for w in ws], keep, rng, draws=c).masks)
+        groups = [DropoutMask([next(masks) for _ in ws], keep) for ws in widths]
+        stack = np.broadcast_to(X, (c, *X.shape))
+        out0, out1 = dcn_forward(params, stack, DcnMasks(*groups))
+        y0[:, start : start + c], y1[:, start : start + c] = out0.T, out1.T
     return y0, y1
 
 

@@ -177,10 +177,12 @@ class DropoutMask:
     """Per-layer binary keep masks plus the keep probability they were drawn with.
 
     ``masks[i]`` applies to the output of layer ``i`` and is either a
-    ``(width,)`` vector or a ``(batch, width)`` per-example matrix. The list
-    may be shorter than the layer stack; layers past its end (typically the
-    output layer) stay unmasked, and an explicit ``None`` entry skips a layer.
-    ``keep_prob`` is a scalar or a per-example ``(batch,)`` vector.
+    ``(width,)`` vector or a per-example array of the batch's shape plus
+    ``width``: ``(batch, width)``, or ``(draws, batch, width)`` for a stacked
+    input. The list may be shorter than the layer stack; layers past its end
+    (typically the output layer) stay unmasked, and an explicit ``None``
+    entry skips a layer. ``keep_prob`` is a scalar or a per-example
+    ``(batch,)`` vector.
     """
 
     masks: list[np.ndarray | None]
@@ -216,6 +218,7 @@ def draw_masks(
     keep: np.ndarray,
     rng: np.random.Generator,
     out: DropoutMask | None = None,
+    draws: int | None = None,
 ) -> DropoutMask:
     """One ``(rows, width)`` Bernoulli mask per width, drawn in order.
 
@@ -223,13 +226,29 @@ def draw_masks(
     is drawn with ``keep[i]`` and the vector is stored on the result. With
     ``out``, a result of an earlier call with the same widths and rows, the
     masks are redrawn into its arrays.
+
+    With ``draws``, each mask is a ``(draws, rows, width)`` stack drawn from
+    one ``(draws, rows * sum(widths))`` block whose row ``m`` holds, width
+    by width, the values that the ``m``-th of ``draws`` calls without it
+    would draw: the same random stream and the same 0/1 masks.
     """
     keep = np.asarray(keep, dtype=np.float64)
+    rows = len(keep)
+    if draws is not None:
+        # each width's columns hold its (rows, width) mask row by row
+        col_keep = np.concatenate([np.repeat(keep, w) for w in widths]) if widths else keep[:0]
+        block = bernoulli_mask((draws, col_keep.size), col_keep, rng)
+        ends = np.cumsum([rows * w for w in widths])
+        masks = [
+            block[:, end - rows * w : end].reshape(draws, rows, w)
+            for w, end in zip(widths, ends)
+        ]
+        return DropoutMask(masks, keep)
     keep_col = keep[:, None]
     buffers = [None] * len(widths) if out is None else out.masks
     if len(buffers) != len(widths):
         raise ValueError("out holds a different number of masks")
-    masks = [bernoulli_mask((len(keep), w), keep_col, rng, b) for w, b in zip(widths, buffers)]
+    masks = [bernoulli_mask((rows, w), keep_col, rng, b) for w, b in zip(widths, buffers)]
     return DropoutMask(masks, keep)
 
 
@@ -258,22 +277,21 @@ class ForwardCache:
 def _mask_scales(
     params: MLPParams,
     mask: DropoutMask | None,
-    n_rows: int,
+    batch: tuple[int, ...],
     out: list[np.ndarray | None],
 ) -> list[np.ndarray | None]:
-    # out[i] receives layer i's scale; None entries allocate
+    # batch is the input's shape minus its feature axis; out[i] receives
+    # layer i's scale, and None entries allocate
     if mask is None:
         return [None] * len(params.layers)
     if len(mask.masks) > len(params.layers):
         raise ValueError("more mask vectors than layers")
     keep = np.asarray(mask.keep_prob, dtype=np.float64)
     _check_keep(keep)
-    if keep.ndim == 1:
-        if keep.shape[0] != n_rows:
-            raise ValueError("per-example keep_prob length does not match batch")
-        keep = keep[:, None]
-    elif keep.ndim != 0:
-        raise ValueError("keep_prob must be a scalar or a 1-D per-example vector")
+    if keep.ndim:
+        if keep.shape != batch[-keep.ndim :]:
+            raise ValueError("per-example keep_prob does not match the batch")
+        keep = keep[..., None]
     scales: list[np.ndarray | None] = []
     for i, layer in enumerate(params.layers):
         m = mask.masks[i] if i < len(mask.masks) else None
@@ -285,7 +303,7 @@ def _mask_scales(
             raise ValueError(
                 f"mask width {m.shape[-1]} does not match layer {i} width {layer.fan_out}"
             )
-        if m.ndim == 2 and m.shape[0] != n_rows:
+        if m.ndim > 1 and m.shape[:-1] != batch:
             raise ValueError("per-example mask rows do not match batch")
         scales.append(np.divide(m, keep, out=out[i]))
     return scales
@@ -299,6 +317,12 @@ def mlp_forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass over a batch; returns output and the backward cache.
 
+    ``x`` is ``(rows, features)``, or a stack ``(..., rows, features)`` of
+    such batches: each item of a stack gives the bits that a call on that
+    item alone gives, since ``np.matmul`` runs the same kernel per item.
+    Masks then carry the stack's leading axes, and a per-example keep
+    vector covers the last batch axes.
+
     With a mask, each covered activation is multiplied elementwise by its
     0/1 mask and divided by ``keep_prob`` (inverted dropout), so an
     all-ones mask at keep_prob 1 reproduces the maskless output exactly.
@@ -310,11 +334,11 @@ def mlp_forward(
     ``x`` is never written. A mismatch raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be 2-D (batch x features)")
-    if x.shape[1] != params.input_dim:
+    if x.ndim < 2:
+        raise ValueError("x must be 2-D (batch x features) or a stack of such batches")
+    if x.shape[-1] != params.input_dim:
         raise ValueError(
-            f"input width {x.shape[1]} does not match network input {params.input_dim}"
+            f"input width {x.shape[-1]} does not match network input {params.input_dim}"
         )
     n_layers = len(params.layers)
     reuse = out is not None
@@ -322,7 +346,7 @@ def mlp_forward(
         out = ForwardCache(*([None] * n_layers for _ in range(4)))
     elif len(out.pre_acts) != n_layers or out.inputs[0].shape != x.shape:
         raise ValueError("cache was filled by a call of another shape")
-    scales = _mask_scales(params, mask, x.shape[0], out.scales)
+    scales = _mask_scales(params, mask, x.shape[:-1], out.scales)
     if reuse and [s is None for s in scales] != [s is None for s in out.scales]:
         raise ValueError("cache was filled with masks on other layers")
     h = x

@@ -367,6 +367,26 @@ class TestMcMatrix:
         y0, y1 = reference_mc_outcomes(params, prop, sched, X, n_samples, np.random.default_rng(seed))
         np.testing.assert_array_equal(samples, y1 - y0)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.sampled_from([(), (4, 3)]),
+        st.floats(-4.0, 4.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_chunks_match_per_draw_reference_bitwise(
+        self, seed, rows, n_samples, heads, logit
+    ):
+        # rows on both sides of ROWS, and draw counts that leave a short last chunk
+        params = small_dcn(seed % 1000, heads=heads)
+        prop = stub_propensity(logit)
+        sched = DropoutSchedule(0.7)
+        X = np.random.default_rng(seed).normal(size=(rows, 3))
+        samples = mc_ite_matrix(params, prop, sched, X, n_samples, np.random.default_rng(seed))
+        y0, y1 = reference_mc_outcomes(params, prop, sched, X, n_samples, np.random.default_rng(seed))
+        assert samples.tobytes() == (y1 - y0).tobytes()
+
     def test_rejects_nonfinite_row(self):
         X = np.ones((5, 3))
         X[3, 1] = np.nan

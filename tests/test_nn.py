@@ -248,6 +248,67 @@ class TestReusedBuffers:
             draw_masks([5, 5], keep, rng, out=mask)
 
 
+class TestStackedBatches:
+    """A ``(c, n, d)`` stack gives, item by item, the bits of ``c`` 2-D calls."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.sampled_from(ACTIVATIONS),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mlp_forward_stack_matches_per_item(self, seed, c, rows, hidden, masked):
+        rng = np.random.default_rng(seed)
+        params = build_mlp((4, 6, 5, 2), rng, hidden_activation=hidden)
+        keep = rng.uniform(0.2, 1.0, rows)
+        x = rng.normal(size=(c, rows, 4))
+        stacked = draw_masks([6, 5, 2], keep, rng, draws=c).masks
+        layers = [m if on else None for m, on in zip(stacked, masked)]
+        mask = DropoutMask(layers, keep)
+        out, cache = mlp_forward(params, x, mask)
+        refilled, _ = mlp_forward(params, x, mask, out=mlp_forward(params, x[::-1], mask)[1])
+        assert out.shape == (c, rows, 2)
+        np.testing.assert_array_equal(refilled, out)
+        for k in range(c):
+            item = DropoutMask([None if m is None else m[k] for m in layers], keep)
+            expected, item_cache = mlp_forward(params, x[k], item)
+            assert out[k].tobytes() == expected.tobytes()
+            for a, b in zip(cache.acts, item_cache.acts):
+                assert a[k].tobytes() == b.tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 8),
+        st.lists(st.integers(1, 9), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draw_masks_draws_match_successive_calls(self, seed, c, rows, widths):
+        keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
+        rng_one, rng_each = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = draw_masks(widths, keep, rng_one, draws=c)
+        each = [draw_masks(widths, keep, rng_each) for _ in range(c)]
+        assert [m.shape for m in stacked.masks] == [(c, rows, w) for w in widths]
+        for i in range(len(widths)):
+            for k in range(c):
+                np.testing.assert_array_equal(stacked.masks[i][k], each[k].masks[i])
+        np.testing.assert_array_equal(stacked.keep_prob, keep)
+        assert rng_one.random() == rng_each.random()
+
+    def test_mismatched_stack_rejected(self):
+        params, rng = tiny_net(), np.random.default_rng(0)
+        keep = np.full(2, 0.5)
+        masks = draw_masks([5], keep, rng, draws=3)
+        with pytest.raises(ValueError, match="mask rows"):
+            mlp_forward(params, np.ones((4, 2, 3)), masks)
+        with pytest.raises(ValueError, match="keep_prob"):
+            mlp_forward(params, np.ones((3, 2, 3)), DropoutMask(masks.masks, np.full(4, 0.5)))
+        with pytest.raises(ValueError, match="2-D"):
+            mlp_forward(params, np.ones(3))
+
+
 class TestBackward:
     def test_matches_finite_differences_small_net(self):
         rng = np.random.default_rng(7)

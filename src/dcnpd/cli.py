@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticConfig, generate_synthetic, load_csv, save_csv
+from .data import SyntheticConfig, check_count, generate_synthetic, load_csv, save_csv
 from .experiment import (
     MODEL_TOKENS,
     SCHEMA_VERSION,
@@ -115,7 +115,8 @@ def _require_seed(payload: dict, args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else payload.get("seed")
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set it in the config")
-    return int(seed)
+    check_count("seed", seed, 0, ConfigError)
+    return seed
 
 
 def _synthetic_from(payload: dict) -> SyntheticConfig:

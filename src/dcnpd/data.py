@@ -40,6 +40,12 @@ class ValidationError(ValueError):
     """Parsed values violate a dataset invariant (e.g. non-binary treatment)."""
 
 
+def check_count(name: str, value, least: int = 1, error: type = ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _require_finite(**arrays: np.ndarray) -> None:
     for name, values in arrays.items():
         if not np.isfinite(values).all():
@@ -244,10 +250,8 @@ class SyntheticConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("n must be at least 2")
-        if self.d < 1:
-            raise ValidationError("d must be at least 1")
+        check_count("n", self.n, least=2)
+        check_count("d", self.d)
         if self.bias_strength < 0:
             raise ValidationError("bias_strength must be non-negative")
         if self.noise_std < 0:

@@ -27,6 +27,7 @@ from .data import (
     ObservationalDataset,
     Standardization,
     SyntheticConfig,
+    check_count,
     generate_synthetic,
     load_csv,
     standardize,
@@ -47,6 +48,8 @@ class ConfigError(ValueError):
 
 def parse_model(token: str) -> tuple[str, float | int | None]:
     """Split a model token (one of `MODEL_TOKENS`) into its kind and parameter."""
+    if not isinstance(token, str):
+        raise ConfigError(f"model must be a string, one of {MODEL_TOKENS}; got {token!r}")
     if token == "dcn-pd":
         return "dcn-pd", None
     if token == "nn4":
@@ -68,11 +71,6 @@ def parse_model(token: str) -> tuple[str, float | int | None]:
             raise ConfigError("k must be at least 1")
         return "knn", k
     raise ConfigError(f"unknown model {token!r}; expected {MODEL_TOKENS}")
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def config_from_json(cls, payload, where: str):
@@ -115,14 +113,14 @@ class ExperimentConfig:
         parse_model(self.model)
         if self.seed is None:
             raise ConfigError("a seed is required; reproducibility is not optional")
-        _check_count("seed", self.seed, least=0)
+        check_count("seed", self.seed, 0, ConfigError)
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one dataset source: synthetic or csv_path")
-        _check_count("repetitions", self.repetitions)
+        check_count("repetitions", self.repetitions, error=ConfigError)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
-        _check_count("n_samples", self.n_samples)
-        _check_count("propensity_epochs", self.propensity_epochs)
+        check_count("n_samples", self.n_samples, error=ConfigError)
+        check_count("propensity_epochs", self.propensity_epochs, error=ConfigError)
         if self.fixed_covariates and self.synthetic is None:
             raise ConfigError("fixed_covariates requires a synthetic source")
 

@@ -21,7 +21,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, check_count
 from .dcn import DCNParams, build_dcn, dcn_forward
 from .nn import AdamState, draw_masks, minibatches, train_step
 from .propensity import (
@@ -48,14 +48,12 @@ class TrainConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        check_count("epochs", self.epochs, error=ValueError)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        check_count("batch_size", self.batch_size, error=ValueError)
 
     def adam_state(self, arrays) -> AdamState:
         """Fresh Adam moments for ``arrays`` with this config's optimizer settings."""

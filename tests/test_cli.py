@@ -96,6 +96,18 @@ class TestGenerate:
         assert main(["generate", "--config", str(config),
                      "--out", str(tmp_path / "d.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    @pytest.mark.parametrize("seed", [1.7, -1, "1", True], ids=["float", "negative", "str", "bool"])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, command, seed):
+        config = write_config(tmp_path, seed=seed)
+        out = tmp_path / "d.csv"
+        args = [command, "--config", str(config), "--out", str(out)]
+        if command == "evaluate":
+            args += ["--model-file", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainAndEvaluate:
     def test_train_then_evaluate_round_trip(self, tmp_path, capsys):
@@ -202,6 +214,27 @@ class TestBenchmark:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"synthetic": {"n": 40.5, "d": 3}}, {"synthetic": {"n": 40, "d": True}},
+         {"train": {"epochs": 1.5}}, {"train": {"batch_size": 8.0}}],
+        ids=["n-float", "d-bool", "epochs-float", "batch-size-float"],
+    )
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, fields):
+        config = write_config(tmp_path, **fields)
+        code = main(["benchmark", "--config", str(config),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [5, None, ["knn:3"]], ids=["int", "null", "list"])
+    def test_non_string_model_exits_2(self, tmp_path, capsys, model):
+        config = write_config(tmp_path, model=model)
+        code = main(["benchmark", "--config", str(config),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "model must be a string" in capsys.readouterr().err
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         config = write_config(

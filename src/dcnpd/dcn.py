@@ -16,12 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .nn import DropoutMask, ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
-from .propensity import (
-    DropoutSchedule,
-    PropensityModel,
-    dropout_probability,
-    predict_propensity,
-)
+from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 DEFAULT_SHARED_WIDTHS = (200, 200)
 DEFAULT_HEAD_WIDTHS: tuple[int, ...] = ()
@@ -207,7 +202,8 @@ def _mc_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y0, y1) draws, each (n, n_samples), in chunks of c = ROWS // n draws.
 
-    Row i keeps units with probability 1 - its scheduled dropout; each draw
+    Row i keeps units with its scheduled `keep_probability`, the one that
+    training used; each draw
     takes fresh masks for the shared stack, then head0, then head1. ``X``
     and the keep vector are checked once. A chunk of c > 1 draws is one
     stacked (c, n, d) pass whose masks come from one random block, in the
@@ -220,7 +216,7 @@ def _mc_outcomes(
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} of X contains NaN or infinite values")
-    keep = 1.0 - dropout_probability(predict_propensity(prop, X), schedule)
+    keep = keep_probability(predict_propensity(prop, X), schedule)
     if not np.all(keep > 0.0):
         raise ValueError("schedule yields keep probability 0 for some subject")
     y0, y1 = np.empty((2, X.shape[0], n_samples))
@@ -252,8 +248,8 @@ def estimate_ite(
 ) -> ITEEstimate:
     """Draw n_samples stochastic effect estimates for one subject.
 
-    The subject's propensity score fixes keep_prob = 1 - dropout
-    probability; each draw uses fresh independent masks for the shared
+    The subject's propensity score fixes its keep probability
+    (`keep_probability`, as in training); each draw uses fresh independent masks for the shared
     stack and both heads. Inverted-dropout scaling is kept at inference so
     the Monte Carlo mean tracks the deterministic prediction.
     """

@@ -20,7 +20,7 @@ from dcnpd.nn import DenseLayer, DropoutMask, MLPParams, bernoulli_mask, draw_ma
 from dcnpd.propensity import (
     DropoutSchedule,
     PropensityModel,
-    dropout_probability,
+    keep_probability,
     predict_propensity,
 )
 
@@ -57,7 +57,7 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     Each draw samples flat ``(width,)`` masks at the subject's scalar keep
     probability (shared stack, head0, head1) and runs one single-vector pass.
     """
-    keep = 1.0 - dropout_probability(predict_propensity(prop, x), schedule)
+    keep = keep_probability(predict_propensity(prop, x), schedule)
     y0 = np.empty(n_samples)
     y1 = np.empty(n_samples)
     for m in range(n_samples):
@@ -71,7 +71,7 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
 
 def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
     """The Monte Carlo loop before it reused buffers: fresh masks and arrays per draw."""
-    keep = 1.0 - dropout_probability(predict_propensity(prop, X), schedule)
+    keep = keep_probability(predict_propensity(prop, X), schedule)
     y0, y1 = np.empty((2, X.shape[0], n_samples))
     for m in range(n_samples):
         masks = DcnMasks(*(draw_masks(w, keep, rng) for w in params.mask_widths()))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dcnpd.data import ObservationalDataset, Standardization, standardize
-from dcnpd.dcn import DCNParams, build_dcn, predict_deterministic
+from dcnpd import dcn
+from dcnpd.dcn import DCNParams, build_dcn, mc_ite_matrix, predict_deterministic
 from dcnpd.nn import DenseLayer, MLPParams
 from dcnpd.propensity import (
     DropoutSchedule,
@@ -185,6 +186,27 @@ class TestSchedule:
 
 
 class TestMaskSchedule:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_training_and_inference_build_identical_keep_vectors(self, monkeypatch, gamma):
+        ds = biased_toy(80, seed=4)
+        prop = train_propensity(ds, epochs=40, rng=np.random.default_rng(5))
+        cfg = TrainConfig(epochs=2, gamma=gamma, batch_size=16, shared_widths=(8,))
+        trained = np.full(ds.n, np.nan)
+
+        def observer(rows, keep):
+            trained[rows] = keep
+
+        params = train_dcn(ds, prop, cfg, np.random.default_rng(6), mask_observer=observer)
+        inferred, draw = [], dcn.draw_masks
+
+        def spy(widths, keep, *args, **kwargs):
+            inferred.append(keep)
+            return draw(widths, keep, *args, **kwargs)
+
+        monkeypatch.setattr(dcn, "draw_masks", spy)
+        mc_ite_matrix(params, prop, DropoutSchedule(gamma), ds.X, 2, np.random.default_rng(7))
+        assert trained.tobytes() == inferred[0].tobytes()
+
     def test_keep_prob_is_entropy_formula_exactly(self):
         ds = biased_toy(80, seed=2)
         prop = train_propensity(ds, epochs=40, rng=np.random.default_rng(3))

@@ -22,9 +22,11 @@ DEFAULT_SHARED_WIDTHS = (200, 200)
 DEFAULT_HEAD_WIDTHS: tuple[int, ...] = ()
 
 # Rows per stacked Monte Carlo pass: `_mc_outcomes` runs a chunk of
-# ROWS // n draws of an n-row input as one (draws, n, d) stack. A one-row
-# query then takes one pass for up to 256 draws; at n > ROWS / 2 every
-# draw is its own 2-D pass, where buffer reuse pays more than stacking.
+# ROWS // n draws of an n-row input as one (draws, n, d) stack, and every
+# draw of an input of more than ROWS / 2 rows as its own reused-buffer
+# pass. In a sweep at the default widths (100 draws, n from 1 to 200), 128
+# and 256 were within run-to-run noise of each other, 512 and more ran up
+# to 2x slower at n >= 16, and 64 lost at n = 16 to 32.
 ROWS = 256
 
 
@@ -202,10 +204,9 @@ def _mc_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y0, y1) draws, each (n, n_samples), in chunks of c = ROWS // n draws.
 
-    Row i keeps units with its scheduled `keep_probability`, the one that
-    training used; each draw
-    takes fresh masks for the shared stack, then head0, then head1. ``X``
-    and the keep vector are checked once. A chunk of c > 1 draws is one
+    Row i keeps units with its scheduled `keep_probability`, as in
+    training; each draw takes fresh masks for the shared stack, then head0,
+    then head1. ``X`` and the keep vector are checked once. A chunk of c > 1 draws is one
     stacked (c, n, d) pass whose masks come from one random block, in the
     order that c single draws take them, so the results are the same bits.
     With c = 1 each draw is one (n, d) pass, and the first draw allocates
@@ -249,9 +250,10 @@ def estimate_ite(
     """Draw n_samples stochastic effect estimates for one subject.
 
     The subject's propensity score fixes its keep probability
-    (`keep_probability`, as in training); each draw uses fresh independent masks for the shared
-    stack and both heads. Inverted-dropout scaling is kept at inference so
-    the Monte Carlo mean tracks the deterministic prediction.
+    (`keep_probability`, as in training); each draw uses fresh independent
+    masks for the shared stack and both heads. Inverted-dropout scaling is
+    kept at inference so the Monte Carlo mean tracks the deterministic
+    prediction.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:

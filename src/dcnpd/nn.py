@@ -230,7 +230,8 @@ def draw_masks(
     With ``draws``, each mask is a ``(draws, rows, width)`` stack drawn from
     one ``(draws, rows * sum(widths))`` block whose row ``m`` holds, width
     by width, the values that the ``m``-th of ``draws`` calls without it
-    would draw: the same random stream and the same 0/1 masks.
+    would draw: the same random stream and the same 0/1 masks. ``out`` is
+    not used then.
     """
     keep = np.asarray(keep, dtype=np.float64)
     rows = len(keep)

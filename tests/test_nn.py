@@ -268,7 +268,8 @@ class TestStackedBatches:
         layers = [m if on else None for m, on in zip(stacked, masked)]
         mask = DropoutMask(layers, keep)
         out, cache = mlp_forward(params, x, mask)
-        refilled, _ = mlp_forward(params, x, mask, out=mlp_forward(params, x[::-1], mask)[1])
+        _, other = mlp_forward(params, x[::-1], mask)
+        refilled, _ = mlp_forward(params, x, mask, out=other)
         assert out.shape == (c, rows, 2)
         np.testing.assert_array_equal(refilled, out)
         for k in range(c):

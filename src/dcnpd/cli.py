@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticConfig, check_count, generate_synthetic, load_csv, save_csv
+from .data import SyntheticConfig, check_count, generate_synthetic, save_csv
 from .experiment import (
     MODEL_TOKENS,
     SCHEMA_VERSION,
@@ -23,6 +23,7 @@ from .experiment import (
     config_from_json,
     emit_report,
     ite_mse,
+    load_dataset_file,
     predict_from_bundle,
     run_experiment,
     train_model_bundle,
@@ -32,7 +33,9 @@ from .experiment import (
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags below override its fields")
     sub.add_argument("--seed", type=int, help="master seed (required here or in the config)")
-    sub.add_argument("--model", help=MODEL_TOKENS)
+    sub.add_argument(
+        "--model", action="append", help=f"{MODEL_TOKENS}; repeat for a paired benchmark"
+    )
     sub.add_argument("--reps", type=int, help="number of repetitions")
     sub.add_argument("--out", help="output path")
 
@@ -91,8 +94,6 @@ def _load_config_dict(path: str | None) -> dict:
 def _overlay_flags(payload: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         payload["seed"] = args.seed
-    if args.model is not None:
-        payload["model"] = args.model
     if args.reps is not None:
         payload["repetitions"] = args.reps
     if args.out is not None:
@@ -100,15 +101,17 @@ def _overlay_flags(payload: dict, args: argparse.Namespace) -> dict:
     return payload
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+def _experiment_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
+    """One config per ``--model`` flag (or the config file's model), same payload."""
     payload = _overlay_flags(_load_config_dict(args.config), args)
     if payload.get("synthetic") is None and payload.get("csv_path") is None:
         payload["synthetic"] = {}
-    if "model" not in payload:
+    models = args.model or ([payload["model"]] if "model" in payload else [])
+    if not models:
         raise ConfigError("a model is required: pass --model or set it in the config")
     if "seed" not in payload:
         raise ConfigError("a seed is required: pass --seed or set it in the config")
-    return ExperimentConfig.from_dict(payload)
+    return [ExperimentConfig.from_dict({**payload, "model": model}) for model in models]
 
 
 def _require_seed(payload: dict, args: argparse.Namespace) -> int:
@@ -151,7 +154,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    config, *others = _experiment_configs(args)
+    if others:
+        raise ConfigError("train fits one model: pass --model once")
     bundle = train_model_bundle(config)
     out = Path(args.out or config.out or "model.json")
     if out.parent != Path(""):
@@ -175,7 +180,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("model file is not a model bundle (missing 'kind')")
     rng = np.random.default_rng(seed)
     if payload.get("csv_path") is not None:
-        dataset = load_csv(payload["csv_path"])
+        dataset = load_dataset_file(payload["csv_path"])
     else:
         dataset = generate_synthetic(_synthetic_from(payload), rng)
     if dataset.true_ite is None:
@@ -200,15 +205,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    report = run_experiment(config)
-    out = Path(config.out or "report.json")
-    emit_report(report, out)
-    print(
-        f"model={report.model} reps={report.repetitions} "
-        f"mean_ite_mse={report.mean_mse:.6g} std_error={report.std_error:.6g}"
-    )
-    print(f"report: {out} (per-repetition CSV: {out.with_suffix('.csv')})")
+    configs = _experiment_configs(args)
+    path = Path(configs[0].out or "report.json")
+    reports = []
+    for config in configs:
+        report = run_experiment(config)
+        out = path
+        if len(configs) > 1:  # e.g. report-knn_5.json for knn:5
+            tag = config.model.replace(":", "_")
+            out = path.with_name(f"{path.stem}-{tag}{path.suffix or '.json'}")
+        emit_report(report, out)
+        print(
+            f"model={report.model} reps={report.repetitions} "
+            f"mean_ite_mse={report.mean_mse:.6g} std_error={report.std_error:.6g}"
+        )
+        print(f"report: {out} (per-repetition CSV: {out.with_suffix('.csv')})")
+        reports.append(report)
+    first, *others = reports
+    if others:
+        print(f"paired win rate of {first.model} (lower per-repetition MSE):")
+    for other in others:
+        wins = sum(a < b for a, b in zip(first.per_rep_mse, other.per_rep_mse))
+        print(f"  vs {other.model} {wins}/{first.repetitions}")
     return 0
 
 

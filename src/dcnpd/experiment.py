@@ -306,6 +306,20 @@ MODELS = {
 }
 
 
+def _realization_files(config: ExperimentConfig) -> list[Path]:
+    """``[csv_path]`` for a file; for a directory, one sorted ``*.csv`` per repetition."""
+    path = Path(config.csv_path)
+    if not path.is_dir():
+        return [path]
+    files = sorted(path.glob("*.csv"))
+    if len(files) < config.repetitions:
+        raise ConfigError(
+            f"csv_path {path} holds {len(files)} CSV files; "
+            f"{config.repetitions} repetitions need one each"
+        )
+    return files[: config.repetitions]
+
+
 def _run_repetition(
     config: ExperimentConfig,
     r: int,
@@ -336,21 +350,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Repetitions are independent given their derived streams; they run
     sequentially here, and results are keyed by repetition index either way.
+    A ``csv_path`` directory gives repetition r the r-th ``*.csv`` in sorted order.
     """
     start = time.perf_counter()
     base = covariates = None
-    if config.csv_path is not None:
-        base = load_csv(config.csv_path)
-        if base.true_ite is None:
-            raise ConfigError(
-                "evaluation needs ground truth: the CSV must carry mu0 and mu1 columns"
-            )
-    elif config.fixed_covariates:
+    files = [] if config.csv_path is None else _realization_files(config)
+    if config.fixed_covariates:
         covariates = _stream(config.seed, 0, 0).standard_normal(
             (config.synthetic.n, config.synthetic.d)
         )
     per_rep: list[float] = []
     for r in range(config.repetitions):
+        if r < len(files):  # a single file loads once and serves every repetition
+            base = load_csv(files[r])
+            if base.true_ite is None:
+                raise ConfigError(
+                    f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
+                )
         try:
             per_rep.append(_run_repetition(config, r, base, covariates))
         except ConfigError:
@@ -395,10 +411,17 @@ def load_report(path) -> ExperimentReport:
 # --- model bundles (CLI train/evaluate interchange format) ---
 
 
+def load_dataset_file(path) -> ObservationalDataset:
+    """One dataset CSV; only `run_experiment` takes a directory of realizations."""
+    if Path(path).is_dir():
+        raise ConfigError(f"csv_path {path} is a directory; only benchmark reads one")
+    return load_csv(path)
+
+
 def load_source(config: ExperimentConfig, rng: np.random.Generator) -> ObservationalDataset:
     """The config's dataset: load the CSV or draw one synthetic realization."""
     if config.csv_path is not None:
-        return load_csv(config.csv_path)
+        return load_dataset_file(config.csv_path)
     return generate_synthetic(config.synthetic, rng)
 
 

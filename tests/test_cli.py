@@ -130,6 +130,27 @@ class TestTrainAndEvaluate:
         assert stored["n"] == 60
         assert stored["ite_mse"] >= 0.0
 
+    def test_train_with_two_models_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        code = main(["train", "--config", str(config), "--model", "knn:3",
+                     "--model", "knn:5", "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        assert "pass --model once" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_directory_source_is_config_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, csv_path=str(tmp_path), synthetic=None)
+        model_file = tmp_path / "model.json"
+        assert main(["train", "--config", str(write_config(tmp_path, name="t.json")),
+                     "--out", str(model_file)]) == 0
+        capsys.readouterr()
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out.json")]
+        if command == "evaluate":
+            args += ["--model-file", str(model_file)]
+        assert main(args) == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_evaluate_requires_model_file_flag(self, tmp_path):
         config = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +256,28 @@ class TestBenchmark:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "model must be a string" in capsys.readouterr().err
+
+    def test_several_models_run_paired_and_report_separately(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "results" / "report.json"
+        models = ["knn:3", "knn:1", "knn:5"]
+        args = ["benchmark", "--config", str(config), "--out", str(out)]
+        assert main(args + [arg for m in models for arg in ("--model", m)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split()[0] for line in lines if "mean_ite_mse=" in line]
+        assert rows == [f"model={m}" for m in models]
+        reports = []
+        for tag in ("knn_3", "knn_1", "knn_5"):
+            path = out.with_name(f"report-{tag}.json")
+            assert path.with_suffix(".csv").exists()
+            reports.append(load_report(path))
+        assert [r.model for r in reports] == models
+        assert not out.exists()
+        first = reports[0].per_rep_mse
+        block = [f"  vs {r.model} {sum(a < b for a, b in zip(first, r.per_rep_mse))}/2"
+                 for r in reports[1:]]
+        start = lines.index("paired win rate of knn:3 (lower per-repetition MSE):")
+        assert lines[start + 1:] == block
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         config = write_config(

@@ -280,6 +280,52 @@ class TestRunExperiment:
                 ExperimentConfig(model="knn:3", seed=5, csv_path=str(path))
             )
 
+    @pytest.mark.parametrize("model", ["knn:3", "dcn-fixed:0.2"])
+    def test_csv_directory_repetition_equals_single_file_run(self, tmp_path, model):
+        # Repetition r of a directory run reads the r-th sorted CSV under the
+        # streams (seed, 1, r, .), exactly as repetition r of a one-file run.
+        for i in range(4):
+            dataset = generate_synthetic(
+                SyntheticConfig(n=40, d=3, bias_strength=1.0), np.random.default_rng(i)
+            )
+            save_csv(dataset, tmp_path / f"realization_{i}.csv")
+        (tmp_path / "notes.txt").write_text("not a realization", encoding="utf-8")
+        tiny = dict(train=TrainConfig(epochs=2, shared_widths=(6,), batch_size=8), seed=5)
+        report = run_experiment(
+            ExperimentConfig(model=model, csv_path=str(tmp_path), repetitions=3, **tiny)
+        )
+        for r in range(3):
+            single = ExperimentConfig(
+                model=model, csv_path=str(tmp_path / f"realization_{r}.csv"),
+                repetitions=r + 1, **tiny,
+            )
+            assert report.per_rep_mse[r] == run_experiment(single).per_rep_mse[r]
+
+    @pytest.mark.parametrize("files", [0, 1])
+    def test_csv_directory_with_too_few_files_is_config_error(self, tmp_path, files):
+        for i in range(files):
+            dataset = generate_synthetic(SyntheticConfig(n=20, d=2), np.random.default_rng(i))
+            save_csv(dataset, tmp_path / f"realization_{i}.csv")
+        config = ExperimentConfig(model="knn:3", seed=5, csv_path=str(tmp_path), repetitions=2)
+        with pytest.raises(ConfigError, match=f"holds {files} CSV files"):
+            run_experiment(config)
+
+    def test_csv_directory_file_without_ground_truth_is_config_error(self, tmp_path):
+        rng = np.random.default_rng(0)
+        save_csv(generate_synthetic(SyntheticConfig(n=20, d=2), rng), tmp_path / "a.csv")
+        plain = ObservationalDataset(
+            rng.standard_normal((20, 2)), np.array([0, 1] * 10), rng.standard_normal(20)
+        )
+        save_csv(plain, tmp_path / "b.csv")
+        config = ExperimentConfig(model="knn:3", seed=5, csv_path=str(tmp_path), repetitions=2)
+        with pytest.raises(ConfigError, match="b.csv must carry mu0 and mu1"):
+            run_experiment(config)
+
+    def test_directory_source_for_one_model_fit_is_config_error(self, tmp_path):
+        config = ExperimentConfig(model="knn:3", seed=5, csv_path=str(tmp_path))
+        with pytest.raises(ConfigError, match="is a directory"):
+            train_model_bundle(config)
+
     def test_repetition_failure_is_wrapped_with_index(self):
         # 10 rows -> 8 train rows; one arm is always smaller than k=7.
         config = quick_config(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, check_count
 from .nn import (
     MLPParams,
     build_mlp,
@@ -37,8 +37,7 @@ class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        check_count("k", self.k, error=ValueError)
 
 
 def _group_mean_outcome(

@@ -88,6 +88,9 @@ def _load_config_dict(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a JSON object")
+    for block in ("synthetic", "train"):
+        if isinstance(payload.get(block), dict) and "seed" in payload[block]:
+            raise ConfigError(f"{block}.seed is never read: set the top-level seed")
     return payload
 
 

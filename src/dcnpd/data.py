@@ -252,10 +252,9 @@ class SyntheticConfig:
     def __post_init__(self):
         check_count("n", self.n, least=2)
         check_count("d", self.d)
-        if self.bias_strength < 0:
-            raise ValidationError("bias_strength must be non-negative")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be non-negative")
+        for name in ("bias_strength", "noise_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be non-negative and finite")
         if self.surface not in SURFACES:
             raise ValidationError(f"surface must be one of {SURFACES}")
 

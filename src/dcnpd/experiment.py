@@ -209,6 +209,9 @@ class _PropensityDropoutDCN:
     schedule: DropoutSchedule
     n_samples: int
 
+    def __post_init__(self):
+        check_count("n_samples", self.n_samples, error=ValueError)
+
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
         schedule = DropoutSchedule(config.train.gamma)
@@ -235,7 +238,7 @@ class _PropensityDropoutDCN:
             PropensityModel.from_dict(bundle["propensity"]),
             DCNParams.from_dict(bundle["dcn"]),
             DropoutSchedule(bundle["gamma"]),
-            int(bundle.get("n_samples", 100)),
+            bundle.get("n_samples", 100),
         )
 
 
@@ -295,7 +298,7 @@ class _Matching:
         rows = ObservationalDataset(
             np.asarray(bundle["x"]), np.asarray(bundle["w"]), np.asarray(bundle["y"])
         )
-        return cls(rows, KnnConfig(k=int(bundle["k"])))
+        return cls(rows, KnnConfig(k=bundle["k"]))
 
 
 MODELS = {

@@ -16,6 +16,7 @@ two coincide bit-for-bit whenever their keep probabilities do).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -51,8 +52,12 @@ class TrainConfig:
         check_count("epochs", self.epochs, error=ValueError)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
         check_count("batch_size", self.batch_size, error=ValueError)
 
     def adam_state(self, arrays) -> AdamState:

@@ -61,6 +61,19 @@ class TestArgumentHandling:
         path.write_text("{not json", encoding="utf-8")
         assert main(["benchmark", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("block", ["synthetic", "train"])
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "benchmark"])
+    def test_seed_inside_a_block_exits_2(self, tmp_path, capsys, command, block):
+        config = write_config(tmp_path, **{block: {"n": 40, "seed": 5}
+                                           if block == "synthetic" else {"seed": 5}})
+        out = tmp_path / "out.json"
+        args = [command, "--config", str(config), "--out", str(out)]
+        if command == "evaluate":
+            args += ["--model-file", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        assert "set the top-level seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
@@ -225,9 +238,15 @@ class TestBenchmark:
     @pytest.mark.parametrize(
         "fields",
         [{"seed": -1}, {"seed": 1.5}, {"seed": "1"}, {"repetitions": 1.5},
-         {"propensity_arch": 5}, {"train": {"shared_widths": 5}}, {"train": "x"}],
+         {"propensity_arch": 5}, {"train": {"shared_widths": 5}}, {"train": "x"},
+         {"synthetic": {"n": 40, "d": 3, "seed": 5}}, {"train": {"seed": 5}},
+         {"train": {"beta1": 1.0}}, {"train": {"beta2": -0.5}},
+         {"train": {"learning_rate": float("nan")}}, {"train": {"epsilon": -1}},
+         {"synthetic": {"n": 40, "d": 3, "bias_strength": float("inf")}},
+         {"synthetic": {"n": 40, "d": 3, "noise_std": float("nan")}}],
         ids=["seed-negative", "seed-float", "seed-str", "reps-float", "arch-int",
-             "widths-int", "train-str"],
+             "widths-int", "train-str", "synthetic-seed", "train-seed", "beta1-one",
+             "beta2-negative", "lr-nan", "epsilon-negative", "bias-inf", "noise-nan"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, fields):
         config = write_config(tmp_path, **fields)

@@ -262,6 +262,10 @@ class TestGenerator:
             SyntheticConfig(d=0)
         with pytest.raises(ValidationError):
             SyntheticConfig(noise_std=-1.0)
+        with pytest.raises(ValidationError, match="noise_std"):
+            SyntheticConfig(noise_std=float("nan"))
+        with pytest.raises(ValidationError, match="bias_strength"):
+            SyntheticConfig(bias_strength=float("inf"))
         with pytest.raises(ValidationError):
             SyntheticConfig(surface="Cubic")
 

@@ -509,7 +509,8 @@ class TestModelBundles:
 
     @pytest.mark.parametrize(
         "kind, key, value",
-        [("knn", "k", 0), ("knn", "k", None), ("dcn-pd", "gamma", 1.5)],
+        [("knn", "k", 0), ("knn", "k", None), ("dcn-pd", "gamma", 1.5), ("knn", "k", 2.7),
+         ("dcn-pd", "n_samples", 2.5), ("dcn-pd", "n_samples", True)],
     )
     def test_bundle_invalid_field_rejected(self, tiny_bundles, kind, key, value):
         bundle = {**tiny_bundles[kind], key: value}

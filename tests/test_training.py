@@ -70,6 +70,10 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for bad in ({"beta1": 1.0}, {"beta2": -0.1}, {"epsilon": 0.0},
+                    {"learning_rate": float("nan")}, {"epsilon": float("inf")}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
 
 
 class TestSplitBatches:

@@ -64,8 +64,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("block", ["synthetic", "train"])
     @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "benchmark"])
     def test_seed_inside_a_block_exits_2(self, tmp_path, capsys, command, block):
-        config = write_config(tmp_path, **{block: {"n": 40, "seed": 5}
-                                           if block == "synthetic" else {"seed": 5}})
+        config = write_config(tmp_path, **{block: {"seed": 5}})
         out = tmp_path / "out.json"
         args = [command, "--config", str(config), "--out", str(out)]
         if command == "evaluate":
@@ -154,13 +153,13 @@ class TestTrainAndEvaluate:
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_directory_source_is_config_error(self, tmp_path, capsys, command):
         config = write_config(tmp_path, csv_path=str(tmp_path), synthetic=None)
-        model_file = tmp_path / "model.json"
-        assert main(["train", "--config", str(write_config(tmp_path, name="t.json")),
-                     "--out", str(model_file)]) == 0
-        capsys.readouterr()
         args = [command, "--config", str(config), "--out", str(tmp_path / "out.json")]
         if command == "evaluate":
+            model_file = tmp_path / "model.json"
+            assert main(["train", "--config", str(write_config(tmp_path, name="t.json")),
+                         "--out", str(model_file)]) == 0
             args += ["--model-file", str(model_file)]
+        capsys.readouterr()
         assert main(args) == 2
         assert "is a directory" in capsys.readouterr().err
 

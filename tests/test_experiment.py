@@ -321,11 +321,6 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="b.csv must carry mu0 and mu1"):
             run_experiment(config)
 
-    def test_directory_source_for_one_model_fit_is_config_error(self, tmp_path):
-        config = ExperimentConfig(model="knn:3", seed=5, csv_path=str(tmp_path))
-        with pytest.raises(ConfigError, match="is a directory"):
-            train_model_bundle(config)
-
     def test_repetition_failure_is_wrapped_with_index(self):
         # 10 rows -> 8 train rows; one arm is always smaller than k=7.
         config = quick_config(

@@ -21,12 +21,11 @@ from .propensity import DropoutSchedule, PropensityModel, keep_probability, pred
 DEFAULT_SHARED_WIDTHS = (200, 200)
 DEFAULT_HEAD_WIDTHS: tuple[int, ...] = ()
 
-# Rows per stacked Monte Carlo pass: `_mc_outcomes` runs a chunk of
-# ROWS // n draws of an n-row input as one (draws, n, d) stack, and every
-# draw of an input of more than ROWS / 2 rows as its own reused-buffer
-# pass. In a sweep at the default widths (100 draws, n from 1 to 200), 128
-# and 256 were within run-to-run noise of each other, 512 and more ran up
-# to 2x slower at n >= 16, and 64 lost at n = 16 to 32.
+# Rows per stacked Monte Carlo pass: `_mc_outcomes` runs an n-row input
+# in chunks of ROWS // n draws (at least one), each one (draws, n, d) stack.
+# In a sweep at the default widths (100 draws, n from 1 to 200), 128 and
+# 256 were within run-to-run noise of each other, 512 and more ran up to 2x
+# slower at n >= 16, and 64 lost at n = 16 to 32.
 ROWS = 256
 
 
@@ -206,35 +205,37 @@ def _mc_outcomes(
 
     Row i keeps units with its scheduled `keep_probability`, as in
     training; each draw takes fresh masks for the shared stack, then head0,
-    then head1. ``X`` and the keep vector are checked once. A chunk of c > 1 draws is one
-    stacked (c, n, d) pass whose masks come from one random block, in the
-    order that c single draws take them, so the results are the same bits.
-    With c = 1 each draw is one (n, d) pass, and the first draw allocates
-    the masks and forward caches that every later draw writes into.
+    then head1. ``X`` and the keep vector are checked once. A chunk of c
+    draws (at least one) is one stacked (c, n, d) pass whose masks come
+    from one random block, in the order that c single draws take them, so
+    the results are the bits of one fresh (n, d) pass per draw. The block
+    and the forward caches are allocated for the first chunk and written
+    into by every later chunk of the same size.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    n = X.shape[0]
+    if n == 0:
+        raise ValueError("X has no rows")
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} of X contains NaN or infinite values")
     keep = keep_probability(predict_propensity(prop, X), schedule)
     if not np.all(keep > 0.0):
         raise ValueError("schedule yields keep probability 0 for some subject")
-    y0, y1 = np.empty((2, X.shape[0], n_samples))
+    y0, y1 = np.empty((2, n, n_samples))
     widths = params.mask_widths()
-    chunk = max(1, min(n_samples, ROWS // X.shape[0]))
-    if chunk == 1:
-        groups, caches = [None] * 3, [None] * 3
-        for m in range(n_samples):
-            groups = [draw_masks(w, keep, rng, g) for w, g in zip(widths, groups)]
-            y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups), caches=caches)
-        return y0, y1
+    flat = [w for ws in widths for w in ws]
+    chunk = max(1, min(n_samples, ROWS // n))
+    block = None
     for start in range(0, n_samples, chunk):
         c = min(chunk, n_samples - start)
-        masks = iter(draw_masks([w for ws in widths for w in ws], keep, rng, draws=c).masks)
+        if block is None or len(block) != c:
+            block, caches = np.empty((c, n * sum(flat))), [None] * 3
+            stack = np.broadcast_to(X, (c, *X.shape))
+        masks = iter(draw_masks(flat, keep, rng, draws=c, out=block).masks)
         groups = [DropoutMask([next(masks) for _ in ws], keep) for ws in widths]
-        stack = np.broadcast_to(X, (c, *X.shape))
-        out0, out1 = dcn_forward(params, stack, DcnMasks(*groups))
+        out0, out1 = dcn_forward(params, stack, DcnMasks(*groups), caches=caches)
         y0[:, start : start + c], y1[:, start : start + c] = out0.T, out1.T
     return y0, y1
 

@@ -195,61 +195,49 @@ def _check_keep(keep: np.ndarray) -> None:
         raise ValueError("keep_prob must lie in (0, 1]")
 
 
-def bernoulli_mask(
-    shape, keep_prob, rng: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """0/1 mask with entries Bernoulli(keep_prob); keep_prob=1 gives all ones.
-
-    With ``out``, a float64 array of ``shape``, the mask is drawn into it and
-    ``out`` is returned: the same random stream and values as a fresh draw.
-    """
+def bernoulli_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
+    """0/1 mask with entries Bernoulli(keep_prob); keep_prob=1 gives all ones."""
     keep = np.asarray(keep_prob, dtype=np.float64)
     _check_keep(keep)
-    if out is None:
-        return (rng.random(shape) < keep).astype(np.float64)
-    if out.shape != (tuple(shape) if np.iterable(shape) else (shape,)) or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
-    rng.random(out=out)
-    return np.less(out, keep, out=out)
+    return (rng.random(shape) < keep).astype(np.float64)
 
 
 def draw_masks(
     widths: Sequence[int],
     keep: np.ndarray,
     rng: np.random.Generator,
-    out: DropoutMask | None = None,
     draws: int | None = None,
+    out: np.ndarray | None = None,
 ) -> DropoutMask:
-    """One ``(rows, width)`` Bernoulli mask per width, drawn in order.
+    """One Bernoulli mask per width, for ``draws`` draws, from one random block.
 
     ``keep`` is the per-row keep probability vector; row ``i`` of every mask
-    is drawn with ``keep[i]`` and the vector is stored on the result. With
-    ``out``, a result of an earlier call with the same widths and rows, the
-    masks are redrawn into its arrays.
+    is drawn with ``keep[i]`` and the vector is stored on the result. One
+    ``rng.random`` call fills a ``(draws, rows * sum(widths))`` block
+    (``draws`` defaults to 1) whose row ``m`` holds, width by width, the
+    ``(rows, width)`` masks of draw ``m`` row by row: the stream and the 0/1
+    values of one ``bernoulli_mask((rows, width), keep[:, None], rng)`` call
+    per width and draw, in that order. Each mask is a view of the block,
+    ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
 
-    With ``draws``, each mask is a ``(draws, rows, width)`` stack drawn from
-    one ``(draws, rows * sum(widths))`` block whose row ``m`` holds, width
-    by width, the values that the ``m``-th of ``draws`` calls without it
-    would draw: the same random stream and the same 0/1 masks. ``out`` is
-    not used then.
+    With ``out``, a float64 block of that shape, the masks are drawn into it
+    instead of a new one, so a caller can reuse one block for every draw.
     """
     keep = np.asarray(keep, dtype=np.float64)
+    _check_keep(keep)
     rows = len(keep)
-    if draws is not None:
-        # each width's columns hold its (rows, width) mask row by row
-        col_keep = np.concatenate([np.repeat(keep, w) for w in widths]) if widths else keep[:0]
-        block = bernoulli_mask((draws, col_keep.size), col_keep, rng)
-        ends = np.cumsum([rows * w for w in widths])
-        masks = [
-            block[:, end - rows * w : end].reshape(draws, rows, w)
-            for w, end in zip(widths, ends)
-        ]
-        return DropoutMask(masks, keep)
-    keep_col = keep[:, None]
-    buffers = [None] * len(widths) if out is None else out.masks
-    if len(buffers) != len(widths):
-        raise ValueError("out holds a different number of masks")
-    masks = [bernoulli_mask((rows, w), keep_col, rng, b) for w, b in zip(widths, buffers)]
+    shape = (draws or 1, rows * sum(widths))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 block of shape {shape}")
+    rng.random(out=out)
+    masks, start = [], 0
+    for w in widths:
+        mask = out[:, start : start + rows * w].reshape(shape[0], rows, w)
+        np.less(mask, keep[:, None], out=mask)
+        masks.append(mask if draws else mask[0])
+        start += rows * w
     return DropoutMask(masks, keep)
 
 

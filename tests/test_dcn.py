@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcnpd import dcn
 from dcnpd.data import Standardization
 from dcnpd.dcn import (
     DCNParams,
@@ -70,12 +71,15 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
 
 
 def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
-    """The Monte Carlo loop before it reused buffers: fresh masks and arrays per draw."""
+    """One fresh (n, d) pass per draw, each mask its own `bernoulli_mask` call."""
     keep = keep_probability(predict_propensity(prop, X), schedule)
     y0, y1 = np.empty((2, X.shape[0], n_samples))
     for m in range(n_samples):
-        masks = DcnMasks(*(draw_masks(w, keep, rng) for w in params.mask_widths()))
-        y0[:, m], y1[:, m] = dcn_forward(params, X, masks)
+        groups = [
+            DropoutMask([bernoulli_mask((len(keep), w), keep[:, None], rng) for w in ws], keep)
+            for ws in params.mask_widths()
+        ]
+        y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups))
     return y0, y1
 
 
@@ -386,6 +390,54 @@ class TestMcMatrix:
         samples = mc_ite_matrix(params, prop, sched, X, n_samples, np.random.default_rng(seed))
         y0, y1 = reference_mc_outcomes(params, prop, sched, X, n_samples, np.random.default_rng(seed))
         assert samples.tobytes() == (y1 - y0).tobytes()
+
+    def test_cohort_size_matches_per_draw_reference_bitwise(self):
+        # the default architecture at a cohort's size, where BLAS may thread
+        rng = np.random.default_rng(40)
+        params = build_dcn(25, rng)
+        net = MLPParams([DenseLayer(0.3 * rng.normal(size=(25, 1)), np.zeros(1), "sigmoid")])
+        prop = PropensityModel(
+            net, Standardization(np.zeros(25), np.ones(25)), DropoutSchedule(0.5)
+        )
+        sched = DropoutSchedule(0.5)
+        X = rng.normal(size=(2000, 25))
+        samples = mc_ite_matrix(params, prop, sched, X, 3, np.random.default_rng(41))
+        y0, y1 = reference_mc_outcomes(params, prop, sched, X, 3, np.random.default_rng(41))
+        assert samples.tobytes() == (y1 - y0).tobytes()
+
+    def test_draws_reuse_one_block_and_one_cache_set(self, monkeypatch):
+        # more than ROWS / 2 rows: one draw per chunk, every chunk the same size
+        draw, forward = dcn.draw_masks, dcn.dcn_forward
+        blocks, buffers = [], []
+
+        def draw_spy(widths, keep, rng, draws=None, out=None):
+            masks = draw(widths, keep, rng, draws, out)
+            assert all(np.shares_memory(m, out) for m in masks.masks)
+            blocks.append(out)
+            return masks
+
+        def forward_spy(params, x, masks=None, caches=None):
+            result = forward(params, x, masks, caches=caches)
+            buffers.append(
+                [
+                    a
+                    for c in caches
+                    for a in (c.output, *c.inputs[1:], *c.pre_acts, *c.acts, *c.scales)
+                    if a is not None
+                ]
+            )
+            return result
+
+        monkeypatch.setattr(dcn, "draw_masks", draw_spy)
+        monkeypatch.setattr(dcn, "dcn_forward", forward_spy)
+        params = small_dcn(42, heads=(4,))
+        X = np.random.default_rng(43).normal(size=(200, 3))
+        mc_ite_matrix(params, stub_propensity(1.0), DropoutSchedule(0.5), X, 5,
+                      np.random.default_rng(44))
+        assert len(blocks) == len(buffers) == 5
+        assert all(b is blocks[0] for b in blocks)
+        for later in buffers[1:]:
+            assert all(a is b for a, b in zip(later, buffers[0], strict=True))
 
     def test_rejects_nonfinite_row(self):
         X = np.ones((5, 3))

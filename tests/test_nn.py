@@ -157,6 +157,26 @@ class TestDropoutMasking:
         m = bernoulli_mask((7, 5), 0.6, np.random.default_rng(seed))
         assert set(np.unique(m)) <= {0.0, 1.0}
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1, 4]),
+        st.integers(1, 8),
+        st.lists(st.integers(1, 9), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draw_masks_match_per_width_bernoulli_loop(self, seed, draws, rows, widths):
+        # pins the training masks (draws=None) and the Monte Carlo blocks alike
+        keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
+        rng_block, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        masks = draw_masks(widths, keep, rng_block, draws).masks
+        assert len(masks) == len(widths)
+        for k in range(draws or 1):
+            for i, w in enumerate(widths):
+                expected = bernoulli_mask((rows, w), keep[:, None], rng_loop)
+                got = masks[i] if draws is None else masks[i][k]
+                assert got.shape == (rows, w) and got.tobytes() == expected.tobytes()
+        assert rng_block.random() == rng_loop.random()
+
 
 def assert_same_cache(a, b):
     for field in ("inputs", "pre_acts", "acts", "scales"):
@@ -213,18 +233,19 @@ class TestReusedBuffers:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 20),
+        st.sampled_from([None, 1, 3]),
         st.lists(st.integers(1, 9), max_size=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_draw_masks_out_matches_fresh(self, seed, rows, widths):
+    def test_draw_masks_out_matches_fresh(self, seed, rows, draws, widths):
         keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
-        first = draw_masks(widths, keep, np.random.default_rng(seed + 1))
-        arrays = list(first.masks)
+        # a block holding stale values, as an earlier draw leaves it
+        block = np.random.default_rng(seed + 1).random((draws or 1, rows * sum(widths)))
         rng_fresh, rng_out = np.random.default_rng(seed), np.random.default_rng(seed)
-        fresh = draw_masks(widths, keep, rng_fresh)
-        refilled = draw_masks(widths, keep, rng_out, out=first)
-        assert all(m is a for m, a in zip(refilled.masks, arrays, strict=True))
+        fresh = draw_masks(widths, keep, rng_fresh, draws)
+        refilled = draw_masks(widths, keep, rng_out, draws, out=block)
         for m, f in zip(refilled.masks, fresh.masks, strict=True):
+            assert np.shares_memory(m, block)
             np.testing.assert_array_equal(m, f)
         np.testing.assert_array_equal(refilled.keep_prob, keep)
         assert rng_out.random() == rng_fresh.random()
@@ -240,12 +261,12 @@ class TestReusedBuffers:
             mlp_forward(params, np.ones((2, 3)), None, out=cache)
         with pytest.raises(ValueError):
             mlp_forward(tiny_net(widths=(3, 4, 1)), np.ones((2, 3)), out=cache)
-        with pytest.raises(ValueError):
-            bernoulli_mask((2, 4), 0.5, rng, out=np.empty((2, 5)))
-        with pytest.raises(ValueError):
-            bernoulli_mask((2, 5), 0.5, rng, out=np.empty((2, 5), dtype=np.float32))
-        with pytest.raises(ValueError):
-            draw_masks([5, 5], keep, rng, out=mask)
+        with pytest.raises(ValueError, match="block"):
+            draw_masks([5, 5], keep, rng, out=np.empty((1, 10)))
+        with pytest.raises(ValueError, match="block"):
+            draw_masks([5], keep, rng, draws=3, out=np.empty((2, 10)))
+        with pytest.raises(ValueError, match="block"):
+            draw_masks([5], keep, rng, out=np.empty((1, 10), dtype=np.float32))
 
 
 class TestStackedBatches:

@@ -116,15 +116,13 @@ def dcn_forward(
     params: DCNParams,
     x: np.ndarray,
     masks: DcnMasks | None = None,
-    head="both",
     caches: list[ForwardCache | None] | None = None,
 ):
-    """Evaluate the requested head(s); the shared stack runs exactly once.
+    """Evaluate both heads as a (y0, y1) pair; the shared stack runs exactly once.
 
     ``x`` may be a single feature vector (scalar results), an (n, d) batch
     (length-n arrays) or a (c, n, d) stack of batches with masks of the
-    same leading axes ((c, n) arrays). ``head`` is 0, 1, or "both" for a
-    (y0, y1) pair.
+    same leading axes ((c, n) arrays).
 
     ``caches`` is an optional three-slot list (shared, head0, head1): each
     pass stores its `mlp_forward` cache in an empty slot and writes into
@@ -132,33 +130,21 @@ def dcn_forward(
     layout reuse their buffers. Results returned for a batch are then views
     of those buffers, overwritten by the next call.
     """
-    if head not in (0, 1, "both"):
-        raise ValueError('head must be 0, 1, or "both"')
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    rows = x[None, :] if single else x
     slots = [None] * 3 if caches is None else caches
-    rep, slots[0] = mlp_forward(
-        params.shared, rows, masks.shared if masks else None, slots[0]
-    )
-
-    def run_head(i, net, mask):
-        out, slots[i] = mlp_forward(net, rep, mask, slots[i])
-        return float(out[0, 0]) if single else out[..., 0]
-
-    if head == 0:
-        return run_head(1, params.head0, masks.head0 if masks else None)
-    if head == 1:
-        return run_head(2, params.head1, masks.head1 if masks else None)
-    return (
-        run_head(1, params.head0, masks.head0 if masks else None),
-        run_head(2, params.head1, masks.head1 if masks else None),
-    )
+    groups = [None] * 3 if masks is None else [masks.shared, masks.head0, masks.head1]
+    rep, slots[0] = mlp_forward(params.shared, x[None, :] if single else x, groups[0], slots[0])
+    outs = []
+    for i, net in ((1, params.head0), (2, params.head1)):
+        out, slots[i] = mlp_forward(net, rep, groups[i], slots[i])
+        outs.append(float(out[0, 0]) if single else out[..., 0])
+    return tuple(outs)
 
 
 def predict_deterministic(params: DCNParams, x: np.ndarray):
     """Maskless point prediction: (y0, y1, y1 - y0)."""
-    y0, y1 = dcn_forward(params, x, masks=None, head="both")
+    y0, y1 = dcn_forward(params, x)
     return y0, y1, y1 - y0
 
 

@@ -151,25 +151,12 @@ class TestForward:
         np.testing.assert_array_equal(with_mask[0], bare[0])
         np.testing.assert_array_equal(with_mask[1], bare[1])
 
-    def test_both_equals_two_single_head_calls(self):
-        params = small_dcn(8, heads=(4,))
-        rng = np.random.default_rng(9)
-        masks = dcn_masks(0.6, params.mask_widths(), 6, rng)
-        x = rng.normal(size=(6, 3))
-        y0, y1 = dcn_forward(params, x, masks)
-        np.testing.assert_array_equal(y0, dcn_forward(params, x, masks, head=0))
-        np.testing.assert_array_equal(y1, dcn_forward(params, x, masks, head=1))
-
     def test_single_vector_matches_batch_row(self):
         params = small_dcn(10)
         X = np.random.default_rng(11).normal(size=(3, 3))
         batch0, batch1 = dcn_forward(params, X)
         s0, s1 = dcn_forward(params, X[1])
         assert (s0, s1) == (batch0[1], batch1[1])
-
-    def test_bad_head_argument(self):
-        with pytest.raises(ValueError):
-            dcn_forward(small_dcn(), np.zeros(3), head=2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,22 @@ class TestArgumentHandling:
             main(["benchmark", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--seed", "1", "--model", "bogus", "--reps", "9"],
+            ["generate", "--seed", "1", "--reps", "9"],
+            ["evaluate", "--seed", "1", "--model-file", "m.json", "--reps", "2"],
+            # not an abbreviation of --model-file
+            ["evaluate", "--seed", "1", "--model", "knn:3", "--model-file", "m.json"],
+        ],
+    )
+    def test_experiment_flag_outside_train_and_benchmark_exits_2(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         code = main(["benchmark", "--model", "knn:3",
                      "--out", str(tmp_path / "r.json")])

@@ -463,3 +463,12 @@ class TestMcMatrix:
                 5,
                 np.random.default_rng(0),
             )
+
+    def test_rejects_empty_input_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="no rows"):
+            mc_ite_matrix(
+                small_dcn(), stub_propensity(0.0), DropoutSchedule(1.0), np.ones((0, 3)), 5, rng
+            )
+        assert rng.bit_generator.state == state

@@ -114,6 +114,9 @@ class ExperimentConfig:
         if self.seed is None:
             raise ConfigError("a seed is required; reproducibility is not optional")
         check_count("seed", self.seed, 0, ConfigError)
+        for name in ("synthetic", "train"):
+            if getattr(getattr(self, name), "seed", None) is not None:
+                raise ConfigError(f"{name}.seed is never read: set the top-level seed")
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one dataset source: synthetic or csv_path")
         check_count("repetitions", self.repetitions, error=ConfigError)

@@ -115,6 +115,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             quick_config(model="forest")
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"synthetic": SyntheticConfig(n=60, d=3, seed=5)},
+            {"train": TrainConfig(seed=5)},
+            {"train": TrainConfig(seed=0)},
+        ],
+    )
+    def test_rejects_block_seed(self, block):
+        # run_experiment passes its own streams, so a block seed would be ignored
+        with pytest.raises(ConfigError, match="top-level seed"):
+            quick_config(**block)
+
     def test_fixed_covariates_needs_synthetic_source(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(

@@ -213,8 +213,8 @@ def draw_masks(
 
     ``keep`` is the per-row keep probability vector; row ``i`` of every mask
     is drawn with ``keep[i]`` and the vector is stored on the result. One
-    ``rng.random`` call fills a ``(draws, rows * sum(widths))`` block
-    (``draws`` defaults to 1) whose row ``m`` holds, width by width, the
+    ``rng.random`` call fills a ``(draws, rows * sum(widths))`` block (one
+    row when ``draws`` is None) whose row ``m`` holds, width by width, the
     ``(rows, width)`` masks of draw ``m`` row by row: the stream and the 0/1
     values of one ``bernoulli_mask((rows, width), keep[:, None], rng)`` call
     per width and draw, in that order. Each mask is a view of the block,
@@ -226,7 +226,8 @@ def draw_masks(
     keep = np.asarray(keep, dtype=np.float64)
     _check_keep(keep)
     rows = len(keep)
-    shape = (draws or 1, rows * sum(widths))
+    c = 1 if draws is None else draws
+    shape = (c, rows * sum(widths))
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
@@ -234,9 +235,9 @@ def draw_masks(
     rng.random(out=out)
     masks, start = [], 0
     for w in widths:
-        mask = out[:, start : start + rows * w].reshape(shape[0], rows, w)
+        mask = out[:, start : start + rows * w].reshape(c, rows, w)
         np.less(mask, keep[:, None], out=mask)
-        masks.append(mask if draws else mask[0])
+        masks.append(mask[0] if draws is None else mask)
         start += rows * w
     return DropoutMask(masks, keep)
 

@@ -17,6 +17,7 @@ from dcnpd.nn import (
     draw_masks,
     flatten_grads,
     grad_check,
+    mask_block,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -247,6 +248,11 @@ class TestReusedBuffers:
         for m, f in zip(refilled.masks, fresh.masks, strict=True):
             assert np.shares_memory(m, block)
             np.testing.assert_array_equal(m, f)
+        own = mask_block(draws or 1, rows, widths)
+        assert own.shape == block.shape and own.dtype == np.float64 and not own.any()
+        drawn = draw_masks(widths, keep, np.random.default_rng(seed), draws, out=own)
+        for m, f in zip(drawn.masks, fresh.masks, strict=True):
+            assert np.shares_memory(m, own) and m.tobytes() == f.tobytes()
         np.testing.assert_array_equal(refilled.keep_prob, keep)
         assert rng_out.random() == rng_fresh.random()
 

@@ -31,6 +31,7 @@ from .experiment import (
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    sub.allow_abbrev = False  # else `evaluate --model x` would pass as `--model-file x`
     sub.add_argument("--config", help="JSON config file; flags below override its fields")
     sub.add_argument("--seed", type=int, help="master seed (required here or in the config)")
     sub.add_argument("--out", help="output path")
@@ -49,39 +50,29 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dcnpd",
         description="Treatment-effect estimation with propensity-guided dropout.",
     )
-    # no subcommand takes abbreviated flags: `evaluate --model x` would
-    # otherwise pass as `--model-file x`
     commands = parser.add_subparsers(dest="command", required=True)
 
     generate = commands.add_parser(
-        "generate",
-        help="draw a synthetic observational dataset and save it as CSV",
-        allow_abbrev=False,
+        "generate", help="draw a synthetic observational dataset and save it as CSV"
     )
     _add_common_flags(generate)
     generate.set_defaults(func=_cmd_generate)
 
     train = commands.add_parser(
-        "train",
-        help="fit one model on the full dataset and save a model bundle",
-        allow_abbrev=False,
+        "train", help="fit one model on the full dataset and save a model bundle"
     )
     _add_experiment_flags(train)
     train.set_defaults(func=_cmd_train)
 
     evaluate = commands.add_parser(
-        "evaluate",
-        help="score a saved model bundle against a ground-truth dataset",
-        allow_abbrev=False,
+        "evaluate", help="score a saved model bundle against a ground-truth dataset"
     )
     _add_common_flags(evaluate)
     evaluate.add_argument("--model-file", required=True, help="bundle written by `train`")
     evaluate.set_defaults(func=_cmd_evaluate)
 
     benchmark = commands.add_parser(
-        "benchmark",
-        help="run the repeated-realization experiment and emit a report",
-        allow_abbrev=False,
+        "benchmark", help="run the repeated-realization experiment and emit a report"
     )
     _add_experiment_flags(benchmark)
     benchmark.set_defaults(func=_cmd_benchmark)

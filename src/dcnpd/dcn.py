@@ -15,15 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import (
-    DropoutMask,
-    ForwardCache,
-    MLPParams,
-    build_mlp,
-    draw_masks,
-    mask_block,
-    mlp_forward,
-)
+from .nn import DropoutMask, ForwardCache, MLPParams, build_mlp, draw_masks, mask_block, mlp_forward
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 DEFAULT_SHARED_WIDTHS = (200, 200)

@@ -205,11 +205,9 @@ def bernoulli_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
 def mask_block(draws: int, rows: int, widths: Sequence[int]) -> np.ndarray:
     """A zeroed float64 ``(draws, rows * sum(widths))`` block for `draw_masks`.
 
-    Its memory comes from a bytearray, not from numpy's allocator, which
-    advises transparent huge pages for arrays of 4 MiB or more. Under the
-    kernel's ``madvise`` huge-page mode, a 6.4 MB block of a 2,000-row
-    Monte Carlo call so advised left the process's later one-row queries
-    about 25% slower on a 2-core machine; a block from here is never advised.
+    A bytearray holds it, as numpy advises huge pages for arrays of 4 MiB or
+    more: a 6.4 MB block so advised left later one-row queries of a process
+    ~25% slower (2 cores, kernel huge pages in ``madvise`` mode).
     """
     size = rows * sum(widths)
     return np.frombuffer(bytearray(8 * draws * size)).reshape(draws, size)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import DropoutMask, ForwardCache, MLPParams, build_mlp, draw_masks, mask_block, mlp_forward
+from .nn import DropoutMask, ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 DEFAULT_SHARED_WIDTHS = (200, 200)
@@ -217,7 +217,7 @@ def _mc_outcomes(
     for start in range(0, n_samples, chunk):
         c = min(chunk, n_samples - start)
         if block is None or len(block) != c:
-            block, caches = mask_block(c, n, flat), [None] * 3
+            block, caches = np.empty((c, n * sum(flat))), [None] * 3
             stack = np.broadcast_to(X, (c, *X.shape))
         masks = iter(draw_masks(flat, keep, rng, draws=c, out=block).masks)
         groups = [DropoutMask([next(masks) for _ in ws], keep) for ws in widths]

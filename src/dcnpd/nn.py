@@ -53,6 +53,23 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
+def aligned(a) -> np.ndarray:
+    """``a`` as float64 starting on a 64-byte boundary (``a`` itself if it does).
+
+    Where an array lands depends on earlier allocations, and OpenBLAS ran the
+    products of a stacked Monte Carlo pass with a (200, 200) matrix 1.8x slower
+    from 16, 32 or 48 bytes past one (2-core Xeon, OpenBLAS 0.3.31), same bits.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ctypes.data % 64 == 0:
+        return a
+    buf = np.empty(a.size + 8)
+    start = -buf.ctypes.data % 64 // 8
+    out = buf[start : start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform Xavier initialization on [-sqrt(6/(fan_in+fan_out)), +sqrt(...)]."""
     if fan_in < 1 or fan_out < 1:
@@ -70,7 +87,7 @@ class DenseLayer:
     activation: str = "relu"
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
+        self.W = aligned(self.W)
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.W.ndim != 2:
             raise ValueError("W must be 2-D (fan_in x fan_out)")
@@ -202,17 +219,6 @@ def bernoulli_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64)
 
 
-def mask_block(draws: int, rows: int, widths: Sequence[int]) -> np.ndarray:
-    """A zeroed float64 ``(draws, rows * sum(widths))`` block for `draw_masks`.
-
-    A bytearray holds it, as numpy advises huge pages for arrays of 4 MiB or
-    more: a 6.4 MB block so advised left later one-row queries of a process
-    ~25% slower (2 cores, kernel huge pages in ``madvise`` mode).
-    """
-    size = rows * sum(widths)
-    return np.frombuffer(bytearray(8 * draws * size)).reshape(draws, size)
-
-
 def draw_masks(
     widths: Sequence[int],
     keep: np.ndarray,
@@ -232,8 +238,7 @@ def draw_masks(
     ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
 
     With ``out``, a float64 block of that shape, the masks are drawn into it
-    instead of a new `mask_block`, so a caller can reuse one block for every
-    draw.
+    instead of a new one, so a caller can reuse one block for every draw.
     """
     keep = np.asarray(keep, dtype=np.float64)
     _check_keep(keep)
@@ -241,7 +246,7 @@ def draw_masks(
     c = 1 if draws is None else draws
     shape = (c, rows * sum(widths))
     if out is None:
-        out = mask_block(c, rows, widths)
+        out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 block of shape {shape}")
     rng.random(out=out)

@@ -12,12 +12,12 @@ from dcnpd.nn import (
     DropoutMask,
     MLPParams,
     adam_step,
+    aligned,
     bernoulli_mask,
     build_mlp,
     draw_masks,
     flatten_grads,
     grad_check,
-    mask_block,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -61,6 +61,17 @@ class TestForward:
         params = MLPParams([DenseLayer(np.array([[1.0]]), np.array([0.0]), "sigmoid")])
         out, _ = mlp_forward(params, np.array([[0.0]]))
         assert out.item() == 0.5
+
+    def test_weights_start_on_a_64_byte_boundary(self):
+        raw = np.arange(40.0)
+        start = 1 if (raw.ctypes.data + 8) % 64 else 2
+        W = raw[start : start + 35].reshape(7, 5)
+        assert W.ctypes.data % 64
+        layer = DenseLayer(W, np.zeros(5))
+        assert layer.W.ctypes.data % 64 == 0 and layer.W.tobytes() == W.tobytes()
+        assert aligned(layer.W) is layer.W  # an aligned array is shared, not copied
+        net = MLPParams.from_dict(tiny_net(3, widths=(3, 6, 5, 1)).to_dict())
+        assert all(l.W.ctypes.data % 64 == 0 for l in net.layers)
 
     def test_input_width_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -248,11 +259,6 @@ class TestReusedBuffers:
         for m, f in zip(refilled.masks, fresh.masks, strict=True):
             assert np.shares_memory(m, block)
             np.testing.assert_array_equal(m, f)
-        own = mask_block(draws or 1, rows, widths)
-        assert own.shape == block.shape and own.dtype == np.float64 and not own.any()
-        drawn = draw_masks(widths, keep, np.random.default_rng(seed), draws, out=own)
-        for m, f in zip(drawn.masks, fresh.masks, strict=True):
-            assert np.shares_memory(m, own) and m.tobytes() == f.tobytes()
         np.testing.assert_array_equal(refilled.keep_prob, keep)
         assert rng_out.random() == rng_fresh.random()
 

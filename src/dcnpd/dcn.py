@@ -187,16 +187,15 @@ def _mc_outcomes(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y0, y1) draws, each (n, n_samples), in chunks of c = ROWS // n draws.
+    """(y0, y1) draws, each (n, n_samples), in chunks of c = max(1, ROWS // n) draws.
 
     Row i keeps units with its scheduled `keep_probability`, as in
     training; each draw takes fresh masks for the shared stack, then head0,
     then head1. ``X`` and the keep vector are checked once. A chunk of c
-    draws (at least one) is one stacked (c, n, d) pass whose masks come
-    from one random block, in the order that c single draws take them, so
-    the results are the bits of one fresh (n, d) pass per draw. The block
-    and the forward caches are allocated for the first chunk and written
-    into by every later chunk of the same size.
+    draws is one stacked (c, n, d) pass whose masks come from one random
+    block, in the order that c single draws take them: the bits of one
+    fresh (n, d) pass per draw. The first chunk allocates the block and
+    the forward caches; every later chunk of its size writes into them.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -236,9 +236,8 @@ def draw_masks(
     values of one ``bernoulli_mask((rows, width), keep[:, None], rng)`` call
     per width and draw, in that order. Each mask is a view of the block,
     ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
-
-    With ``out``, a float64 block of that shape, the masks are drawn into it
-    instead of a new one, so a caller can reuse one block for every draw.
+    ``out``, a float64 block of that shape, receives the draw instead of a
+    new block, so a caller can reuse one block for every draw.
     """
     keep = np.asarray(keep, dtype=np.float64)
     _check_keep(keep)

@@ -212,11 +212,9 @@ def _check_keep(keep: np.ndarray) -> None:
         raise ValueError("keep_prob must lie in (0, 1]")
 
 
-def bernoulli_mask(shape, keep_prob, rng: np.random.Generator) -> np.ndarray:
-    """0/1 mask with entries Bernoulli(keep_prob); keep_prob=1 gives all ones."""
-    keep = np.asarray(keep_prob, dtype=np.float64)
-    _check_keep(keep)
-    return (rng.random(shape) < keep).astype(np.float64)
+def bernoulli_mask(uniform: np.ndarray, keep_prob) -> np.ndarray:
+    """Threshold uniform [0, 1) draws in place: 1.0 below keep_prob, else 0.0."""
+    return np.less(uniform, keep_prob, out=uniform)
 
 
 def draw_masks(
@@ -233,9 +231,10 @@ def draw_masks(
     ``rng.random`` call fills a ``(draws, rows * sum(widths))`` block (one
     row when ``draws`` is None) whose row ``m`` holds, width by width, the
     ``(rows, width)`` masks of draw ``m`` row by row: the stream and the 0/1
-    values of one ``bernoulli_mask((rows, width), keep[:, None], rng)`` call
-    per width and draw, in that order. Each mask is a view of the block,
-    ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
+    values of one ``rng.random((rows, width)) < keep[:, None]`` per width and
+    draw, in that order. `bernoulli_mask` thresholds each width's view of the
+    block in place, so each mask is that view, ``(draws, rows, width)``, or
+    ``(rows, width)`` when ``draws`` is None.
     ``out``, a float64 block of that shape, receives the draw instead of a
     new block, so a caller can reuse one block for every draw.
     """
@@ -251,8 +250,8 @@ def draw_masks(
     rng.random(out=out)
     masks, start = [], 0
     for w in widths:
-        mask = out[:, start : start + rows * w].reshape(c, rows, w)
-        np.less(mask, keep[:, None], out=mask)
+        uniform = out[:, start : start + rows * w].reshape(c, rows, w)
+        mask = bernoulli_mask(uniform, keep[:, None])
         masks.append(mask[0] if draws is None else mask)
         start += rows * w
     return DropoutMask(masks, keep)

@@ -98,7 +98,7 @@ def test_criterion_02_gradient_fidelity(criteria_log):
         params = build_mlp((3, 5, 1), rng)  # one 5-unit hidden layer + linear output
         X = rng.standard_normal((8, 3))
         y = rng.standard_normal(8)
-        mask = DropoutMask([bernoulli_mask((8, 5), 0.7, rng)], 0.7)
+        mask = DropoutMask([bernoulli_mask(rng.random((8, 5)), 0.7)], 0.7)
 
         def loss_fn(p):
             out, cache = mlp_forward(p, X, mask)

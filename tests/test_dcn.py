@@ -17,7 +17,7 @@ from dcnpd.dcn import (
     mc_ite_matrix,
     predict_deterministic,
 )
-from dcnpd.nn import DenseLayer, DropoutMask, MLPParams, bernoulli_mask, draw_masks
+from dcnpd.nn import DenseLayer, DropoutMask, MLPParams, draw_masks
 from dcnpd.propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -52,6 +52,11 @@ def dcn_masks(keep, widths, rows, rng):
     return DcnMasks(*(draw_masks(ws, keep, rng) for ws in widths))
 
 
+def fresh_mask(shape, keep, rng):
+    """A 0/1 Bernoulli(keep) mask from its own ``rng.random`` call."""
+    return (rng.random(shape) < keep).astype(np.float64)
+
+
 def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     """The per-draw loop that `estimate_ite` ran before it became one-row MC.
 
@@ -63,7 +68,7 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     y1 = np.empty(n_samples)
     for m in range(n_samples):
         groups = [
-            DropoutMask([bernoulli_mask(w, keep, rng) for w in ws], keep)
+            DropoutMask([fresh_mask(w, keep, rng) for w in ws], keep)
             for ws in params.mask_widths()
         ]
         y0[m], y1[m] = dcn_forward(params, x, DcnMasks(*groups))
@@ -71,12 +76,12 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
 
 
 def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
-    """One fresh (n, d) pass per draw, each mask its own `bernoulli_mask` call."""
+    """One fresh (n, d) pass per draw, each mask its own `fresh_mask` call."""
     keep = keep_probability(predict_propensity(prop, X), schedule)
     y0, y1 = np.empty((2, X.shape[0], n_samples))
     for m in range(n_samples):
         groups = [
-            DropoutMask([bernoulli_mask((len(keep), w), keep[:, None], rng) for w in ws], keep)
+            DropoutMask([fresh_mask((len(keep), w), keep[:, None], rng) for w in ws], keep)
             for ws in params.mask_widths()
         ]
         y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups))

@@ -157,7 +157,7 @@ class TestDropoutMasking:
         draws = 4000
         total = 0.0
         for _ in range(draws):
-            mask = DropoutMask([bernoulli_mask(3, keep, rng)], keep_prob=keep)
+            mask = DropoutMask([bernoulli_mask(rng.random(3), keep)], keep_prob=keep)
             total += mlp_forward(params, x, mask)[0].item()
         # each unit contributes x_i * Bernoulli(keep)/keep; 5 SEs of headroom
         se = np.sqrt(np.sum(x**2 * (1 - keep) / keep)) / np.sqrt(draws)
@@ -166,8 +166,9 @@ class TestDropoutMasking:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_bernoulli_mask_is_binary(self, seed):
-        m = bernoulli_mask((7, 5), 0.6, np.random.default_rng(seed))
-        assert set(np.unique(m)) <= {0.0, 1.0}
+        uniform = np.random.default_rng(seed).random((7, 5))
+        m = bernoulli_mask(uniform, 0.6)
+        assert m is uniform and set(np.unique(m)) <= {0.0, 1.0}
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -184,7 +185,7 @@ class TestDropoutMasking:
         assert len(masks) == len(widths)
         for k in range(draws or 1):
             for i, w in enumerate(widths):
-                expected = bernoulli_mask((rows, w), keep[:, None], rng_loop)
+                expected = (rng_loop.random((rows, w)) < keep[:, None]).astype(np.float64)
                 got = masks[i] if draws is None else masks[i][k]
                 assert got.shape == (rows, w) and got.tobytes() == expected.tobytes()
         assert rng_block.random() == rng_loop.random()
@@ -366,7 +367,7 @@ class TestBackward:
         )
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=(4, 1))
-        mask = DropoutMask([bernoulli_mask((4, 6), 0.5, rng)], keep_prob=0.5)
+        mask = DropoutMask([bernoulli_mask(rng.random((4, 6)), 0.5)], keep_prob=0.5)
 
         def loss_fn(p):
             out, cache = mlp_forward(p, x, mask)
@@ -454,7 +455,7 @@ class TestTrainStep:
         rng = np.random.default_rng(30)
         first, second = tiny_net(31, (3, 5, 4)), tiny_net(32, (4, 2, 1))
         x, y = rng.normal(size=(6, 3)), rng.normal(size=6)
-        mask = DropoutMask([bernoulli_mask((6, 5), 0.7, rng)], 0.7)
+        mask = DropoutMask([bernoulli_mask(rng.random((6, 5)), 0.7)], 0.7)
         expected = [first.copy(), second.copy()]
         exp_states = [AdamState.for_params(n.parameter_arrays()) for n in expected]
         rep, cache1 = mlp_forward(expected[0], x, mask)

@@ -10,6 +10,7 @@ subjects (p = 1/2) see no dropout at all when gamma = 1.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,6 @@ import numpy as np
 from .data import ObservationalDataset, Standardization, standardize
 from .nn import (
     AdamState,
-    DenseLayer,
     MLPParams,
     build_mlp,
     mlp_forward,
@@ -146,12 +146,11 @@ def train_propensity(
     net = build_mlp(
         (dataset.d, *arch, 1), rng, hidden_activation="relu", output_activation="sigmoid"
     )
-    # train through an identity-output view sharing the sigmoid net's arrays,
-    # so the loss works on logits and never saturates
-    logit_view = MLPParams(
-        net.layers[:-1]
-        + [DenseLayer(net.layers[-1].W, net.layers[-1].b, "identity")]
-    )
+    # train through an identity-output view sharing the sigmoid net's arrays
+    # (a shallow copy), so the loss works on logits and never saturates
+    logit_head = copy.copy(net.layers[-1])
+    logit_head.activation = "identity"
+    logit_view = MLPParams(net.layers[:-1] + [logit_head])
     w = scaled.W.astype(np.float64)
     state = AdamState.for_params(logit_view.parameter_arrays(), lr=learning_rate)
     for epoch in range(1, epochs + 1):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnpd.data import ObservationalDataset, Standardization
-from dcnpd.nn import DenseLayer, MLPParams
+from dcnpd.nn import DenseLayer, MLPParams, build_mlp
 from dcnpd.propensity import (
+    DEFAULT_ARCH,
     DropoutSchedule,
     PropensityModel,
     binary_entropy,
@@ -186,6 +187,16 @@ class TestTraining:
         early = train_propensity(ds, epochs=1, rng=np.random.default_rng(9))
         late = train_propensity(ds, epochs=400, rng=np.random.default_rng(9))
         assert bce(late) <= bce(early)
+
+    def test_every_layer_of_the_returned_net_is_trained(self):
+        # the trainer steps a logit view of the net; it must share every array
+        init = build_mlp((2, *DEFAULT_ARCH, 1), np.random.default_rng(16))
+        ds = separable_toy(50, seed=15)
+        model = train_propensity(ds, epochs=3, rng=np.random.default_rng(16))
+        assert model.net.layers[-1].activation == "sigmoid"
+        for trained, start in zip(model.net.layers, init.layers, strict=True):
+            assert not np.array_equal(trained.W, start.W)
+            assert not np.array_equal(trained.b, start.b)
 
     def test_divergence_raises_naming_the_epoch(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -20,7 +20,6 @@ from .data import (
 )
 from .dcn import (
     DCNParams,
-    DcnMasks,
     ITEEstimate,
     build_dcn,
     dcn_forward,
@@ -38,7 +37,6 @@ from .experiment import (
 from .nn import (
     AdamState,
     DenseLayer,
-    DropoutMask,
     MLPParams,
     adam_step,
     grad_check,
@@ -68,10 +66,8 @@ __all__ = [
     "ConfigError",
     "CsvSchema",
     "DCNParams",
-    "DcnMasks",
     "DenseLayer",
     "DirectModel",
-    "DropoutMask",
     "DropoutSchedule",
     "ExperimentConfig",
     "ExperimentReport",

@@ -132,13 +132,13 @@ def train_direct_nn(
         try:
             for rows in minibatches(dataset.n, config.batch_size, rng):
                 yb = dataset.Y[rows]
-                mask = draw_masks(hidden_widths, keep_all[rows], rng)
+                masks = draw_masks(hidden_widths, keep_all[rows], rng)
                 # held until the next step returns (see train_step)
                 last_step = train_step(
                     [net],
                     [state],
                     inputs[rows],
-                    [mask],
+                    [masks],
                     lambda out: (2.0 * (out[:, 0] - yb) / len(rows))[:, None],
                 )
         except FloatingPointError as e:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import DropoutMask, ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
+from .nn import ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 DEFAULT_SHARED_WIDTHS = (200, 200)
@@ -103,26 +103,18 @@ def build_dcn(
     return DCNParams(shared, head0, head1)
 
 
-@dataclass
-class DcnMasks:
-    """One dropout mask set per parameter group, drawn with a common keep_prob."""
-
-    shared: DropoutMask
-    head0: DropoutMask
-    head1: DropoutMask
-
-
 def dcn_forward(
     params: DCNParams,
     x: np.ndarray,
-    masks: DcnMasks | None = None,
+    masks: tuple[list, list, list] | None = None,
     caches: list[ForwardCache | None] | None = None,
 ):
     """Evaluate both heads as a (y0, y1) pair; the shared stack runs exactly once.
 
     ``x`` may be a single feature vector (scalar results), an (n, d) batch
     (length-n arrays) or a (c, n, d) stack of batches with masks of the
-    same leading axes ((c, n) arrays).
+    same leading axes ((c, n) arrays). ``masks`` is a (shared, head0, head1)
+    triple of per-layer mask lists, as `mlp_forward` takes them.
 
     ``caches`` is an optional three-slot list (shared, head0, head1): each
     pass stores its `mlp_forward` cache in an empty slot and writes into
@@ -133,7 +125,7 @@ def dcn_forward(
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     slots = [None] * 3 if caches is None else caches
-    groups = [None] * 3 if masks is None else [masks.shared, masks.head0, masks.head1]
+    groups = [None] * 3 if masks is None else masks
     rep, slots[0] = mlp_forward(params.shared, x[None, :] if single else x, groups[0], slots[0])
     outs = []
     for i, net in ((1, params.head0), (2, params.head1)):
@@ -191,10 +183,10 @@ def _mc_outcomes(
 
     Row i keeps units with its scheduled `keep_probability`, as in
     training; each draw takes fresh masks for the shared stack, then head0,
-    then head1. ``X`` and the keep vector are checked once. A chunk of c
-    draws is one stacked (c, n, d) pass whose masks come from one random
-    block, in the order that c single draws take them: the bits of one
-    fresh (n, d) pass per draw. The first chunk allocates the block and
+    then head1. ``X`` is checked once, and `bernoulli_mask` checks the
+    keep vector. A chunk of c draws is one stacked (c, n, d) pass whose
+    masks come from one random block, in the order that c single draws
+    take them: the bits of one fresh (n, d) pass per draw. The first chunk allocates the block and
     the forward caches; every later chunk of its size writes into them.
     """
     if n_samples < 1:
@@ -206,8 +198,6 @@ def _mc_outcomes(
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} of X contains NaN or infinite values")
     keep = keep_probability(predict_propensity(prop, X), schedule)
-    if not np.all(keep > 0.0):
-        raise ValueError("schedule yields keep probability 0 for some subject")
     y0, y1 = np.empty((2, n, n_samples))
     widths = params.mask_widths()
     flat = [w for ws in widths for w in ws]
@@ -218,9 +208,9 @@ def _mc_outcomes(
         if block is None or len(block) != c:
             block, caches = np.empty((c, n * sum(flat))), [None] * 3
             stack = np.broadcast_to(X, (c, *X.shape))
-        masks = iter(draw_masks(flat, keep, rng, draws=c, out=block).masks)
-        groups = [DropoutMask([next(masks) for _ in ws], keep) for ws in widths]
-        out0, out1 = dcn_forward(params, stack, DcnMasks(*groups), caches=caches)
+        masks = iter(draw_masks(flat, keep, rng, draws=c, out=block))
+        groups = [[next(masks) for _ in ws] for ws in widths]
+        out0, out1 = dcn_forward(params, stack, groups, caches=caches)
         y0[:, start : start + c], y1[:, start : start + c] = out0.T, out1.T
     return y0, y1
 

@@ -4,10 +4,10 @@ Everything runs in float64 on plain numpy arrays (row-major, one row per
 example). Randomness always comes from an explicitly passed
 ``numpy.random.Generator``; there is no hidden global state.
 
-Dropout uses the inverted convention: a kept unit's activation is scaled
-by ``1/keep_prob`` so that masked and maskless passes live on the same
-scale. Masks are applied to hidden activations only, never to inputs or
-to an output layer (see `DropoutMask`).
+Dropout uses the inverted convention: a mask holds ``1/keep`` for a kept
+unit and ``0.0`` for a dropped one (see `bernoulli_mask`), so that masked
+and maskless passes live on the same scale. Masks are applied to hidden
+activations only, never to inputs or to an output layer.
 """
 
 from __future__ import annotations
@@ -189,32 +189,19 @@ def build_mlp(
     return MLPParams(layers)
 
 
-@dataclass
-class DropoutMask:
-    """Per-layer binary keep masks plus the keep probability they were drawn with.
+def bernoulli_mask(uniform: np.ndarray, keep) -> np.ndarray:
+    """Turn uniform [0, 1) draws into an inverted-dropout mask, in place.
 
-    ``masks[i]`` applies to the output of layer ``i`` and is either a
-    ``(width,)`` vector or a per-example array of the batch's shape plus
-    ``width``: ``(batch, width)``, or ``(draws, batch, width)`` for a stacked
-    input. The list may be shorter than the layer stack; layers past its end
-    (typically the output layer) stay unmasked, and an explicit ``None``
-    entry skips a layer. ``keep_prob`` is a scalar or a per-example
-    ``(batch,)`` vector.
+    An entry below ``keep`` becomes ``1/keep``, any other ``0.0``. ``keep``
+    is a scalar or an array that broadcasts against ``uniform``, and must
+    lie in (0, 1]. No other code divides a mask by its keep probability.
     """
-
-    masks: list[np.ndarray | None]
-    keep_prob: float | np.ndarray
-
-
-def _check_keep(keep: np.ndarray) -> None:
+    keep = np.asarray(keep, dtype=np.float64)
     # written so that NaN fails too
     if not ((keep > 0.0) & (keep <= 1.0)).all():
-        raise ValueError("keep_prob must lie in (0, 1]")
-
-
-def bernoulli_mask(uniform: np.ndarray, keep_prob) -> np.ndarray:
-    """Threshold uniform [0, 1) draws in place: 1.0 below keep_prob, else 0.0."""
-    return np.less(uniform, keep_prob, out=uniform)
+        raise ValueError("keep probability must lie in (0, 1]")
+    np.less(uniform, keep, out=uniform)
+    return np.divide(uniform, keep, out=uniform)
 
 
 def draw_masks(
@@ -223,23 +210,22 @@ def draw_masks(
     rng: np.random.Generator,
     draws: int | None = None,
     out: np.ndarray | None = None,
-) -> DropoutMask:
-    """One Bernoulli mask per width, for ``draws`` draws, from one random block.
+) -> list[np.ndarray]:
+    """One inverted-dropout mask per width, for ``draws`` draws, from one random block.
 
     ``keep`` is the per-row keep probability vector; row ``i`` of every mask
-    is drawn with ``keep[i]`` and the vector is stored on the result. One
-    ``rng.random`` call fills a ``(draws, rows * sum(widths))`` block (one
-    row when ``draws`` is None) whose row ``m`` holds, width by width, the
-    ``(rows, width)`` masks of draw ``m`` row by row: the stream and the 0/1
-    values of one ``rng.random((rows, width)) < keep[:, None]`` per width and
-    draw, in that order. `bernoulli_mask` thresholds each width's view of the
-    block in place, so each mask is that view, ``(draws, rows, width)``, or
-    ``(rows, width)`` when ``draws`` is None.
+    holds ``0.0`` or ``1/keep[i]``. One ``rng.random`` call fills a
+    ``(draws, rows * sum(widths))`` block (one row when ``draws`` is None)
+    whose row ``m`` holds, width by width, the ``(rows, width)`` masks of
+    draw ``m`` row by row: the stream and the values of one
+    ``(rng.random((rows, width)) < keep[:, None]) / keep[:, None]`` per
+    width and draw, in that order. `bernoulli_mask` turns each width's view
+    of the block into its mask in place, so each mask is that view,
+    ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
     ``out``, a float64 block of that shape, receives the draw instead of a
     new block, so a caller can reuse one block for every draw.
     """
     keep = np.asarray(keep, dtype=np.float64)
-    _check_keep(keep)
     rows = len(keep)
     c = 1 if draws is None else draws
     shape = (c, rows * sum(widths))
@@ -250,11 +236,10 @@ def draw_masks(
     rng.random(out=out)
     masks, start = [], 0
     for w in widths:
-        uniform = out[:, start : start + rows * w].reshape(c, rows, w)
-        mask = bernoulli_mask(uniform, keep[:, None])
+        mask = bernoulli_mask(out[:, start : start + rows * w].reshape(c, rows, w), keep[:, None])
         masks.append(mask[0] if draws is None else mask)
         start += rows * w
-    return DropoutMask(masks, keep)
+    return masks
 
 
 def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -268,6 +253,7 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[n
 class ForwardCache:
     """Intermediates retained by `mlp_forward` for the backward pass.
 
+    ``masks`` holds the caller's mask arrays themselves, not copies.
     ``output`` is the network output, kept so that a later call can write
     into it (see `mlp_forward`).
     """
@@ -275,49 +261,14 @@ class ForwardCache:
     inputs: list[np.ndarray]
     pre_acts: list[np.ndarray]
     acts: list[np.ndarray]
-    scales: list[np.ndarray | None]
+    masks: list[np.ndarray | None]
     output: np.ndarray | None = None
-
-
-def _mask_scales(
-    params: MLPParams,
-    mask: DropoutMask | None,
-    batch: tuple[int, ...],
-    out: list[np.ndarray | None],
-) -> list[np.ndarray | None]:
-    # batch is the input's shape minus its feature axis; out[i] receives
-    # layer i's scale, and None entries allocate
-    if mask is None:
-        return [None] * len(params.layers)
-    if len(mask.masks) > len(params.layers):
-        raise ValueError("more mask vectors than layers")
-    keep = np.asarray(mask.keep_prob, dtype=np.float64)
-    _check_keep(keep)
-    if keep.ndim:
-        if keep.shape != batch[-keep.ndim :]:
-            raise ValueError("per-example keep_prob does not match the batch")
-        keep = keep[..., None]
-    scales: list[np.ndarray | None] = []
-    for i, layer in enumerate(params.layers):
-        m = mask.masks[i] if i < len(mask.masks) else None
-        if m is None:
-            scales.append(None)
-            continue
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape[-1] != layer.fan_out:
-            raise ValueError(
-                f"mask width {m.shape[-1]} does not match layer {i} width {layer.fan_out}"
-            )
-        if m.ndim > 1 and m.shape[:-1] != batch:
-            raise ValueError("per-example mask rows do not match batch")
-        scales.append(np.divide(m, keep, out=out[i]))
-    return scales
 
 
 def mlp_forward(
     params: MLPParams,
     x: np.ndarray,
-    mask: DropoutMask | None = None,
+    masks: Sequence[np.ndarray | None] | None = None,
     out: ForwardCache | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass over a batch; returns output and the backward cache.
@@ -325,12 +276,13 @@ def mlp_forward(
     ``x`` is ``(rows, features)``, or a stack ``(..., rows, features)`` of
     such batches: each item of a stack gives the bits that a call on that
     item alone gives, since ``np.matmul`` runs the same kernel per item.
-    Masks then carry the stack's leading axes, and a per-example keep
-    vector covers the last batch axes.
 
-    With a mask, each covered activation is multiplied elementwise by its
-    0/1 mask and divided by ``keep_prob`` (inverted dropout), so an
-    all-ones mask at keep_prob 1 reproduces the maskless output exactly.
+    ``masks[i]``, an inverted-dropout mask (`draw_masks`), multiplies the
+    output of layer ``i`` elementwise. Its shape is a trailing part of that
+    output's shape: ``(width,)``, ``(rows, width)``, or the whole shape of a
+    stack. The list may be shorter than the layer stack; layers past its
+    end (typically the output layer) stay unmasked, and a ``None`` entry
+    skips a layer. An all-ones mask reproduces the maskless output exactly.
 
     With ``out``, the cache of an earlier call on the same network, an
     input of the same shape and masks on the same layers, every
@@ -346,26 +298,33 @@ def mlp_forward(
             f"input width {x.shape[-1]} does not match network input {params.input_dim}"
         )
     n_layers = len(params.layers)
+    masks = list(masks or ())
+    if len(masks) > n_layers:
+        raise ValueError("more masks than layers")
+    masks += [None] * (n_layers - len(masks))
+    for i, (layer, m) in enumerate(zip(params.layers, masks)):
+        shape = (*x.shape[:-1], layer.fan_out)
+        if m is not None and m.shape != shape[len(shape) - m.ndim :]:
+            raise ValueError(f"mask of shape {m.shape} does not fit layer {i} output {shape}")
     reuse = out is not None
     if not reuse:
         out = ForwardCache(*([None] * n_layers for _ in range(4)))
     elif len(out.pre_acts) != n_layers or out.inputs[0].shape != x.shape:
         raise ValueError("cache was filled by a call of another shape")
-    scales = _mask_scales(params, mask, x.shape[:-1], out.scales)
-    if reuse and [s is None for s in scales] != [s is None for s in out.scales]:
+    elif [m is None for m in masks] != [m is None for m in out.masks]:
         raise ValueError("cache was filled with masks on other layers")
     h = x
-    for i, (layer, scale) in enumerate(zip(params.layers, scales)):
+    for i, (layer, m) in enumerate(zip(params.layers, masks)):
         out.inputs[i] = h
         z = np.add(np.matmul(h, layer.W, out=out.pre_acts[i]), layer.b, out=out.pre_acts[i])
         a = _activate(z, layer.activation, out.acts[i])
         out.pre_acts[i], out.acts[i] = z, a
-        if scale is None:
+        if m is None:
             h = a
         else:
             # the output buffer is the next layer's input, or the net's own
-            h = np.multiply(a, scale, out=out.inputs[i + 1] if i + 1 < n_layers else out.output)
-    out.scales, out.output = scales, h
+            h = np.multiply(a, m, out=out.inputs[i + 1] if i + 1 < n_layers else out.output)
+    out.masks, out.output = masks, h
     return h, out
 
 
@@ -390,8 +349,8 @@ def mlp_backward(
         layer = params.layers[i]
         if cache.inputs[i].shape[1] != layer.fan_in:
             raise ValueError("cache does not match the parameter stack")
-        if cache.scales[i] is not None:
-            g = g * cache.scales[i]
+        if cache.masks[i] is not None:
+            g = g * cache.masks[i]
         gz = g * _activation_grad(cache.pre_acts[i], cache.acts[i], layer.activation)
         dW = cache.inputs[i].T @ gz
         db = gz.sum(axis=0)
@@ -470,12 +429,13 @@ def train_step(
     nets: Sequence[MLPParams],
     states: Sequence[AdamState],
     x: np.ndarray,
-    masks: Sequence[DropoutMask | None],
+    masks: Sequence[Sequence[np.ndarray | None] | None],
     loss_grad: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[list[list[tuple[np.ndarray, np.ndarray]]], list[ForwardCache]]:
     """One Adam step on a chain of nets, each feeding the next.
 
-    ``masks[i]`` applies to ``nets[i]``; ``loss_grad`` maps the last net's
+    ``masks[i]``, the per-layer mask list of ``nets[i]`` (or None), applies
+    to that net (see `mlp_forward`); ``loss_grad`` maps the last net's
     output to ``dloss/doutput``. Every net is updated in place with its own
     ``states[i]``. Raises FloatingPointError, before any update, if the
     forward output is not finite.

@@ -111,22 +111,22 @@ def _train_alternating(
     params = build_dcn(dataset.d, rng, config.shared_widths, config.head_widths)
     shared_state = config.adam_state(params.shared.parameter_arrays())
     shared_widths, head0_widths, head1_widths = params.mask_widths()
+    n_shared = len(shared_widths)
     arms = (
-        ("control", control_idx, params.head0, head0_widths),
-        ("treated", treated_idx, params.head1, head1_widths),
+        ("control", control_idx, params.head0, shared_widths + head0_widths),
+        ("treated", treated_idx, params.head1, shared_widths + head1_widths),
     )
     head_states = [config.adam_state(head.parameter_arrays()) for _, _, head, _ in arms]
     for k in range(1, config.epochs + 1):
         arm = 0 if k % 2 == 1 else 1
-        phase, idx, head, head_widths = arms[arm]
+        phase, idx, head, widths = arms[arm]
         try:
             for batch in minibatches(len(idx), config.batch_size, rng):
                 rows = idx[batch]
                 yb, keep = dataset.Y[rows], keep_all[rows]
                 # masks are drawn unconditionally, even at keep 1, so runs that
                 # differ only in schedule stay on the same random stream
-                shared_mask = draw_masks(shared_widths, keep, rng)
-                head_mask = draw_masks(head_widths, keep, rng)
+                masks = draw_masks(widths, keep, rng)
                 if mask_observer is not None:
                     mask_observer(rows, keep)
                 # held until the next step returns (see train_step)
@@ -134,7 +134,7 @@ def _train_alternating(
                     [params.shared, head],
                     [shared_state, head_states[arm]],
                     dataset.X[rows],
-                    [shared_mask, head_mask],
+                    [masks[:n_shared], masks[n_shared:]],
                     lambda out: (2.0 * (out[:, 0] - yb) / len(rows))[:, None],
                 )
         except FloatingPointError as e:

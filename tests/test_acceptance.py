@@ -17,7 +17,6 @@ from dcnpd.data import ObservationalDataset, Standardization, SyntheticConfig, l
 from dcnpd.dcn import build_dcn, estimate_ite
 from dcnpd.experiment import ExperimentConfig, run_experiment
 from dcnpd.nn import (
-    DropoutMask,
     bernoulli_mask,
     build_mlp,
     grad_check,
@@ -98,7 +97,7 @@ def test_criterion_02_gradient_fidelity(criteria_log):
         params = build_mlp((3, 5, 1), rng)  # one 5-unit hidden layer + linear output
         X = rng.standard_normal((8, 3))
         y = rng.standard_normal(8)
-        mask = DropoutMask([bernoulli_mask(rng.random((8, 5)), 0.7)], 0.7)
+        mask = [bernoulli_mask(rng.random((8, 5)), 0.7)]
 
         def loss_fn(p):
             out, cache = mlp_forward(p, X, mask)

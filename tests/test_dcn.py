@@ -9,7 +9,6 @@ from dcnpd import dcn
 from dcnpd.data import Standardization
 from dcnpd.dcn import (
     DCNParams,
-    DcnMasks,
     _summarize,
     build_dcn,
     dcn_forward,
@@ -17,7 +16,7 @@ from dcnpd.dcn import (
     mc_ite_matrix,
     predict_deterministic,
 )
-from dcnpd.nn import DenseLayer, DropoutMask, MLPParams, draw_masks
+from dcnpd.nn import DenseLayer, MLPParams, draw_masks
 from dcnpd.propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -47,14 +46,14 @@ def zero_dcn(d=3, width=4):
 
 
 def dcn_masks(keep, widths, rows, rng):
-    """A DCN mask set for a ``rows``-row batch with every row at ``keep``."""
+    """A (shared, head0, head1) mask triple for a ``rows``-row batch at ``keep``."""
     keep = np.full(rows, keep)
-    return DcnMasks(*(draw_masks(ws, keep, rng) for ws in widths))
+    return tuple(draw_masks(ws, keep, rng) for ws in widths)
 
 
 def fresh_mask(shape, keep, rng):
-    """A 0/1 Bernoulli(keep) mask from its own ``rng.random`` call."""
-    return (rng.random(shape) < keep).astype(np.float64)
+    """An inverted-dropout Bernoulli(keep) mask from its own ``rng.random`` call."""
+    return (rng.random(shape) < keep) / keep
 
 
 def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
@@ -67,11 +66,8 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     y0 = np.empty(n_samples)
     y1 = np.empty(n_samples)
     for m in range(n_samples):
-        groups = [
-            DropoutMask([fresh_mask(w, keep, rng) for w in ws], keep)
-            for ws in params.mask_widths()
-        ]
-        y0[m], y1[m] = dcn_forward(params, x, DcnMasks(*groups))
+        groups = [[fresh_mask(w, keep, rng) for w in ws] for ws in params.mask_widths()]
+        y0[m], y1[m] = dcn_forward(params, x, groups)
     return y1 - y0, y0, y1
 
 
@@ -81,10 +77,10 @@ def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
     y0, y1 = np.empty((2, X.shape[0], n_samples))
     for m in range(n_samples):
         groups = [
-            DropoutMask([fresh_mask((len(keep), w), keep[:, None], rng) for w in ws], keep)
+            [fresh_mask((len(keep), w), keep[:, None], rng) for w in ws]
             for ws in params.mask_widths()
         ]
-        y0[:, m], y1[:, m] = dcn_forward(params, X, DcnMasks(*groups))
+        y0[:, m], y1[:, m] = dcn_forward(params, X, groups)
     return y0, y1
 
 
@@ -188,10 +184,10 @@ class TestSampleMasks:
     """The DCN mask set drawn group by group through `draw_masks`."""
 
     def test_keep_one_gives_all_ones(self):
-        masks = dcn_masks(1.0, ([5, 6], [4], []), 3, np.random.default_rng(0))
-        for m in masks.shared.masks + masks.head0.masks:
+        shared, head0, head1 = dcn_masks(1.0, ([5, 6], [4], []), 3, np.random.default_rng(0))
+        for m in shared + head0:
             np.testing.assert_array_equal(m, np.ones_like(m))
-        assert masks.head1.masks == []
+        assert head1 == []
 
     def test_keep_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -203,27 +199,30 @@ class TestSampleMasks:
 
     def test_binomial_concentration(self):
         masks = draw_masks([10_000], np.array([0.5, 0.2]), np.random.default_rng(1))
-        frac = masks.masks[0].mean(axis=1)
+        frac = (masks[0] > 0.0).mean(axis=1)
         assert 0.48 <= frac[0] <= 0.52
         assert 0.18 <= frac[1] <= 0.22
 
     def test_same_seed_same_masks(self):
         a = dcn_masks(0.7, ([8, 8], [3], [3]), 2, np.random.default_rng(2))
         b = dcn_masks(0.7, ([8, 8], [3], [3]), 2, np.random.default_rng(2))
-        for ma, mb in zip(a.shared.masks, b.shared.masks):
-            np.testing.assert_array_equal(ma, mb)
-        np.testing.assert_array_equal(a.head0.masks[0], b.head0.masks[0])
-        np.testing.assert_array_equal(a.head1.masks[0], b.head1.masks[0])
+        for ga, gb in zip(a, b, strict=True):
+            for ma, mb in zip(ga, gb, strict=True):
+                np.testing.assert_array_equal(ma, mb)
 
     def test_stored_keep_prob(self):
         keep = np.array([0.35, 0.9, 1.0])
-        mask = draw_masks([4, 2], keep, np.random.default_rng(3))
-        np.testing.assert_array_equal(mask.keep_prob, keep)
-        assert [m.shape for m in mask.masks] == [(3, 4), (3, 2)]
+        masks = draw_masks([4, 2], keep, np.random.default_rng(3))
+        assert [m.shape for m in masks] == [(3, 4), (3, 2)]
+        # a kept unit carries its row's inverted-dropout scale
+        for m in masks:
+            kept = m > 0.0
+            assert kept[2].all()
+            np.testing.assert_array_equal(m[kept], np.broadcast_to(1.0 / keep[:, None], m.shape)[kept])
 
     def test_head_masks_drawn_independently(self):
         masks = dcn_masks(0.5, ([4], [1000], [1000]), 1, np.random.default_rng(4))
-        assert not np.array_equal(masks.head0.masks[0], masks.head1.masks[0])
+        assert not np.array_equal(masks[1][0], masks[2][0])
 
 
 class TestEstimateIte:
@@ -255,7 +254,7 @@ class TestEstimateIte:
         x = rng.normal(size=3)
         for _ in range(20):
             masks = dcn_masks(0.5, params.mask_widths(), 1, rng)
-            forced = DcnMasks(masks.shared, masks.head0, masks.head0)  # inject
+            forced = (masks[0], masks[1], masks[1])  # inject
             y0, y1 = dcn_forward(params, x, forced)
             assert y1 - y0 == 0.0
 
@@ -404,7 +403,7 @@ class TestMcMatrix:
 
         def draw_spy(widths, keep, rng, draws=None, out=None):
             masks = draw(widths, keep, rng, draws, out)
-            assert all(np.shares_memory(m, out) for m in masks.masks)
+            assert all(np.shares_memory(m, out) for m in masks)
             blocks.append(out)
             return masks
 
@@ -414,7 +413,7 @@ class TestMcMatrix:
                 [
                     a
                     for c in caches
-                    for a in (c.output, *c.inputs[1:], *c.pre_acts, *c.acts, *c.scales)
+                    for a in (c.output, *c.inputs[1:], *c.pre_acts, *c.acts)
                     if a is not None
                 ]
             )

@@ -9,7 +9,6 @@ from dcnpd.nn import (
     ACTIVATIONS,
     AdamState,
     DenseLayer,
-    DropoutMask,
     MLPParams,
     adam_step,
     aligned,
@@ -89,8 +88,7 @@ class TestForward:
         params = tiny_net(seed)
         x = np.random.default_rng(seed + 1).normal(size=(4, 3))
         bare, _ = mlp_forward(params, x)
-        mask = DropoutMask([np.ones(5)], keep_prob=1.0)
-        masked, _ = mlp_forward(params, x, mask)
+        masked, _ = mlp_forward(params, x, [np.ones(5)])
         np.testing.assert_array_equal(bare, masked)
 
 
@@ -103,8 +101,9 @@ class TestDropoutMasking:
             ]
         )
         x = np.array([[1.0, 1.0]])
-        mask = DropoutMask([np.array([1.0, 0.0])], keep_prob=0.5)
-        out, _ = mlp_forward(params, x, mask)
+        mask = bernoulli_mask(np.array([0.2, 0.7]), 0.5)
+        np.testing.assert_array_equal(mask, [2.0, 0.0])
+        out, _ = mlp_forward(params, x, [mask])
         # survivor 1.0 scaled by 1/0.5, dropped unit contributes nothing
         assert out.item() == 2.0
 
@@ -116,15 +115,14 @@ class TestDropoutMasking:
             ]
         )
         x = np.array([[1.0], [1.0]])
-        mask = DropoutMask([np.ones((2, 1))], keep_prob=np.array([0.5, 0.25]))
-        out, _ = mlp_forward(params, x, mask)
+        mask = bernoulli_mask(np.zeros((2, 1)), np.array([[0.5], [0.25]]))
+        out, _ = mlp_forward(params, x, [mask])
         np.testing.assert_allclose(out, [[2.0], [4.0]])
 
     def test_dropped_units_get_zero_gradient(self):
         params = tiny_net()
         x = np.random.default_rng(1).normal(size=(6, 3))
-        mask = DropoutMask([np.array([1.0, 0.0, 1.0, 0.0, 1.0])], keep_prob=0.5)
-        out, cache = mlp_forward(params, x, mask)
+        out, cache = mlp_forward(params, x, [np.array([2.0, 0.0, 2.0, 0.0, 2.0])])
         grads, _ = mlp_backward(params, cache, np.ones_like(out))
         dW0, db0 = grads[0]
         np.testing.assert_array_equal(dW0[:, 1], 0.0)
@@ -132,14 +130,15 @@ class TestDropoutMasking:
         assert db0[1] == 0.0 and db0[3] == 0.0
 
     def test_mask_width_mismatch_raises(self):
-        mask = DropoutMask([np.ones(4)], keep_prob=0.5)
-        with pytest.raises(ValueError):
-            mlp_forward(tiny_net(), np.ones((2, 3)), mask)
+        with pytest.raises(ValueError, match="mask"):
+            mlp_forward(tiny_net(), np.ones((2, 3)), [np.ones(4)])
+        with pytest.raises(ValueError, match="more masks"):
+            mlp_forward(tiny_net(), np.ones((2, 3)), [np.ones(5), np.ones(1), np.ones(1)])
 
     def test_keep_prob_zero_rejected(self):
-        mask = DropoutMask([np.ones(5)], keep_prob=0.0)
-        with pytest.raises(ValueError):
-            mlp_forward(tiny_net(), np.ones((2, 3)), mask)
+        for keep in (0.0, -0.5, 1.5, np.nan, np.array([[0.5], [0.0]])):
+            with pytest.raises(ValueError, match="keep probability"):
+                bernoulli_mask(np.zeros((2, 5)), keep)
 
     @given(st.integers(0, 10_000), st.floats(0.3, 0.9))
     @settings(max_examples=20, deadline=None)
@@ -157,8 +156,7 @@ class TestDropoutMasking:
         draws = 4000
         total = 0.0
         for _ in range(draws):
-            mask = DropoutMask([bernoulli_mask(rng.random(3), keep)], keep_prob=keep)
-            total += mlp_forward(params, x, mask)[0].item()
+            total += mlp_forward(params, x, [bernoulli_mask(rng.random(3), keep)])[0].item()
         # each unit contributes x_i * Bernoulli(keep)/keep; 5 SEs of headroom
         se = np.sqrt(np.sum(x**2 * (1 - keep) / keep)) / np.sqrt(draws)
         assert abs(total / draws - bare.item()) < 5 * se + 1e-9
@@ -168,7 +166,7 @@ class TestDropoutMasking:
     def test_bernoulli_mask_is_binary(self, seed):
         uniform = np.random.default_rng(seed).random((7, 5))
         m = bernoulli_mask(uniform, 0.6)
-        assert m is uniform and set(np.unique(m)) <= {0.0, 1.0}
+        assert m is uniform and set(np.unique(m)) <= {0.0, 1.0 / 0.6}
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -181,18 +179,31 @@ class TestDropoutMasking:
         # pins the training masks (draws=None) and the Monte Carlo blocks alike
         keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
         rng_block, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        masks = draw_masks(widths, keep, rng_block, draws).masks
+        masks = draw_masks(widths, keep, rng_block, draws)
         assert len(masks) == len(widths)
         for k in range(draws or 1):
             for i, w in enumerate(widths):
-                expected = (rng_loop.random((rows, w)) < keep[:, None]).astype(np.float64)
+                expected = (rng_loop.random((rows, w)) < keep[:, None]) / keep[:, None]
                 got = masks[i] if draws is None else masks[i][k]
                 assert got.shape == (rows, w) and got.tobytes() == expected.tobytes()
         assert rng_block.random() == rng_loop.random()
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 3]),
+        st.integers(1, 8),
+        st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_draw_masks_hold_zero_or_inverse_keep(self, seed, draws, rows, widths):
+        keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
+        inverse = 1.0 / keep[:, None]  # row i: 1/keep[i]
+        for mask in draw_masks(widths, keep, np.random.default_rng(seed), draws):
+            assert ((mask == 0.0) | (mask == inverse)).all()
+
 
 def assert_same_cache(a, b):
-    for field in ("inputs", "pre_acts", "acts", "scales"):
+    for field in ("inputs", "pre_acts", "acts", "masks"):
         for x, y in zip(getattr(a, field), getattr(b, field), strict=True):
             if x is None or y is None:
                 assert x is None and y is None
@@ -217,15 +228,15 @@ class TestReusedBuffers:
 
         def draw():
             keep = rng.uniform(0.2, 1.0, rows)
-            masks = draw_masks([6, 5, 2], keep, rng).masks
-            return DropoutMask([m if on else None for m, on in zip(masks, masked)], keep)
+            masks = draw_masks([6, 5, 2], keep, rng)
+            return [m if on else None for m, on in zip(masks, masked)]
 
         x_a, mask_a = rng.normal(size=(rows, 4)), draw()
         x_b, mask_b = rng.normal(size=(rows, 4)), draw()
         _, cache = mlp_forward(params, x_a, mask_a)
 
         def buffers():
-            return [id(a) for a in cache.pre_acts + cache.acts + cache.scales + cache.inputs[1:]]
+            return [id(a) for a in cache.pre_acts + cache.acts + cache.inputs[1:]]
 
         before = buffers() + [id(cache.output)]
         x_before = x_b.copy()
@@ -257,17 +268,15 @@ class TestReusedBuffers:
         rng_fresh, rng_out = np.random.default_rng(seed), np.random.default_rng(seed)
         fresh = draw_masks(widths, keep, rng_fresh, draws)
         refilled = draw_masks(widths, keep, rng_out, draws, out=block)
-        for m, f in zip(refilled.masks, fresh.masks, strict=True):
+        for m, f in zip(refilled, fresh, strict=True):
             assert np.shares_memory(m, block)
             np.testing.assert_array_equal(m, f)
-        np.testing.assert_array_equal(refilled.keep_prob, keep)
         assert rng_out.random() == rng_fresh.random()
 
     def test_mismatched_out_rejected(self):
         params, rng = tiny_net(), np.random.default_rng(0)
         keep = np.full(2, 0.5)
-        mask = draw_masks([5], keep, rng)
-        _, cache = mlp_forward(params, np.ones((2, 3)), mask)
+        _, cache = mlp_forward(params, np.ones((2, 3)), draw_masks([5], keep, rng))
         with pytest.raises(ValueError, match="shape"):
             mlp_forward(params, np.ones((3, 3)), draw_masks([5], np.full(3, 0.5), rng), out=cache)
         with pytest.raises(ValueError, match="layers"):
@@ -298,16 +307,15 @@ class TestStackedBatches:
         params = build_mlp((4, 6, 5, 2), rng, hidden_activation=hidden)
         keep = rng.uniform(0.2, 1.0, rows)
         x = rng.normal(size=(c, rows, 4))
-        stacked = draw_masks([6, 5, 2], keep, rng, draws=c).masks
-        layers = [m if on else None for m, on in zip(stacked, masked)]
-        mask = DropoutMask(layers, keep)
-        out, cache = mlp_forward(params, x, mask)
-        _, other = mlp_forward(params, x[::-1], mask)
-        refilled, _ = mlp_forward(params, x, mask, out=other)
+        stacked = draw_masks([6, 5, 2], keep, rng, draws=c)
+        masks = [m if on else None for m, on in zip(stacked, masked)]
+        out, cache = mlp_forward(params, x, masks)
+        _, other = mlp_forward(params, x[::-1], masks)
+        refilled, _ = mlp_forward(params, x, masks, out=other)
         assert out.shape == (c, rows, 2)
         np.testing.assert_array_equal(refilled, out)
         for k in range(c):
-            item = DropoutMask([None if m is None else m[k] for m in layers], keep)
+            item = [None if m is None else m[k] for m in masks]
             expected, item_cache = mlp_forward(params, x[k], item)
             assert out[k].tobytes() == expected.tobytes()
             for a, b in zip(cache.acts, item_cache.acts):
@@ -325,21 +333,20 @@ class TestStackedBatches:
         rng_one, rng_each = np.random.default_rng(seed), np.random.default_rng(seed)
         stacked = draw_masks(widths, keep, rng_one, draws=c)
         each = [draw_masks(widths, keep, rng_each) for _ in range(c)]
-        assert [m.shape for m in stacked.masks] == [(c, rows, w) for w in widths]
+        assert [m.shape for m in stacked] == [(c, rows, w) for w in widths]
         for i in range(len(widths)):
             for k in range(c):
-                np.testing.assert_array_equal(stacked.masks[i][k], each[k].masks[i])
-        np.testing.assert_array_equal(stacked.keep_prob, keep)
+                np.testing.assert_array_equal(stacked[i][k], each[k][i])
         assert rng_one.random() == rng_each.random()
 
     def test_mismatched_stack_rejected(self):
         params, rng = tiny_net(), np.random.default_rng(0)
         keep = np.full(2, 0.5)
         masks = draw_masks([5], keep, rng, draws=3)
-        with pytest.raises(ValueError, match="mask rows"):
+        with pytest.raises(ValueError, match="mask"):
             mlp_forward(params, np.ones((4, 2, 3)), masks)
-        with pytest.raises(ValueError, match="keep_prob"):
-            mlp_forward(params, np.ones((3, 2, 3)), DropoutMask(masks.masks, np.full(4, 0.5)))
+        with pytest.raises(ValueError, match="mask"):
+            mlp_forward(params, np.ones((3, 3)), masks)
         with pytest.raises(ValueError, match="2-D"):
             mlp_forward(params, np.ones(3))
 
@@ -367,7 +374,7 @@ class TestBackward:
         )
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=(4, 1))
-        mask = DropoutMask([bernoulli_mask(rng.random((4, 6)), 0.5)], keep_prob=0.5)
+        mask = [bernoulli_mask(rng.random((4, 6)), 0.5)]
 
         def loss_fn(p):
             out, cache = mlp_forward(p, x, mask)
@@ -455,7 +462,7 @@ class TestTrainStep:
         rng = np.random.default_rng(30)
         first, second = tiny_net(31, (3, 5, 4)), tiny_net(32, (4, 2, 1))
         x, y = rng.normal(size=(6, 3)), rng.normal(size=6)
-        mask = DropoutMask([bernoulli_mask(rng.random((6, 5)), 0.7)], 0.7)
+        mask = [bernoulli_mask(rng.random((6, 5)), 0.7)]
         expected = [first.copy(), second.copy()]
         exp_states = [AdamState.for_params(n.parameter_arrays()) for n in expected]
         rep, cache1 = mlp_forward(expected[0], x, mask)

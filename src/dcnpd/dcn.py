@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import check_count
 from .nn import ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
@@ -189,8 +190,7 @@ def _mc_outcomes(
     take them: the bits of one fresh (n, d) pass per draw. The first chunk allocates the block and
     the forward caches; every later chunk of its size writes into them.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    check_count("n_samples", n_samples, error=ValueError)
     n = X.shape[0]
     if n == 0:
         raise ValueError("X has no rows")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ObservationalDataset, Standardization, standardize
+from .data import ObservationalDataset, Standardization, check_count, standardize
 from .nn import (
     AdamState,
     MLPParams,
@@ -135,8 +135,7 @@ def train_propensity(
     Features are standardized internally and the fitted scaling is stored
     on the returned model, so callers may pass raw or pre-scaled data.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+    check_count("epochs", epochs, error=ValueError)
     treated = int(dataset.W.sum())
     if treated == 0 or treated == dataset.n:
         raise ValueError("propensity training needs both treated and control subjects")

@@ -307,8 +307,12 @@ class TestEstimateIte:
         prop = stub_propensity(0.0)
         with pytest.raises(ValueError):
             estimate_ite(params, prop, DropoutSchedule(1.0), np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            estimate_ite(params, prop, DropoutSchedule(1.0), np.ones(3), 0)
+        for n_samples in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_samples"):
+                estimate_ite(params, prop, DropoutSchedule(1.0), np.ones(3), n_samples)
+            with pytest.raises(ValueError, match="n_samples"):
+                mc_ite_matrix(params, prop, DropoutSchedule(1.0), np.ones((2, 3)), n_samples,
+                              np.random.default_rng(0))
         with pytest.raises(ValueError, match="row 0"):
             estimate_ite(params, prop, DropoutSchedule(1.0), np.array([1.0, np.inf, 0.0]))
 

@@ -210,8 +210,9 @@ class TestTraining:
                 )
 
     def test_epochs_validated(self):
-        with pytest.raises(ValueError):
-            train_propensity(separable_toy(20, seed=0), epochs=0)
+        for epochs in (0, 2.5, True):
+            with pytest.raises(ValueError, match="epochs"):
+                train_propensity(separable_toy(20, seed=0), epochs=epochs)
 
 
 class TestSerialization:

@@ -209,7 +209,6 @@ class _PropensityDropoutDCN:
 
     propensity: PropensityModel
     dcn: DCNParams
-    schedule: DropoutSchedule
     n_samples: int
 
     def __post_init__(self):
@@ -221,15 +220,17 @@ class _PropensityDropoutDCN:
         prop = train_propensity(
             train_set, config.propensity_arch, config.propensity_epochs, rng, schedule=schedule
         )
-        return cls(prop, train_dcn(train_set, prop, config.train, rng), schedule, config.n_samples)
+        return cls(prop, train_dcn(train_set, prop, config.train, rng), config.n_samples)
 
     def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        samples = mc_ite_matrix(self.dcn, self.propensity, self.schedule, X, self.n_samples, rng)
+        prop = self.propensity
+        samples = mc_ite_matrix(self.dcn, prop, prop.schedule, X, self.n_samples, rng)
         return samples.mean(axis=1)
 
     def to_dict(self) -> dict:
+        # the top-level gamma repeats propensity.gamma; from_dict requires both to agree
         return {
-            "gamma": self.schedule.gamma,
+            "gamma": self.propensity.schedule.gamma,
             "n_samples": self.n_samples,
             "propensity": self.propensity.to_dict(),
             "dcn": self.dcn.to_dict(),
@@ -237,12 +238,12 @@ class _PropensityDropoutDCN:
 
     @classmethod
     def from_dict(cls, bundle: dict):
-        return cls(
-            PropensityModel.from_dict(bundle["propensity"]),
-            DCNParams.from_dict(bundle["dcn"]),
-            DropoutSchedule(bundle["gamma"]),
-            bundle.get("n_samples", 100),
-        )
+        prop = PropensityModel.from_dict(bundle["propensity"])
+        if bundle["gamma"] != prop.schedule.gamma:
+            raise ConfigError(
+                f"gamma {bundle['gamma']!r} differs from propensity.gamma {prop.schedule.gamma!r}"
+            )
+        return cls(prop, DCNParams.from_dict(bundle["dcn"]), bundle.get("n_samples", 100))
 
 
 @dataclass

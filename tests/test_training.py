@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from dcnpd.data import ObservationalDataset, Standardization, standardize
 from dcnpd import dcn
 from dcnpd.dcn import DCNParams, build_dcn, mc_ite_matrix, predict_deterministic
-from dcnpd.nn import DenseLayer, MLPParams
+from dcnpd.baselines import train_direct_nn
+from dcnpd.nn import DenseLayer, MLPParams, build_mlp, draw_masks, minibatches, train_step
 from dcnpd.propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -236,6 +238,79 @@ class TestMaskSchedule:
         train_dcn_fixed_dropout(
             ds, 0.25, SMALL, np.random.default_rng(6), mask_observer=observer
         )
+
+
+def squared_error_grad(y):
+    return lambda out: (2.0 * (out[:, 0] - y) / len(y))[:, None]
+
+
+def reference_alternating(ds, keep, config, rng):
+    """The alternating loop written out: control epochs, then treated, in turn.
+
+    Each minibatch draws the shared masks and the head's hidden masks with
+    one `draw_masks` call and takes one `train_step` on (shared, head).
+    """
+    params = build_dcn(ds.d, rng, config.shared_widths, config.head_widths)
+    shared_widths, head0_widths, head1_widths = params.mask_widths()
+    shared_state, head0_state, head1_state = (
+        config.adam_state(net.parameter_arrays())
+        for net in (params.shared, params.head0, params.head1)
+    )
+    arms = [
+        (np.flatnonzero(ds.W == 0), params.head0, head0_state, head0_widths),
+        (np.flatnonzero(ds.W == 1), params.head1, head1_state, head1_widths),
+    ]
+    for k in range(config.epochs):
+        idx, head, head_state, head_widths = arms[k % 2]
+        for batch in minibatches(len(idx), config.batch_size, rng):
+            rows = idx[batch]
+            masks = draw_masks(shared_widths + head_widths, keep[rows], rng)
+            train_step(
+                [params.shared, head],
+                [shared_state, head_state],
+                ds.X[rows],
+                [masks[: len(shared_widths)], masks[len(shared_widths) :]],
+                squared_error_grad(ds.Y[rows]),
+            )
+    return params
+
+
+def reference_direct(ds, arch, keep, config, rng):
+    """The direct net's loop written out: every row each epoch, one mask draw per batch."""
+    net = build_mlp((ds.d + 1, *arch, 1), rng, output_activation="identity")
+    inputs = np.column_stack([ds.X, ds.W.astype(np.float64)])
+    state = config.adam_state(net.parameter_arrays())
+    for _ in range(config.epochs):
+        for rows in minibatches(ds.n, config.batch_size, rng):
+            masks = draw_masks(net.hidden_widths(), np.full(len(rows), keep), rng)
+            train_step([net], [state], inputs[rows], [masks], squared_error_grad(ds.Y[rows]))
+    return net
+
+
+class TestReferenceLoop:
+    CONFIG = TrainConfig(epochs=3, batch_size=8, shared_widths=(8, 6), head_widths=(5,))
+
+    def test_propensity_dropout_matches_reference_bitwise(self):
+        ds = biased_toy(50, seed=23)
+        prop = train_propensity(ds, epochs=20, rng=np.random.default_rng(24))
+        keep = keep_probability(predict_propensity(prop, ds.X), DropoutSchedule(0.6))
+        cfg = replace(self.CONFIG, gamma=0.6)
+        trained = train_dcn(ds, prop, cfg, np.random.default_rng(25))
+        assert params_equal(trained, reference_alternating(ds, keep, cfg, np.random.default_rng(25)))
+
+    def test_fixed_dropout_matches_reference_bitwise(self):
+        ds = biased_toy(50, seed=26)
+        trained = train_dcn_fixed_dropout(ds, 0.3, self.CONFIG, np.random.default_rng(27))
+        keep = np.full(ds.n, 0.7)
+        expected = reference_alternating(ds, keep, self.CONFIG, np.random.default_rng(27))
+        assert params_equal(trained, expected)
+
+    def test_direct_net_matches_reference_bitwise(self):
+        ds = biased_toy(45, seed=28)
+        arch = (7, 5)
+        trained = train_direct_nn(ds, arch, self.CONFIG, np.random.default_rng(29), 0.25)
+        expected = reference_direct(ds, arch, 0.75, self.CONFIG, np.random.default_rng(29))
+        assert stack_equal(trained.net, expected)
 
 
 class TestDeterminismAndEquivalence:

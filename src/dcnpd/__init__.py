@@ -56,7 +56,6 @@ from .propensity import (
 from .training import (
     TrainConfig,
     factual_mse,
-    split_batches,
     train_dcn,
     train_dcn_fixed_dropout,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "predict_propensity",
     "run_experiment",
     "save_csv",
-    "split_batches",
     "standardize",
     "train_dcn",
     "train_dcn_fixed_dropout",

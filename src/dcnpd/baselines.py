@@ -16,15 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import ObservationalDataset, check_count
-from .nn import (
-    MLPParams,
-    build_mlp,
-    draw_masks,
-    minibatches,
-    mlp_forward,
-    train_step,
-)
-from .training import TrainConfig
+from .nn import MLPParams, build_mlp, mlp_forward
+from .training import TrainConfig, fit_phases
 
 DEFAULT_DIRECT_ARCH = (200, 200, 200)  # hidden widths; output layer is the 4th
 DIRECT_DROPOUT = 0.2
@@ -124,23 +117,7 @@ def train_direct_nn(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     net = build_mlp((dataset.d + 1, *arch, 1), rng, output_activation="identity")
-    keep_all = np.full(dataset.n, 1.0 - dropout_prob)
-    hidden_widths = net.hidden_widths()
     inputs = np.column_stack([dataset.X, dataset.W.astype(np.float64)])
-    state = config.adam_state(net.parameter_arrays())
-    for epoch in range(1, config.epochs + 1):
-        try:
-            for rows in minibatches(dataset.n, config.batch_size, rng):
-                yb = dataset.Y[rows]
-                masks = draw_masks(hidden_widths, keep_all[rows], rng)
-                # held until the next step returns (see train_step)
-                last_step = train_step(
-                    [net],
-                    [state],
-                    inputs[rows],
-                    [masks],
-                    lambda out: (2.0 * (out[:, 0] - yb) / len(rows))[:, None],
-                )
-        except FloatingPointError as e:
-            raise FloatingPointError(f"direct net training, epoch {epoch}: {e}") from None
+    phase = ("direct", [net], [config.adam_state(net.parameter_arrays())], np.arange(dataset.n))
+    fit_phases([phase], inputs, dataset.Y, np.full(dataset.n, 1.0 - dropout_prob), config, rng)
     return DirectModel(net)

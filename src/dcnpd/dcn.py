@@ -184,7 +184,7 @@ def _mc_outcomes(
 
     Row i keeps units with its scheduled `keep_probability`, as in
     training; each draw takes fresh masks for the shared stack, then head0,
-    then head1. ``X`` is checked once, and `bernoulli_mask` checks the
+    then head1. ``X`` is checked once, and `draw_masks` checks the
     keep vector. A chunk of c draws is one stacked (c, n, d) pass whose
     masks come from one random block, in the order that c single draws
     take them: the bits of one fresh (n, d) pass per draw. The first chunk allocates the block and

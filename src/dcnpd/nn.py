@@ -189,6 +189,14 @@ def build_mlp(
     return MLPParams(layers)
 
 
+def _checked_keep(keep) -> np.ndarray:
+    keep = np.asarray(keep, dtype=np.float64)
+    # written so that NaN fails too
+    if not ((keep > 0.0) & (keep <= 1.0)).all():
+        raise ValueError("keep probability must lie in (0, 1]")
+    return keep
+
+
 def bernoulli_mask(uniform: np.ndarray, keep) -> np.ndarray:
     """Turn uniform [0, 1) draws into an inverted-dropout mask, in place.
 
@@ -196,10 +204,7 @@ def bernoulli_mask(uniform: np.ndarray, keep) -> np.ndarray:
     is a scalar or an array that broadcasts against ``uniform``, and must
     lie in (0, 1]. No other code divides a mask by its keep probability.
     """
-    keep = np.asarray(keep, dtype=np.float64)
-    # written so that NaN fails too
-    if not ((keep > 0.0) & (keep <= 1.0)).all():
-        raise ValueError("keep probability must lie in (0, 1]")
+    keep = _checked_keep(keep)
     np.less(uniform, keep, out=uniform)
     return np.divide(uniform, keep, out=uniform)
 
@@ -225,7 +230,8 @@ def draw_masks(
     ``out``, a float64 block of that shape, receives the draw instead of a
     new block, so a caller can reuse one block for every draw.
     """
-    keep = np.asarray(keep, dtype=np.float64)
+    # checked before the block is drawn, so a rejected keep leaves rng as it was
+    keep = _checked_keep(keep)
     rows = len(keep)
     c = 1 if draws is None else draws
     shape = (c, rows * sum(widths))
@@ -389,15 +395,8 @@ class AdamState:
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+        m, v = ([np.zeros_like(p) for p in params] for _ in range(2))
+        return cls(m, v, 0, lr, beta1, beta2, epsilon)
 
 
 def adam_step(

@@ -1,36 +1,35 @@
-"""Alternating-phase training of the multitask network.
+"""Phase-by-phase minibatch training, and the alternating multitask trainer.
 
-Epochs alternate between the two treatment arms: odd epochs (k = 1, 3, ...)
-update the shared stack and head0 on the control batch, even epochs update
-the shared stack and head1 on the treated batch. The inactive head is never
-touched, so its parameters are bit-identical across its off epochs. Each
-parameter group keeps its own Adam moment state for the whole run.
+`fit_phases` is the one minibatch loop: each epoch trains one chain of nets
+on one set of rows, the phases taken in turn, with fresh per-example dropout
+masks every minibatch. The multitask network runs two phases: odd epochs
+(k = 1, 3, ...) update the shared stack and head0 on the control subjects,
+even epochs update the shared stack and head1 on the treated subjects. The
+inactive head is never touched, so its parameters are bit-identical across
+its off epochs. Each parameter group keeps its own Adam moment state for the
+whole run. The direct-net baseline (`baselines.train_direct_nn`) runs one
+phase over every row.
 
-Per-example dropout masks are drawn every minibatch with keep probability
-gamma/2 + H(p_tilde(x_i))/2 from the frozen propensity model; the
-fixed-dropout variant replaces that schedule with a constant and is
-otherwise the same code path (identical random-stream consumption, so the
-two coincide bit-for-bit whenever their keep probabilities do).
+Keep probabilities are gamma/2 + H(p_tilde(x_i))/2 from the frozen
+propensity model; the fixed-dropout variant replaces that schedule with a
+constant and is otherwise the same code path (identical random-stream
+consumption, so the two coincide bit-for-bit whenever their keep
+probabilities do).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import ObservationalDataset, check_count
 from .dcn import DCNParams, build_dcn, dcn_forward
-from .nn import AdamState, draw_masks, minibatches, train_step
-from .propensity import (
-    DropoutSchedule,
-    PropensityModel,
-    keep_probability,
-    predict_propensity,
-)
+from .nn import AdamState, MLPParams, draw_masks, minibatches, mlp_forward, train_step
+from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 
 @dataclass(frozen=True)
@@ -76,16 +75,6 @@ class EpochRecord:
     factual_mse: float
 
 
-def split_batches(
-    dataset: ObservationalDataset,
-) -> tuple[ObservationalDataset, ObservationalDataset]:
-    """Partition by treatment: (treated, control), original row order kept."""
-    return (
-        dataset.subset(np.flatnonzero(dataset.W == 1)),
-        dataset.subset(np.flatnonzero(dataset.W == 0)),
-    )
-
-
 def factual_mse(params: DCNParams, batch: ObservationalDataset) -> float:
     """Mean squared error of each subject's own arm against its factual outcome."""
     if batch.n == 0:
@@ -95,69 +84,74 @@ def factual_mse(params: DCNParams, batch: ObservationalDataset) -> float:
     return float(np.mean((pred - batch.Y) ** 2))
 
 
-def _train_alternating(
-    dataset: ObservationalDataset,
-    keep_all: np.ndarray,
+def _squared_error_grad(y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    # dloss/doutput of the mean squared error of a net's first output against y
+    return lambda out: (2.0 * (out[:, 0] - y) / len(y))[:, None]
+
+
+def fit_phases(
+    phases: Sequence[tuple[str, Sequence[MLPParams], Sequence[AdamState], np.ndarray]],
+    X: np.ndarray,
+    Y: np.ndarray,
+    keep: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
-    on_epoch: Callable[[EpochRecord, DCNParams], None] | None,
-    metrics_out: TextIO | None,
-    mask_observer: Callable[[np.ndarray, np.ndarray], None] | None,
-) -> DCNParams:
-    treated_idx = np.flatnonzero(dataset.W == 1)
-    control_idx = np.flatnonzero(dataset.W == 0)
-    if len(treated_idx) == 0 or len(control_idx) == 0:
-        raise ValueError("training needs both treated and control subjects")
-    params = build_dcn(dataset.d, rng, config.shared_widths, config.head_widths)
-    shared_state = config.adam_state(params.shared.parameter_arrays())
-    shared_widths, head0_widths, head1_widths = params.mask_widths()
-    n_shared = len(shared_widths)
-    arms = (
-        ("control", control_idx, params.head0, shared_widths + head0_widths),
-        ("treated", treated_idx, params.head1, shared_widths + head1_widths),
-    )
-    head_states = [config.adam_state(head.parameter_arrays()) for _, _, head, _ in arms]
+    on_epoch: Callable[[EpochRecord], None] | None = None,
+) -> None:
+    """Train chains of nets in place, one phase per epoch, phases in turn.
+
+    A phase is ``(name, nets, states, rows)``: epoch k makes one shuffled
+    minibatch pass of ``phases[(k - 1) % len(phases)]`` over its ``rows`` of
+    ``X`` and ``Y``. Each minibatch draws, with one `draw_masks` call at
+    ``keep`` of its rows, a mask for every layer output of the chain ``nets``
+    but the last, and takes one `train_step` on the squared error of the
+    chain's first output. ``on_epoch`` receives each epoch's `EpochRecord`,
+    whose error is the maskless one on the phase's rows.
+    """
     for k in range(1, config.epochs + 1):
-        arm = 0 if k % 2 == 1 else 1
-        phase, idx, head, widths = arms[arm]
+        name, nets, states, rows = phases[(k - 1) % len(phases)]
+        widths = [layer.fan_out for net in nets for layer in net.layers][:-1]
+        ends = list(accumulate(len(net.layers) for net in nets))
         try:
-            for batch in minibatches(len(idx), config.batch_size, rng):
-                rows = idx[batch]
-                yb, keep = dataset.Y[rows], keep_all[rows]
+            for batch in minibatches(len(rows), config.batch_size, rng):
+                idx = rows[batch]
                 # masks are drawn unconditionally, even at keep 1, so runs that
                 # differ only in schedule stay on the same random stream
-                masks = draw_masks(widths, keep, rng)
-                if mask_observer is not None:
-                    mask_observer(rows, keep)
+                masks = draw_masks(widths, keep[idx], rng)
+                per_net = [masks[a:b] for a, b in zip([0, *ends], ends)]
                 # held until the next step returns (see train_step)
-                last_step = train_step(
-                    [params.shared, head],
-                    [shared_state, head_states[arm]],
-                    dataset.X[rows],
-                    [masks[:n_shared], masks[n_shared:]],
-                    lambda out: (2.0 * (out[:, 0] - yb) / len(rows))[:, None],
-                )
+                last_step = train_step(nets, states, X[idx], per_net, _squared_error_grad(Y[idx]))
         except FloatingPointError as e:
-            raise FloatingPointError(f"epoch {k} ({phase} phase): {e}") from None
-        if on_epoch is not None or metrics_out is not None:
-            record = EpochRecord(
-                epoch=k,
-                phase=phase,
-                factual_mse=factual_mse(params, dataset.subset(idx)),
-            )
-            if on_epoch is not None:
-                on_epoch(record, params)
-            if metrics_out is not None:
-                metrics_out.write(
-                    json.dumps(
-                        {
-                            "epoch": record.epoch,
-                            "phase": record.phase,
-                            "factual_mse": record.factual_mse,
-                        }
-                    )
-                    + "\n"
-                )
+            raise FloatingPointError(f"epoch {k} ({name} phase): {e}") from None
+        if on_epoch is not None:
+            out = X[rows]
+            for net in nets:
+                out = mlp_forward(net, out)[0]
+            on_epoch(EpochRecord(k, name, float(np.mean((out[:, 0] - Y[rows]) ** 2))))
+
+
+def _train_alternating(
+    dataset: ObservationalDataset,
+    keep: np.ndarray,
+    config: TrainConfig,
+    rng: np.random.Generator | None,
+    on_epoch: Callable[[EpochRecord, DCNParams], None] | None,
+) -> DCNParams:
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    control = np.flatnonzero(dataset.W == 0)
+    treated = np.flatnonzero(dataset.W == 1)
+    if len(treated) == 0 or len(control) == 0:
+        raise ValueError("training needs both treated and control subjects")
+    params = build_dcn(dataset.d, rng, config.shared_widths, config.head_widths)
+    # the two phases share the shared stack's Adam state; each head has its own
+    shared = config.adam_state(params.shared.parameter_arrays())
+    arms = (("control", params.head0, control), ("treated", params.head1, treated))
+    phases = [
+        (name, [params.shared, head], [shared, config.adam_state(head.parameter_arrays())], rows)
+        for name, head, rows in arms
+    ]
+    hook = None if on_epoch is None else lambda record: on_epoch(record, params)
+    fit_phases(phases, dataset.X, dataset.Y, keep, config, rng, hook)
     return params
 
 
@@ -168,27 +162,21 @@ def train_dcn(
     rng: np.random.Generator | None = None,
     *,
     on_epoch: Callable[[EpochRecord, DCNParams], None] | None = None,
-    metrics_out: TextIO | None = None,
-    mask_observer: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> DCNParams:
     """Propensity-guided training: keep probabilities follow the entropy schedule.
 
     The propensity model stays frozen; its scores are computed once up
-    front. ``mask_observer``, when given, receives (dataset row indices,
-    keep probabilities) for every minibatch. With ``rng`` omitted, the
-    stream is seeded from ``config.seed``.
+    front. ``on_epoch``, when given, receives each epoch's `EpochRecord`
+    and the network as it stands. With ``rng`` omitted, the stream is
+    seeded from ``config.seed``.
     """
     if prop.net.input_dim != dataset.d:
         raise ValueError(
             f"propensity model expects {prop.net.input_dim} features, dataset has {dataset.d}"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     schedule = DropoutSchedule(config.gamma)
     keep_all = keep_probability(predict_propensity(prop, dataset.X), schedule)
-    return _train_alternating(
-        dataset, keep_all, config, rng, on_epoch, metrics_out, mask_observer
-    )
+    return _train_alternating(dataset, keep_all, config, rng, on_epoch)
 
 
 def train_dcn_fixed_dropout(
@@ -198,15 +186,9 @@ def train_dcn_fixed_dropout(
     rng: np.random.Generator | None = None,
     *,
     on_epoch: Callable[[EpochRecord, DCNParams], None] | None = None,
-    metrics_out: TextIO | None = None,
-    mask_observer: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> DCNParams:
     """Same alternating loop with one constant keep probability for everyone."""
     if not 0.0 <= dropout_prob < 1.0:
         raise ValueError("dropout_prob must lie in [0, 1)")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     keep_all = np.full(dataset.n, 1.0 - dropout_prob)
-    return _train_alternating(
-        dataset, keep_all, config, rng, on_epoch, metrics_out, mask_observer
-    )
+    return _train_alternating(dataset, keep_all, config, rng, on_epoch)

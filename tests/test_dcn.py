@@ -197,6 +197,13 @@ class TestSampleMasks:
         with pytest.raises(ValueError):
             draw_masks([2], np.array([np.nan, 0.5]), np.random.default_rng(0))
 
+    def test_rejected_keep_leaves_generator_untouched(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="keep probability"):
+            draw_masks([5], np.array([0.5, 0.0]), rng)
+        assert rng.bit_generator.state == before
+
     def test_binomial_concentration(self):
         masks = draw_masks([10_000], np.array([0.5, 0.2]), np.random.default_rng(1))
         frac = (masks[0] > 0.0).mean(axis=1)

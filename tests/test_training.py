@@ -1,14 +1,12 @@
 """Alternating-loop behavior: phase schedule, mask schedule, determinism."""
 
-import io
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dcnpd.data import ObservationalDataset, Standardization, standardize
-from dcnpd import dcn
+from dcnpd import dcn, training
 from dcnpd.dcn import DCNParams, build_dcn, mc_ite_matrix, predict_deterministic
 from dcnpd.baselines import train_direct_nn
 from dcnpd.nn import DenseLayer, MLPParams, build_mlp, draw_masks, minibatches, train_step
@@ -23,7 +21,6 @@ from dcnpd.training import (
     EpochRecord,
     TrainConfig,
     factual_mse,
-    split_batches,
     train_dcn,
     train_dcn_fixed_dropout,
 )
@@ -76,34 +73,6 @@ class TestConfig:
                     {"learning_rate": float("nan")}, {"epsilon": float("inf")}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
-
-
-class TestSplitBatches:
-    def test_definition(self):
-        ds = ObservationalDataset(
-            np.arange(3, dtype=float)[:, None], np.array([1, 0, 1]), np.arange(3.0)
-        )
-        treated, control = split_batches(ds)
-        np.testing.assert_array_equal(treated.X[:, 0], [0.0, 2.0])
-        np.testing.assert_array_equal(control.X[:, 0], [1.0])
-
-    def test_all_treated_gives_empty_control(self):
-        ds = ObservationalDataset(np.ones((4, 1)), np.ones(4, dtype=int), np.ones(4))
-        treated, control = split_batches(ds)
-        assert treated.n == 4 and control.n == 0
-
-    def test_benchmark_composition(self):
-        W = np.concatenate([np.ones(139, dtype=int), np.zeros(608, dtype=int)])
-        ds = ObservationalDataset(np.ones((747, 2)), W, np.zeros(747))
-        treated, control = split_batches(ds)
-        assert treated.n == 139 and control.n == 608
-
-    def test_union_reconstitutes(self):
-        ds = biased_toy(50, seed=1)
-        treated, control = split_batches(ds)
-        assert treated.n + control.n == ds.n
-        merged = np.sort(np.concatenate([treated.Y, control.Y]))
-        np.testing.assert_array_equal(merged, np.sort(ds.Y))
 
 
 class TestFactualMse:
@@ -184,11 +153,30 @@ class TestSchedule:
         assert stack_equal(after2.head0, after1.head0)
         assert not stack_equal(after2.head1, after1.head1)
 
+    def test_epoch_record_is_the_phase_arms_factual_mse(self):
+        ds = biased_toy()
+        snaps = self.collect_epochs(train_dcn, ds, stub_propensity(0.3), config=SMALL)
+        for rec, params in snaps:
+            arm = ds.subset(np.flatnonzero(ds.W == (rec.phase == "treated")))
+            assert rec.factual_mse == factual_mse(params, arm)
+
     def test_fixed_dropout_shares_the_schedule_invariant(self):
         ds = biased_toy()
         snaps = self.collect_epochs(train_dcn_fixed_dropout, ds, 0.2, config=SMALL)
         for i, (rec, _) in enumerate(snaps):
             assert rec.epoch == i + 1
+
+
+def spy_on_keeps(monkeypatch, module) -> list[np.ndarray]:
+    """Record the keep vector of every `draw_masks` call made through ``module``."""
+    seen, draw = [], module.draw_masks
+
+    def spy(widths, keep, *args, **kwargs):
+        seen.append(keep)
+        return draw(widths, keep, *args, **kwargs)
+
+    monkeypatch.setattr(module, "draw_masks", spy)
+    return seen
 
 
 class TestMaskSchedule:
@@ -197,47 +185,36 @@ class TestMaskSchedule:
         ds = biased_toy(80, seed=4)
         prop = train_propensity(ds, epochs=40, rng=np.random.default_rng(5))
         cfg = TrainConfig(epochs=2, gamma=gamma, batch_size=16, shared_widths=(8,))
-        trained = np.full(ds.n, np.nan)
-
-        def observer(rows, keep):
-            trained[rows] = keep
-
-        params = train_dcn(ds, prop, cfg, np.random.default_rng(6), mask_observer=observer)
-        inferred, draw = [], dcn.draw_masks
-
-        def spy(widths, keep, *args, **kwargs):
-            inferred.append(keep)
-            return draw(widths, keep, *args, **kwargs)
-
-        monkeypatch.setattr(dcn, "draw_masks", spy)
+        trained = spy_on_keeps(monkeypatch, training)
+        params = train_dcn(ds, prop, cfg, np.random.default_rng(6))
+        inferred = spy_on_keeps(monkeypatch, dcn)
         mc_ite_matrix(params, prop, DropoutSchedule(gamma), ds.X, 2, np.random.default_rng(7))
-        assert trained.tobytes() == inferred[0].tobytes()
+        # one control epoch and one treated epoch visit every row once
+        assert len(np.unique(inferred[0])) == ds.n
+        assert np.sort(np.concatenate(trained)).tobytes() == np.sort(inferred[0]).tobytes()
 
-    def test_keep_prob_is_entropy_formula_exactly(self):
+    def test_keep_prob_is_entropy_formula_exactly(self, monkeypatch):
         ds = biased_toy(80, seed=2)
         prop = train_propensity(ds, epochs=40, rng=np.random.default_rng(3))
         cfg = TrainConfig(epochs=4, gamma=0.7, batch_size=16, shared_widths=(8,))
         expected = keep_probability(
             predict_propensity(prop, ds.X), DropoutSchedule(0.7)
         )
-        seen_rows = []
+        assert len(np.unique(expected)) == ds.n
+        seen = spy_on_keeps(monkeypatch, training)
+        train_dcn(ds, prop, cfg, np.random.default_rng(4))
+        keeps = np.concatenate(seen)
+        assert len(keeps) == 2 * ds.n
+        for pair in (keeps[: ds.n], keeps[ds.n :]):  # epochs 1-2, then 3-4
+            np.testing.assert_array_equal(np.sort(pair), np.sort(expected))
 
-        def observer(rows, keep):
-            seen_rows.append(rows)
-            np.testing.assert_array_equal(keep, expected[rows])
-
-        train_dcn(ds, prop, cfg, np.random.default_rng(4), mask_observer=observer)
-        assert sum(len(r) for r in seen_rows) > 0
-
-    def test_fixed_dropout_keep_is_constant(self):
+    def test_fixed_dropout_keep_is_constant(self, monkeypatch):
         ds = biased_toy(40, seed=5)
-
-        def observer(rows, keep):
-            np.testing.assert_array_equal(keep, np.full(len(rows), 0.75))
-
-        train_dcn_fixed_dropout(
-            ds, 0.25, SMALL, np.random.default_rng(6), mask_observer=observer
-        )
+        seen = spy_on_keeps(monkeypatch, training)
+        train_dcn_fixed_dropout(ds, 0.25, SMALL, np.random.default_rng(6))
+        keeps = np.concatenate(seen)
+        assert len(keeps) == SMALL.epochs // 2 * ds.n
+        np.testing.assert_array_equal(keeps, np.full(len(keeps), 0.75))
 
 
 def squared_error_grad(y):
@@ -344,18 +321,6 @@ class TestTrainingProgress:
         init = build_dcn(scaled.d, np.random.default_rng(14), cfg.shared_widths, ())
         trained = train_dcn(scaled, stub_propensity(0.0), cfg, np.random.default_rng(14))
         assert factual_mse(trained, scaled) < factual_mse(init, scaled)
-
-    def test_metrics_stream_is_line_json(self):
-        ds = biased_toy(50, seed=15)
-        sink = io.StringIO()
-        train_dcn(ds, stub_propensity(0.0), SMALL, np.random.default_rng(16), metrics_out=sink)
-        lines = sink.getvalue().strip().split("\n")
-        assert len(lines) == SMALL.epochs
-        first = json.loads(lines[0])
-        assert first["epoch"] == 1 and first["phase"] == "control"
-        assert isinstance(first["factual_mse"], float)
-        phases = [json.loads(line)["phase"] for line in lines]
-        assert phases == ["control", "treated"] * 5
 
     def test_head_widths_respected(self):
         ds = biased_toy(40, seed=17)

@@ -109,8 +109,9 @@ def train_direct_nn(
 ) -> DirectModel:
     """Fit the direct regressor on (x, w) -> y with uniform hidden dropout.
 
-    Same optimizer, loss, initialization, and minibatch size as the
-    multitask training loop, so comparisons isolate the architecture.
+    One `training.fit_phases` phase over every row: the same loop,
+    optimizer, loss, initialization, and minibatch size as the multitask
+    network, so comparisons isolate the architecture.
     """
     if not 0.0 <= dropout_prob < 1.0:
         raise ValueError("dropout_prob must lie in [0, 1)")

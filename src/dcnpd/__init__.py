@@ -8,7 +8,6 @@ inference, synthetic observational benchmarks, and reference baselines.
 
 from .baselines import DirectModel, KnnConfig, knn_ite, train_direct_nn
 from .data import (
-    CsvSchema,
     ObservationalDataset,
     Standardization,
     SyntheticConfig,
@@ -63,7 +62,6 @@ from .training import (
 __all__ = [
     "AdamState",
     "ConfigError",
-    "CsvSchema",
     "DCNParams",
     "DenseLayer",
     "DirectModel",

@@ -33,14 +33,14 @@ class KnnConfig:
         check_count("k", self.k, error=ValueError)
 
 
-def _group_mean_outcome(
-    X: np.ndarray, Y: np.ndarray, rows: np.ndarray, x: np.ndarray, k: int
-) -> float:
-    deltas = X[rows] - x
-    distances = np.sqrt(np.sum(deltas * deltas, axis=1))
-    # stable sort keeps equal distances in row order: ties go to lower index
-    nearest = np.argsort(distances, kind="stable")[:k]
-    return float(Y[rows][nearest].mean())
+def _group_mean_outcome(distances: np.ndarray, Y: np.ndarray, rows: np.ndarray, k: int) -> float:
+    group = distances[rows]
+    kth = np.partition(group, k - 1)[k - 1]
+    candidates = np.flatnonzero(group <= kth)
+    # a stable sort keeps equal distances in row order, so ties go to the lower
+    # index and these are the first k of a stable sort of the whole group
+    nearest = candidates[np.argsort(group[candidates], kind="stable")[:k]]
+    return float(Y[rows[nearest]].mean())
 
 
 def knn_ite(
@@ -50,6 +50,8 @@ def knn_ite(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (train.d,):
         raise ValueError(f"x must be a length-{train.d} feature vector")
+    if not np.isfinite(x).all():
+        raise ValueError("x contains NaN or infinite values")
     treated = np.flatnonzero(train.W == 1)
     control = np.flatnonzero(train.W == 0)
     if len(treated) < config.k or len(control) < config.k:
@@ -57,9 +59,12 @@ def knn_ite(
             f"both groups need at least k={config.k} members "
             f"(treated {len(treated)}, control {len(control)})"
         )
-    return _group_mean_outcome(
-        train.X, train.Y, treated, x, config.k
-    ) - _group_mean_outcome(train.X, train.Y, control, x, config.k)
+    # C order sums each row's squares as a copy of its group's rows would
+    deltas = np.subtract(train.X, x, order="C")
+    distances = np.sqrt(np.sum(np.multiply(deltas, deltas, out=deltas), axis=1))
+    return _group_mean_outcome(distances, train.Y, treated, config.k) - _group_mean_outcome(
+        distances, train.Y, control, config.k
+    )
 
 
 @dataclass

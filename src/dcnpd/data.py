@@ -10,9 +10,10 @@ UTF-8, period decimals.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -132,110 +133,106 @@ class ObservationalDataset:
         return ObservationalDataset(X, self.W, self.Y, self.mu0, self.mu1)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for `load_csv`.
+ROW_BLOCK = 4096  # rows formatted per write, so memory does not grow with n
+# numpy strips these ASCII separators around a number as whitespace; float() rejects them
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
-    ``features=None`` means: every header column not claimed by the
-    treatment/outcome/ground-truth names is a feature, in file order.
+
+def _parse_array(path, first: str, rest: Iterator[str], width: int, w: int) -> np.ndarray | None:
+    """Every cell in one `np.loadtxt` pass, or None to leave the file to `_parse_cells`.
+
+    loadtxt skips blank lines and reads a subset of what `float` reads, to the same bits;
+    a result is kept only with one row per line and no cell the per-cell reader refuses.
     """
-
-    features: tuple[str, ...] | None = None
-    treatment: str = "w"
-    outcome: str = "y"
-    mu0: str = "mu0"
-    mu1: str = "mu1"
-
-
-def _parse_cell(raw: str, row: int, column: str) -> float:
+    if not first.strip():  # refused anyway; and an all-blank body makes loadtxt warn
+        return None
+    with open(path, "rb") as fh:
+        if any(c in block for block in iter(lambda: fh.read(1 << 20), b"") for c in _SEPARATORS):
+            return None
+    counter = itertools.count()
+    lines = (line for line, _ in zip(itertools.chain([first], rest), counter))
     try:
-        return float(raw)
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
     except ValueError:
-        raise ParseError(row, column, f"not a number: {raw!r}") from None
+        return None
+    # zip draws each line before its count, so the counter stops at the line count
+    ok = table.shape == (next(counter), width) and np.isin(table[:, w], (0.0, 1.0)).all()
+    return table if ok and np.isfinite(table).all() else None
 
 
-def load_csv(path, schema: CsvSchema | None = None) -> ObservationalDataset:
-    """Read a dataset from ``path`` according to ``schema`` (default names)."""
-    schema = schema or CsvSchema()
+def _parse_cells(path, width: int, names: list[str], positions: dict) -> np.ndarray:
+    """The named columns, cell by cell; the error names the first bad row and column."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: no header row") from None
-        rows = list(reader)
-
-    positions = {name: i for i, name in enumerate(header)}
-    for required in (schema.treatment, schema.outcome):
-        if required not in positions:
-            raise SchemaError(f"missing required column {required!r}")
-    if schema.features is None:
-        reserved = {schema.treatment, schema.outcome, schema.mu0, schema.mu1}
-        feature_names = [name for name in header if name not in reserved]
-    else:
-        feature_names = list(schema.features)
-        missing = [name for name in feature_names if name not in positions]
-        if missing:
-            raise SchemaError(f"missing feature columns: {missing}")
-    if not feature_names:
-        raise SchemaError("no feature columns")
-    has_mu0 = schema.mu0 in positions
-    has_mu1 = schema.mu1 in positions
-    if has_mu0 != has_mu1:
-        raise SchemaError("mu0 and mu1 columns must appear together")
-
-    n = len(rows)
-    if n == 0:
-        raise SchemaError("no data rows")
-    X = np.empty((n, len(feature_names)))
-    W = np.empty(n)
-    Y = np.empty(n)
-    mu0 = np.empty(n) if has_mu0 else None
-    mu1 = np.empty(n) if has_mu1 else None
-    width = len(header)
+        rows = list(csv.reader(fh))[1:]
+    values = np.empty((len(rows), len(names)))
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ParseError(i, "<row>", f"expected {width} cells, got {len(row)}")
-        for j, name in enumerate(feature_names):
-            X[i - 1, j] = _parse_cell(row[positions[name]], i, name)
-        w = _parse_cell(row[positions[schema.treatment]], i, schema.treatment)
-        if w not in (0.0, 1.0):
-            raise ValidationError(f"row {i}: treatment must be 0 or 1, got {w}")
-        W[i - 1] = w
-        Y[i - 1] = _parse_cell(row[positions[schema.outcome]], i, schema.outcome)
-        if has_mu0:
-            mu0[i - 1] = _parse_cell(row[positions[schema.mu0]], i, schema.mu0)
-            mu1[i - 1] = _parse_cell(row[positions[schema.mu1]], i, schema.mu1)
+        for j, name in enumerate(names):
+            raw = row[positions[name]]
+            try:
+                values[i - 1, j] = value = float(raw)
+            except ValueError:
+                raise ParseError(i, name, f"not a number: {raw!r}") from None
+            if name == "w" and value not in (0.0, 1.0):
+                raise ValidationError(f"row {i}: treatment must be 0 or 1, got {value}")
     # whole-array checks; only a failing file pays for locating the first bad cell
-    if not all(np.isfinite(v).all() for v in (X, Y, mu0, mu1) if v is not None):
-        parsed = {name: X[:, j] for j, name in enumerate(feature_names)}
-        parsed[schema.outcome] = Y
-        if has_mu0:
-            parsed[schema.mu0], parsed[schema.mu1] = mu0, mu1
-        bad = ~np.isfinite(np.column_stack(list(parsed.values())))
+    bad = ~np.isfinite(values)
+    if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
-        column = min((name for name, b in zip(parsed, bad[i]) if b), key=positions.get)
-        raw = rows[i][positions[column]]
-        raise ParseError(i + 1, column, f"not a finite number: {raw!r}")
-    return ObservationalDataset(X, W, Y, mu0, mu1)
+        column = min((name for name, b in zip(names, bad[i]) if b), key=positions.get)
+        raise ParseError(i + 1, column, f"not a finite number: {rows[i][positions[column]]!r}")
+    return values
+
+
+def load_csv(path) -> ObservationalDataset:
+    """Read a dataset; columns other than ``w``, ``y``, ``mu0`` and ``mu1`` are features."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise SchemaError("empty file: no header row") from None
+        positions = {name: i for i, name in enumerate(header)}
+        for required in ("w", "y"):
+            if required not in positions:
+                raise SchemaError(f"missing required column {required!r}")
+        features = [name for name in header if name not in ("w", "y", "mu0", "mu1")]
+        if not features:
+            raise SchemaError("no feature columns")
+        has_mu = "mu0" in positions
+        if has_mu != ("mu1" in positions):
+            raise SchemaError("mu0 and mu1 columns must appear together")
+        first = fh.readline()
+        if not first:
+            raise SchemaError("no data rows")
+        table = _parse_array(path, first, fh, len(header), positions["w"])
+
+    names = features + ["w", "y"] + (["mu0", "mu1"] if has_mu else [])
+    if table is None:
+        values = _parse_cells(path, len(header), names, positions)
+    else:
+        values = table[:, [positions[name] for name in names]]
+    d = len(features)
+    columns = [values[:, j].copy() for j in range(d, len(names))]  # w, y, then mu0 and mu1
+    return ObservationalDataset(values[:, :d].copy(), *columns)
 
 
 def save_csv(dataset: ObservationalDataset, path) -> None:
-    """Write ``x1..xd, w, y[, mu0, mu1]`` with round-trip float formatting."""
+    """Write ``x1..xd, w, y[, mu0, mu1]``: each float's repr, CRLF line ends as in `csv`."""
     header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
+    tail = [dataset.Y]
     if dataset.has_ground_truth:
         header += ["mu0", "mu1"]
+        tail += [dataset.mu0, dataset.mu1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.X[i]]
-            row.append(str(int(dataset.W[i])))
-            row.append(repr(float(dataset.Y[i])))
-            if dataset.has_ground_truth:
-                row.append(repr(float(dataset.mu0[i])))
-                row.append(repr(float(dataset.mu1[i])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, dataset.n, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            tails = np.column_stack([column[block] for column in tail]).tolist()
+            fh.writelines(
+                f"{','.join(map(repr, x))},{w},{','.join(map(repr, rest))}\r\n"
+                for x, w, rest in zip(dataset.X[block].tolist(), dataset.W[block].tolist(), tails)
+            )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from dcnpd.baselines import DirectModel, KnnConfig, knn_ite, train_direct_nn
 from dcnpd.data import ObservationalDataset
@@ -81,6 +82,38 @@ class TestKnn:
         ds = random_dataset(rng, int(rng.integers(14, 60)), int(rng.integers(1, 4)))
         x = rng.normal(size=ds.d)
         assert knn_ite(ds, x, KnnConfig(k=k)) == brute_force_knn(ds, x, k)
+
+    @given(data=st.data(), k=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_ties_match_brute_force_oracle(self, data, k):
+        # a small integer grid puts many rows at the k-th distance of each arm
+        n = data.draw(st.integers(2 * k, 40))
+        d = data.draw(st.integers(1, 3))
+        grid = st.integers(-2, 2).map(float)
+        X = data.draw(npst.arrays(np.float64, (n, d), elements=grid))
+        W = data.draw(npst.arrays(np.int64, n, elements=st.integers(0, 1)))
+        W[:k], W[-k:] = 1, 0
+        Y = data.draw(npst.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        x = data.draw(npst.arrays(np.float64, d, elements=grid))
+        ds = ObservationalDataset(X, W, Y)
+        assert knn_ite(ds, x, KnnConfig(k=k)) == brute_force_knn(ds, x, k)
+
+    def test_column_major_features_match_brute_force_oracle(self):
+        # two treated rows hold the same 25 values in another order: equal distances
+        # in exact arithmetic, whose rounded order depends on the order of summation
+        rng = np.random.default_rng(13)  # a draw whose two orders disagree
+        v = rng.normal(size=25)
+        X = np.vstack([v, v[rng.permutation(25)], np.full((2, 25), 5.0)])
+        W, Y = np.array([1, 1, 0, 0]), np.array([1.0, 2.0, 0.0, 0.0])
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            ds = ObservationalDataset(layout(X), W, Y)
+            assert knn_ite(ds, np.zeros(25), KnnConfig(k=1)) == brute_force_knn(ds, np.zeros(25), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        ds = ObservationalDataset(np.eye(4, 3), np.array([1, 1, 0, 0]), np.arange(4.0))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            knn_ite(ds, np.array([bad, 0.0, 0.0]), KnnConfig(k=1))
 
     def test_noiseless_linear_effect_recovered_locally(self):
         # mean absolute error stays inside the effect range of the data

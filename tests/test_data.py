@@ -1,7 +1,9 @@
 """Dataset plumbing: CSV round-trips, the generator's ground truth, splits."""
 
+import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from dcnpd.data import (
-    CsvSchema,
+    ROW_BLOCK,
     ObservationalDataset,
     ParseError,
     SchemaError,
@@ -155,14 +157,6 @@ class TestCsv:
         with pytest.raises(SchemaError):
             load_csv(path)
 
-    def test_custom_schema_names(self, tmp_path):
-        path = tmp_path / "named.csv"
-        path.write_text("age,bp,treated,outcome\n50,120,1,3.5\n61,130,0,2.5\n")
-        ds = load_csv(
-            path, CsvSchema(features=("age", "bp"), treatment="treated", outcome="outcome")
-        )
-        assert ds.d == 2 and ds.W.tolist() == [1, 0]
-
     def test_unclaimed_columns_are_features(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("a,b,c,w,y\n1,2,3,0,4\n5,6,7,1,8\n")
@@ -189,6 +183,221 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.X, ds.X)
         np.testing.assert_array_equal(loaded.Y, ds.Y)
         np.testing.assert_array_equal(loaded.W, ds.W)
+
+
+def reference_save_csv(dataset, path):
+    """The row-at-a-time `csv.writer` loop that `save_csv` must match byte for byte."""
+    header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
+    if dataset.has_ground_truth:
+        header += ["mu0", "mu1"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [repr(float(v)) for v in dataset.X[i]]
+            row.append(str(int(dataset.W[i])))
+            row.append(repr(float(dataset.Y[i])))
+            if dataset.has_ground_truth:
+                row.append(repr(float(dataset.mu0[i])))
+                row.append(repr(float(dataset.mu1[i])))
+            writer.writerow(row)
+
+
+def reference_load_csv(path):
+    """The per-cell reader that `load_csv` must agree with, result and error alike."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty file: no header row") from None
+        rows = list(reader)
+    positions = {name: i for i, name in enumerate(header)}
+    for required in ("w", "y"):
+        if required not in positions:
+            raise SchemaError(f"missing required column {required!r}")
+    features = [name for name in header if name not in {"w", "y", "mu0", "mu1"}]
+    if not features:
+        raise SchemaError("no feature columns")
+    has_mu = "mu0" in positions
+    if has_mu != ("mu1" in positions):
+        raise SchemaError("mu0 and mu1 columns must appear together")
+    n = len(rows)
+    if n == 0:
+        raise SchemaError("no data rows")
+
+    def cell(raw, row, column):
+        try:
+            return float(raw)
+        except ValueError:
+            raise ParseError(row, column, f"not a number: {raw!r}") from None
+
+    X, W, Y = np.empty((n, len(features))), np.empty(n), np.empty(n)
+    mu0, mu1 = (np.empty(n), np.empty(n)) if has_mu else (None, None)
+    width = len(header)
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ParseError(i, "<row>", f"expected {width} cells, got {len(row)}")
+        for j, name in enumerate(features):
+            X[i - 1, j] = cell(row[positions[name]], i, name)
+        w = cell(row[positions["w"]], i, "w")
+        if w not in (0.0, 1.0):
+            raise ValidationError(f"row {i}: treatment must be 0 or 1, got {w}")
+        W[i - 1] = w
+        Y[i - 1] = cell(row[positions["y"]], i, "y")
+        if has_mu:
+            mu0[i - 1] = cell(row[positions["mu0"]], i, "mu0")
+            mu1[i - 1] = cell(row[positions["mu1"]], i, "mu1")
+    parsed = {name: X[:, j] for j, name in enumerate(features)}
+    parsed["y"] = Y
+    if has_mu:
+        parsed["mu0"], parsed["mu1"] = mu0, mu1
+    bad = ~np.isfinite(np.column_stack(list(parsed.values())))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        column = min((name for name, b in zip(parsed, bad[i]) if b), key=positions.get)
+        raise ParseError(i + 1, column, f"not a finite number: {rows[i][positions[column]]!r}")
+    return ObservationalDataset(X, W, Y, mu0, mu1)
+
+
+def read_outcome(load, path):
+    """Every column's dtype, shape and bytes, or the error's type, location and text."""
+    try:
+        ds = load(path)
+    except ValueError as err:
+        return type(err), getattr(err, "row", None), getattr(err, "column", None), str(err)
+    return [
+        None if a is None else (a.dtype.str, a.shape, a.tobytes())
+        for a in (ds.X, ds.W, ds.Y, ds.mu0, ds.mu1, ds.true_ite)
+    ]
+
+
+GOOD_ROWS = ["1.5,-2.0,0,3.0,0.5,1.5", "0.25,4.0,1,-1.0,0.0,2.0", "7.0,8.0,1,9.0,1.0,1.0"]
+HEADER = "x1,x2,w,y,mu0,mu1"
+NAN_ROW, W2_ROW = "nan,2.0,0,3.0,0.0,1.0", "1.0,2.0,2,3.0,0.0,1.0"
+
+
+def _body(*rows, end="\r\n"):
+    return end.join([HEADER, *rows]) + end
+
+
+class TestCsvAgainstReference:
+    """`save_csv` and `load_csv` against the row-at-a-time code they replaced."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(_body(*GOOD_ROWS), id="valid"),
+            pytest.param(_body(GOOD_ROWS[0], "", GOOD_ROWS[1]), id="blank-line-mid-file"),
+            pytest.param(_body(*GOOD_ROWS) + "\r\n", id="trailing-blank-line"),
+            pytest.param(_body("", *GOOD_ROWS), id="blank-first-line"),
+            pytest.param(HEADER + "\n\n", id="only-a-blank-line"),
+            pytest.param(HEADER + "\n", id="header-only"),
+            pytest.param(_body(GOOD_ROWS[0], "#,1.0,1,2.0,0.0,1.0"), id="hash-cell"),
+            pytest.param(_body(GOOD_ROWS[0], '"2.5",1.0,1,2.0,0.0,1.0'), id="quoted-cell"),
+            pytest.param(_body(GOOD_ROWS[0], "1_0,1.0,1,2.0,0.0,1.0"), id="underscore-cell"),
+            pytest.param(_body(" 1.5 ,\t-2.0, 0 ,3.0\t,0.5,1.5"), id="whitespace-padded"),
+            pytest.param(_body("\xa01.5\u3000,-2.0,0,3.0,0.5,1.5"), id="unicode-space-padded"),
+            pytest.param(_body("1.5\x1f,-2.0,0,3.0,0.5,1.5"), id="separator-padded"),
+            pytest.param(_body("\u0661.5,-2.0,0,3.0,0.5,1.5"), id="unicode-digit"),
+            pytest.param(_body(*GOOD_ROWS, end="\r"), id="cr-only-line-ends"),
+            pytest.param(_body(*GOOD_ROWS, end="\n"), id="lf-line-ends"),
+            pytest.param(_body(*GOOD_ROWS)[:-2], id="no-final-line-end"),
+            pytest.param(_body(GOOD_ROWS[0], "1.0,2.0,1,3.0,0.0"), id="short-row"),
+            pytest.param(_body(GOOD_ROWS[0], "1.0,2.0,1,3.0,0.0,1.0,9"), id="long-row"),
+            pytest.param(_body(GOOD_ROWS[0], ",2.0,1,3.0,0.0,1.0"), id="empty-cell"),
+            pytest.param(_body(GOOD_ROWS[0], W2_ROW), id="w2"),
+            pytest.param(_body(NAN_ROW, W2_ROW), id="w2-after-nan"),
+            pytest.param(_body(W2_ROW, NAN_ROW), id="nan-after-w2"),
+            pytest.param(_body("1.0,2.0,-0.0,3.0,0.0,1.0"), id="negative-zero-w"),
+            pytest.param(_body("1.0,2.0,1,1e500,0.0,1.0"), id="overflowing-cell"),
+            pytest.param(_body("1.0,2.0,1,3.0,-1e308,1e308"), id="overflowing-true-ite"),
+            pytest.param("x1,w,x1,y\r\n1.0,1,2.0,3.0\r\n", id="duplicate-feature-name"),
+            pytest.param("w,x1,w,y\r\noops,1.0,1,3.0\r\n", id="unread-duplicate-treatment"),
+        ],
+    )
+    def test_reader_matches_reference(self, tmp_path, text):
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a file is either read or refused, silently
+            got = read_outcome(load_csv, path)
+        assert got == read_outcome(reference_load_csv, path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
+    def test_well_formed_file_takes_the_one_pass_path(self, tmp_path, monkeypatch, end):
+        def refuse(*args):
+            raise AssertionError("the per-cell reader ran on a well-formed file")
+
+        monkeypatch.setattr("dcnpd.data._parse_cells", refuse)
+        path = tmp_path / "d.csv"
+        path.write_bytes(_body(*GOOD_ROWS, " 2.5 ,\t-1.0,0,3.0,0.5,1.5", end=end).encode())
+        assert load_csv(path).n == 4
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reader_matches_reference_on_drawn_files(self, tmp_path_factory, data):
+        # valid rows of x1, w, y, x2, then up to two faults: an odd cell, a treatment
+        # of 2, a short or long row, or a blank line after the row
+        numbers = st.sampled_from(["0.5", "-0.0", "1e-300", "5e-324", "-1e300", " 2 ", "3"])
+        treatment = st.sampled_from(["0", "1", "1.0", "-0.0"])
+        rows = [
+            [data.draw(numbers), data.draw(treatment), data.draw(numbers), data.draw(numbers)]
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        odd = st.sampled_from(
+            ["2", "1_0", '"1"', "#", "", "nan", "-inf", "1e500", "\x1c1", "1\x1f", "x"]
+        )
+        for _ in range(data.draw(st.integers(0, 2))):
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            fault = data.draw(st.sampled_from(["cell", "treatment", "short", "long", "blank"]))
+            if fault == "cell":
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(odd)
+            elif fault == "treatment":
+                row[1] = "2"
+            elif fault == "short":
+                row.pop()
+            elif fault == "long":
+                row.append("1")
+            else:
+                row[-1] += "\n"
+        ends = st.sampled_from(["\r\n", "\n", "\r"])
+        text = "x1,w,y,x2\r\n" + "".join(",".join(row) + data.draw(ends) for row in rows)
+        path = tmp_path_factory.mktemp("drawn") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(load_csv, path) == read_outcome(reference_load_csv, path)
+
+    @given(
+        X=npst.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 3)),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]),
+            ),
+        ),
+        mu=st.lists(st.sampled_from([-0.0, 5e-324, 1e-300, 1e300, -1e300, 0.1]), min_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        ground_truth=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_reference(self, tmp_path_factory, X, mu, seed, ground_truth):
+        rng = np.random.default_rng(seed)
+        n = X.shape[0]
+        mu0, mu1 = (np.array(mu[:n]), np.array(mu[6 : 6 + n])) if ground_truth else (None, None)
+        ds = ObservationalDataset(X, rng.integers(0, 2, n), X[:, 0][::-1], mu0, mu1)
+        folder = tmp_path_factory.mktemp("write")
+        save_csv(ds, folder / "new.csv")
+        reference_save_csv(ds, folder / "old.csv")
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+        assert read_outcome(load_csv, folder / "new.csv") == read_outcome(lambda _: ds, None)
+
+    def test_writer_matches_reference_across_row_blocks(self, tmp_path):
+        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2, seed=2))
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert read_outcome(load_csv, tmp_path / "new.csv") == read_outcome(lambda _: ds, None)
 
 
 class TestGenerator:

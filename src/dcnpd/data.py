@@ -35,6 +35,10 @@ class ParseError(ValueError):
         super().__init__(f"row {row}, column {column!r}: {message}")
         self.row = row
         self.column = column
+        self.detail = message
+
+    def __reduce__(self):  # unpickle through __init__'s three arguments
+        return type(self), (self.row, self.column, self.detail)
 
 
 class ValidationError(ValueError):
@@ -162,8 +166,13 @@ def _parse_array(path, first: str, rest: Iterator[str], width: int, w: int) -> n
 
 def _parse_cells(path, width: int, names: list[str], positions: dict) -> np.ndarray:
     """The named columns, cell by cell; the error names the first bad row and column."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
+        try:
+            rows.extend(csv.reader(fh))
+        except csv.Error as e:  # e.g. a cell over csv's field size limit
+            raise ParseError(len(rows), "<row>", str(e)) from None
+    del rows[0]
     values = np.empty((len(rows), len(names)))
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
@@ -192,7 +201,12 @@ def load_csv(path) -> ObservationalDataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError("empty file: no header row") from None
+        except csv.Error as e:
+            raise SchemaError(f"unreadable header row: {e}") from None
         positions = {name: i for i, name in enumerate(header)}
+        if len(positions) < len(header):  # positions keeps each name's last column
+            repeated = next(name for i, name in enumerate(header) if positions[name] != i)
+            raise SchemaError(f"column {repeated!r} appears more than once in the header")
         for required in ("w", "y"):
             if required not in positions:
                 raise SchemaError(f"missing required column {required!r}")

@@ -13,10 +13,19 @@ realizations and splits repetition by repetition (paired comparisons).
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
+import os
+import pickle
+import queue
+import subprocess
+import sys
+import threading
 import time
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -327,6 +336,15 @@ def _realization_files(config: ExperimentConfig) -> list[Path]:
     return files[: config.repetitions]
 
 
+def _load_realization(path: Path) -> ObservationalDataset:
+    dataset = load_csv(path)
+    if dataset.true_ite is None:
+        raise ConfigError(
+            f"evaluation needs ground truth: {path} must carry mu0 and mu1 columns"
+        )
+    return dataset
+
+
 def _run_repetition(
     config: ExperimentConfig,
     r: int,
@@ -352,34 +370,222 @@ def _run_repetition(
     return ite_mse(predictions, test_set.true_ite)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute all repetitions and aggregate their effect MSEs.
+# --- repetitions in worker processes ---
+#
+# A repetition that trains for at least POOL_MIN_STEPS minibatch steps runs in
+# a persistent child interpreter with single-threaded BLAS, one per usable CPU.
+# It draws only from its own (seed, 1, r, .) streams, so its result does not
+# depend on the worker or the CPU count, and at the benchmark's shapes (600
+# training rows) a product has the same bits on one BLAS thread as on several,
+# so it equals an in-process run. On a 2-core Xeon (OpenBLAS 0.3.31) a worker
+# starts and serves its first job in 0.19-0.26 s; a benchmark-shaped step (32
+# rows, d=25, 200-200 shared stack) takes 0.7-0.8 ms and a step of a one-layer
+# 8-unit net 0.2 ms. A repetition of 1,000 steps is thus 0.2-0.8 s of work,
+# enough that two of them side by side repay a worker's start-up even on the
+# first call, while the benchmark's 4-step warm-ups stay in-process.
+POOL_MIN_STEPS = 1_000
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_idle: list["_Worker"] = []  # started, healthy and free for the next call
+_live: set = set()  # every worker not yet reaped, for the exit hook
+_idle_lock = threading.Lock()
 
-    Repetitions are independent given their derived streams; they run
-    sequentially here, and results are keyed by repetition index either way.
-    A ``csv_path`` directory gives repetition r the r-th ``*.csv`` in sorted order.
-    """
-    start = time.perf_counter()
+
+def _train_steps(config: ExperimentConfig, n: int) -> int:
+    """Minibatch steps of one repetition on an n-row dataset; k-NN trains none."""
+    if parse_model(config.model)[0] == "knn":
+        return 0
+    rows = math.ceil(config.train_fraction * n)
+    return config.train.epochs * math.ceil(rows / config.train.batch_size)
+
+
+class _Worker:
+    """A child interpreter with single-threaded BLAS that runs repetitions for `_serve`."""
+
+    def __init__(self):
+        paths = (str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, **dict.fromkeys(_BLAS_THREADS, "1")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", "from dcnpd.experiment import _serve; _serve()"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        self.busy = False
+        _live.add(self)
+
+    def run(self, job: tuple) -> tuple:
+        self.busy = True
+        pickle.dump(job, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+        self.proc.stdin.flush()
+        reply = pickle.load(self.proc.stdout)
+        self.busy = False
+        return reply
+
+    def close(self, kill: bool = False) -> int:
+        """Reap the worker: killed, or ended by closing its input; returns its exit code."""
+        _live.discard(self)
+        if kill:
+            self.proc.kill()
+        try:
+            self.proc.stdin.close()
+        except OSError:  # the pipe broke: the worker is gone already
+            pass
+        code = self.proc.wait()
+        self.proc.stdout.close()
+        return code
+
+
+@atexit.register
+def _close_workers() -> None:
+    for worker in list(_live):
+        worker.close(kill=worker.busy)
+
+
+def _serve() -> None:
+    """A worker's loop: read a pickled job, write ``(warnings, value, error, traceback)``."""
+    jobs, replies = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # a stray print must not corrupt the reply stream
+    while True:
+        try:
+            job = pickle.load(jobs)
+        except EOFError:
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                reply = (_run_repetition(*job), None, None)
+            except Exception as e:
+                try:
+                    pickle.loads(pickle.dumps(e))
+                except Exception:  # an exception that cannot cross travels as its text
+                    e = Exception(str(e))
+                reply = (None, e, traceback.format_exc())
+        pickle.dump(([(str(w.message), w.category) for w in caught], *reply), replies)
+        replies.flush()
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, chained as the cause of the error it raised."""
+
+
+def _failure(r: int, e: Exception) -> Exception:
+    """What a failed repetition raises: a ConfigError as is, anything else wrapped."""
+    if isinstance(e, ConfigError):
+        return e
+    error = RuntimeError(f"repetition {r} failed: {e}")
+    error.__cause__ = e
+    return error
+
+
+class _Replies(dict):
+    """Each repetition's ``(warnings, value, error)``, and the lowest that failed."""
+
+    def __init__(self):
+        super().__init__()
+        self.first_failure = math.inf
+        self._lock = threading.Lock()
+
+    def add(self, r: int, warned: list, value: float | None, error: Exception | None):
+        with self._lock:
+            self[r] = warned, value, error
+            if error is not None:
+                self.first_failure = min(self.first_failure, r)
+
+
+def _dispatch(jobs: queue.Queue, replies: _Replies) -> None:
+    """One thread per worker: run each queued job on this thread's worker, until None."""
+    worker = None
+    while (job := jobs.get()) is not None:
+        r = job[1]
+        if replies.first_failure < r:
+            continue  # a lower repetition failed, so this one's result is never read
+        try:
+            if worker is None:
+                with _idle_lock:
+                    worker = _idle.pop() if _idle else _Worker()
+            warned, value, error, trace = worker.run(job)
+        except Exception as e:  # no worker started, it died, or a job did not pickle
+            code = worker and worker.close(kill=True)
+            worker = None
+            lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
+            warned, value, error, trace = [], None, lost, None
+        if error is not None:
+            error.__cause__ = trace and _RemoteTraceback(trace)
+            error = _failure(r, error)
+        replies.add(r, warned, value, error)
+    if worker is not None:
+        with _idle_lock:
+            _idle.append(worker)
+
+
+def _repetitions(config: ExperimentConfig) -> list[float]:
+    """Every repetition's effect MSE in order; the long ones run in worker processes."""
+    replies = _Replies()
+    jobs = None
+    threads = []
     base = covariates = None
     files = [] if config.csv_path is None else _realization_files(config)
     if config.fixed_covariates:
         covariates = _stream(config.seed, 0, 0).standard_normal(
             (config.synthetic.n, config.synthetic.d)
         )
-    per_rep: list[float] = []
     for r in range(config.repetitions):
-        if r < len(files):  # a single file loads once and serves every repetition
-            base = load_csv(files[r])
-            if base.true_ite is None:
-                raise ConfigError(
-                    f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
-                )
+        if replies.first_failure < r:
+            break
         try:
-            per_rep.append(_run_repetition(config, r, base, covariates))
-        except ConfigError:
-            raise
+            if r < len(files):  # a single file loads once and serves every repetition
+                base = _load_realization(files[r])
+        except Exception as e:  # raised as is, after any lower repetition's failure
+            replies.add(r, [], None, e)
+            break
+        job = (config, r, base, covariates)
+        if _train_steps(config, config.synthetic.n if base is None else base.n) < POOL_MIN_STEPS:
+            try:
+                replies.add(r, [], _run_repetition(*job), None)
+            except Exception as e:
+                replies.add(r, [], None, _failure(r, e))
+            continue
+        if jobs is None:
+            cpus = len(os.sched_getaffinity(0))
+            jobs = queue.Queue(maxsize=min(config.repetitions, cpus))
+            threads = [
+                threading.Thread(target=_dispatch, args=(jobs, replies), daemon=True)
+                for _ in range(jobs.maxsize)
+            ]
+            for thread in threads:
+                thread.start()
+        jobs.put(job)
+    for thread in threads:
+        jobs.put(None)
+    for thread in threads:
+        thread.join()
+    per_rep = []
+    for r in range(config.repetitions):
+        warned, value, error = replies[r]
+        try:  # a worker's warnings meet this process's filters, which may raise them
+            for message, category in warned:
+                warnings.warn(message, category)
         except Exception as e:
-            raise RuntimeError(f"repetition {r} failed: {e}") from e
+            raise _failure(r, e) from e
+        if error is not None:
+            raise error
+        per_rep.append(value)
+    return per_rep
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Execute all repetitions and aggregate their effect MSEs.
+
+    Repetitions are independent given their derived streams. Those that train
+    for at least `POOL_MIN_STEPS` minibatch steps run side by side in worker
+    processes, one per CPU this process may use; the rest run here. Either
+    way each `per_rep_mse` value has the same bits, and the lowest failing
+    repetition's error is raised. A ``csv_path`` directory gives repetition r
+    the r-th ``*.csv`` in sorted order.
+    """
+    start = time.perf_counter()
+    per_rep = _repetitions(config)
     values = np.asarray(per_rep)
     std_error = (
         float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0

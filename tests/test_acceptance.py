@@ -7,6 +7,7 @@ optional real-data check driven by the DCNPD_IHDP_DIR environment variable.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,13 @@ import pytest
 from dcnpd.baselines import KnnConfig, knn_ite
 from dcnpd.data import ObservationalDataset, Standardization, SyntheticConfig, load_csv
 from dcnpd.dcn import build_dcn, estimate_ite
-from dcnpd.experiment import ExperimentConfig, run_experiment
+from dcnpd.experiment import (
+    POOL_MIN_STEPS,
+    ExperimentConfig,
+    _run_repetition,
+    _train_steps,
+    run_experiment,
+)
 from dcnpd.nn import (
     bernoulli_mask,
     build_mlp,
@@ -301,12 +308,22 @@ def test_criterion_09_end_to_end_determinism(criteria_log):
     )
     first = run_experiment(config).per_rep_mse
     second = run_experiment(config).per_rep_mse
+    # 160 training rows in minibatches of 32 for 200 epochs: 1,000 steps per
+    # repetition, so the run goes to worker processes; compare it with this
+    # process running each repetition in turn
+    pooled = replace(config, train=TrainConfig(epochs=200, shared_widths=(64, 64)))
+    assert _train_steps(pooled, 200) >= POOL_MIN_STEPS
+    pooled_mse = run_experiment(pooled).per_rep_mse
+    serial_mse = [_run_repetition(pooled, r, None, None) for r in range(pooled.repetitions)]
+    detail = f"{first} == {second}"
+    if pooled_mse != serial_mse:
+        detail += f"; pooled {pooled_mse} != in-process {serial_mse}"
     verdict(
         criteria_log,
         9,
-        first == second,
+        first == second and pooled_mse == serial_mse,
         "identical configs reproduce identical per-repetition MSE vectors",
-        f"{first} == {second}",
+        detail,
     )
 
 

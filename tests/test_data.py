@@ -2,6 +2,7 @@
 
 import csv
 import math
+import pickle
 import re
 import warnings
 
@@ -24,6 +25,7 @@ from dcnpd.data import (
     standardize,
     train_test_split,
 )
+from dcnpd.experiment import ConfigError
 
 
 def toy_dataset():
@@ -157,6 +159,41 @@ class TestCsv:
         with pytest.raises(SchemaError):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("x1,w,x1,y\n1.0,1,2.0,3.0\n", "x1"), ("w,x1,w,y\noops,1.0,1,3.0\n", "w")],
+        ids=["feature", "treatment"],
+    )
+    def test_repeated_header_name_is_schema_error(self, tmp_path, text, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"column '{column}' appears more than once"):
+            load_csv(path)
+
+    def test_oversized_cell_in_a_refused_file_names_its_row(self, tmp_path):
+        # the cell exceeds csv's 131,072-character field limit; the short row sends
+        # the file to the per-cell reader, which cannot read that cell
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,w,y\n1.0,0,2.0\n" + "1" * 200_000 + ",0,2.0\n1.0,0\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_csv(path)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            SchemaError("no feature columns"),
+            ParseError(3, "x1", "not a number: 'bad'"),
+            ValidationError("treatment values must be 0 or 1"),
+            ConfigError("k must be at least 1"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_errors_survive_pickling(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        assert vars(copy) == vars(error)
+
     def test_unclaimed_columns_are_features(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("a,b,c,w,y\n1,2,3,0,4\n5,6,7,1,8\n")
@@ -213,6 +250,9 @@ def reference_load_csv(path):
             raise SchemaError("empty file: no header row") from None
         rows = list(reader)
     positions = {name: i for i, name in enumerate(header)}
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise SchemaError(f"column {name!r} appears more than once in the header")
     for required in ("w", "y"):
         if required not in positions:
             raise SchemaError(f"missing required column {required!r}")

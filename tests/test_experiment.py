@@ -2,21 +2,33 @@
 
 import json
 import math
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dcnpd import experiment
 from dcnpd.baselines import KnnConfig, knn_ite
 from dcnpd.data import (
     ObservationalDataset,
+    ValidationError,
     SyntheticConfig,
     generate_synthetic,
+    load_csv,
     save_csv,
     standardize,
     train_test_split,
 )
 from dcnpd.experiment import (
     MODELS,
+    POOL_MIN_STEPS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -359,6 +371,207 @@ class TestRunExperiment:
             report = run_experiment(config)
             assert len(report.per_rep_mse) == 1
             assert math.isfinite(report.per_rep_mse[0])
+
+
+def pooled_config(**overrides) -> ExperimentConfig:
+    """A small net that trains long enough per repetition to run in worker processes."""
+    # 40 rows: 32 training rows, one minibatch per epoch
+    fields = dict(
+        model="dcn-pd",
+        seed=7,
+        synthetic=SyntheticConfig(n=40, d=3, bias_strength=1.0),
+        train=TrainConfig(epochs=POOL_MIN_STEPS, shared_widths=(8,)),
+        repetitions=3,
+        propensity_epochs=10,
+        propensity_arch=(4,),
+        n_samples=4,
+    )
+    fields.update(overrides)
+    return ExperimentConfig(**fields)
+
+
+def in_process(config: ExperimentConfig, bases) -> list[float]:
+    """The serial loop: each repetition run by this process, one after another."""
+    return [experiment._run_repetition(config, r, base, None) for r, base in enumerate(bases)]
+
+
+def refuse_in_process(monkeypatch):
+    """Make any repetition run by this process fail, so a passing run was pooled."""
+
+    def refuse(*job):
+        raise AssertionError("repetition ran in-process")
+
+    monkeypatch.setattr(experiment, "_run_repetition", refuse)
+
+
+def write_realizations(folder: Path, count: int) -> list[Path]:
+    paths = []
+    for i in range(count):
+        config = SyntheticConfig(n=40, d=3, bias_strength=1.0)
+        ds = generate_synthetic(config, np.random.default_rng(i))
+        paths.append(folder / f"realization_{i}.csv")
+        save_csv(ds, paths[-1])
+    return paths
+
+
+POOL_SCRIPT = """
+import json, os, sys
+from dcnpd import experiment
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+report = experiment.run_experiment(experiment.ExperimentConfig.from_dict(json.loads(sys.argv[2])))
+print(json.dumps({
+    "per_rep_mse": report.per_rep_mse,
+    "cpus": len(os.sched_getaffinity(0)),
+    "workers": [worker.proc.pid for worker in experiment._live],
+}))
+"""
+
+
+def run_pool_script(config: ExperimentConfig, mode: str) -> dict:
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT, mode, json.dumps(config.to_dict())],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("source", ["synthetic", "csv-file", "csv-directory"])
+    def test_pooled_run_equals_in_process_loop_bitwise(self, tmp_path, monkeypatch, source):
+        paths = write_realizations(tmp_path, 3)
+        if source == "synthetic":
+            config, bases = pooled_config(), [None] * 3
+        elif source == "csv-file":
+            config = pooled_config(synthetic=None, csv_path=str(paths[0]))
+            bases = [load_csv(paths[0])] * 3
+        else:
+            config = pooled_config(synthetic=None, csv_path=str(tmp_path))
+            bases = [load_csv(path) for path in paths]
+        expected = in_process(config, bases)
+        refuse_in_process(monkeypatch)
+        assert run_experiment(config).per_rep_mse == expected
+        assert run_experiment(config).per_rep_mse == expected  # reused workers
+
+    @pytest.mark.parametrize("model, reps", [("dcn-fixed:0.2", 2), ("nn4", 1)])
+    def test_other_neural_models_pool_bitwise(self, monkeypatch, model, reps):
+        config = pooled_config(model=model, repetitions=reps)
+        expected = in_process(config, [None] * reps)
+        refuse_in_process(monkeypatch)
+        assert run_experiment(config).per_rep_mse == expected
+
+    def test_short_repetitions_stay_in_process(self, monkeypatch):
+        config = pooled_config(train=TrainConfig(epochs=POOL_MIN_STEPS - 1, shared_widths=(8,)))
+        assert experiment._train_steps(config, 40) == POOL_MIN_STEPS - 1
+        refuse_in_process(monkeypatch)
+        with pytest.raises(RuntimeError, match="repetition 0 failed: repetition ran in-process"):
+            run_experiment(config)
+
+    def test_one_cpu_gives_the_same_results(self):
+        config = pooled_config(repetitions=2)
+        pinned = run_pool_script(config, "pinned")
+        free = run_pool_script(config, "free")
+        assert pinned["cpus"] == 1 and len(pinned["workers"]) == 1
+        assert pinned["per_rep_mse"] == free["per_rep_mse"]
+
+    def test_no_worker_outlives_the_interpreter(self):
+        workers = run_pool_script(pooled_config(repetitions=2), "free")["workers"]
+        assert workers
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_killed_workers_fail_one_call_then_are_replaced(self):
+        config = pooled_config(repetitions=2)
+        expected = run_experiment(config).per_rep_mse
+        killed = list(experiment._idle)
+        assert killed
+        for worker in killed:
+            os.kill(worker.proc.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=r"repetition \d failed: worker process lost"):
+            run_experiment(config)
+        assert not set(killed) & experiment._live
+        assert run_experiment(config).per_rep_mse == expected
+
+    def test_worker_error_keeps_its_type_and_traceback(self):
+        config = pooled_config(train=TrainConfig(epochs=POOL_MIN_STEPS, learning_rate=1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way
+            with pytest.raises(RuntimeError, match=r"repetition 0 failed: epoch \d") as err:
+                run_experiment(config)
+        cause = err.value.__cause__
+        assert type(cause) is FloatingPointError
+        assert "in fit_phases" in str(cause.__cause__)  # the worker's traceback text
+
+    @pytest.mark.parametrize(
+        "job_error, raised",
+        [("bad-model", ConfigError), ("bad-covariates", RuntimeError)],
+    )
+    def test_error_types_survive_the_worker(self, job_error, raised):
+        config = pooled_config()
+        covariates = None
+        if job_error == "bad-model":
+            object.__setattr__(config, "model", 5)  # parse_model raises in the worker
+        else:
+            covariates = np.zeros((1, 1))  # generate_synthetic rejects their shape
+        jobs, replies = queue.Queue(), experiment._Replies()
+        jobs.put((config, 0, None, covariates))
+        jobs.put(None)
+        experiment._dispatch(jobs, replies)
+        error = replies[0][2]
+        assert type(error) is raised
+        if raised is RuntimeError:
+            assert str(error).startswith("repetition 0 failed: covariates must have shape")
+            assert type(error.__cause__) is ValidationError
+        assert "Traceback" in str(
+            (error.__cause__ if raised is RuntimeError else error).__cause__
+        )
+
+    def test_replies_keep_every_reply_and_the_lowest_failure_under_contention(self):
+        replies, failing = experiment._Replies(), set(range(7, 800, 13))
+
+        def add(offset):
+            for r in range(offset, 800, 8):
+                replies.add(r, [], None, ValueError() if r in failing else None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=add, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(replies) == list(range(800)) and replies.first_failure == 7
+
+    def test_worker_warnings_meet_this_process_filters(self, tmp_path):
+        # features near 1e200 overflow in standardize's variance: a RuntimeWarning
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 3))
+        X[:, 0] *= 1e200
+        W, Y = np.arange(40) % 2, rng.standard_normal(40)
+        ds = ObservationalDataset(X, W, Y, np.zeros(40), np.ones(40))
+        save_csv(ds, tmp_path / "wide.csv")
+        pooled = pooled_config(synthetic=None, csv_path=str(tmp_path / "wide.csv"), repetitions=1)
+        short = pooled_config(
+            synthetic=None, csv_path=str(tmp_path / "wide.csv"), repetitions=1,
+            train=TrainConfig(epochs=2, shared_widths=(8,)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError) as here:
+                run_experiment(short)
+            with pytest.raises(RuntimeError) as pooled_error:
+                run_experiment(pooled)
+        assert str(pooled_error.value) == str(here.value)
+        assert type(pooled_error.value.__cause__) is RuntimeWarning
 
 
 class TestEmitReport:

@@ -336,15 +336,6 @@ def _realization_files(config: ExperimentConfig) -> list[Path]:
     return files[: config.repetitions]
 
 
-def _load_realization(path: Path) -> ObservationalDataset:
-    dataset = load_csv(path)
-    if dataset.true_ite is None:
-        raise ConfigError(
-            f"evaluation needs ground truth: {path} must carry mu0 and mu1 columns"
-        )
-    return dataset
-
-
 def _run_repetition(
     config: ExperimentConfig,
     r: int,
@@ -535,7 +526,11 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
             break
         try:
             if r < len(files):  # a single file loads once and serves every repetition
-                base = _load_realization(files[r])
+                base = load_csv(files[r])
+                if base.true_ite is None:
+                    raise ConfigError(
+                        f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
+                    )
         except Exception as e:  # raised as is, after any lower repetition's failure
             replies.add(r, [], None, e)
             break

@@ -499,10 +499,14 @@ def _dispatch(jobs: queue.Queue, replies: _Replies) -> None:
         except Exception as e:  # no worker started, it died, or a job did not pickle
             code = worker and worker.close(kill=True)
             worker = None
+            with _idle_lock:  # idle workers may be gone too: later calls start afresh
+                while _idle:
+                    _idle.pop().close(kill=True)
             lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
             warned, value, error, trace = [], None, lost, None
+        if trace is not None:
+            error.__cause__ = _RemoteTraceback(trace)
         if error is not None:
-            error.__cause__ = trace and _RemoteTraceback(trace)
             error = _failure(r, error)
         replies.add(r, warned, value, error)
     if worker is not None:

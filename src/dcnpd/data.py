@@ -132,10 +132,6 @@ class ObservationalDataset:
             None if self.mu1 is None else self.mu1[indices],
         )
 
-    def with_features(self, X: np.ndarray) -> "ObservationalDataset":
-        """Same subjects, replaced feature matrix (used by standardization)."""
-        return ObservationalDataset(X, self.W, self.Y, self.mu0, self.mu1)
-
 
 ROW_BLOCK = 4096  # rows formatted per write, so memory does not grow with n
 # numpy strips these ASCII separators around a number as whitespace; float() rejects them
@@ -339,6 +335,12 @@ class Standardization:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean and std must be 1-D and the same length")
+        bad = np.flatnonzero(~(np.isfinite(self.mean) & np.isfinite(self.std)))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(
+                f"feature {j}: mean {self.mean[j]} and std {self.std[j]} must be finite"
+            )
         if np.any(self.std <= 0):
             raise ValueError("std entries must be positive")
 
@@ -349,9 +351,6 @@ class Standardization:
                 f"feature width {X.shape[-1]} does not match fitted width {self.mean.shape[0]}"
             )
         return (X - self.mean) / self.std
-
-    def transform_dataset(self, dataset: ObservationalDataset) -> ObservationalDataset:
-        return dataset.with_features(self.transform(dataset.X))
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -378,4 +377,7 @@ def standardize(
     mean = np.where(constant, X[0], mean)
     std = np.where(constant | (std == 0.0), 1.0, std)
     transform = Standardization(mean, std)
-    return transform.transform_dataset(dataset), transform
+    scaled = ObservationalDataset(
+        transform.transform(X), dataset.W, dataset.Y, dataset.mu0, dataset.mu1
+    )
+    return scaled, transform

@@ -67,9 +67,6 @@ class DCNParams:
             self.head1.hidden_widths(),
         )
 
-    def copy(self) -> "DCNParams":
-        return DCNParams(self.shared.copy(), self.head0.copy(), self.head1.copy())
-
     def to_dict(self) -> dict:
         return {
             "shared": self.shared.to_dict(),

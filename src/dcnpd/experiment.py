@@ -19,13 +19,13 @@ import json
 import math
 import os
 import pickle
-import queue
 import subprocess
 import sys
 import threading
 import time
 import traceback
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -469,99 +469,45 @@ def _failure(r: int, e: Exception) -> Exception:
     return error
 
 
-class _Replies(dict):
-    """Each repetition's ``(warnings, value, error)``, and the lowest that failed."""
-
-    def __init__(self):
-        super().__init__()
-        self.first_failure = math.inf
-        self._lock = threading.Lock()
-
-    def add(self, r: int, warned: list, value: float | None, error: Exception | None):
-        with self._lock:
-            self[r] = warned, value, error
-            if error is not None:
-                self.first_failure = min(self.first_failure, r)
-
-
-def _dispatch(jobs: queue.Queue, replies: _Replies) -> None:
-    """One thread per worker: run each queued job on this thread's worker, until None."""
-    worker = None
-    while (job := jobs.get()) is not None:
-        r = job[1]
-        if replies.first_failure < r:
-            continue  # a lower repetition failed, so this one's result is never read
-        try:
-            if worker is None:
-                with _idle_lock:
-                    worker = _idle.pop() if _idle else _Worker()
-            warned, value, error, trace = worker.run(job)
-        except Exception as e:  # no worker started, it died, or a job did not pickle
-            code = worker and worker.close(kill=True)
-            worker = None
-            with _idle_lock:  # idle workers may be gone too: later calls start afresh
-                while _idle:
-                    _idle.pop().close(kill=True)
-            lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
-            warned, value, error, trace = [], None, lost, None
-        if trace is not None:
-            error.__cause__ = _RemoteTraceback(trace)
-        if error is not None:
-            error = _failure(r, error)
-        replies.add(r, warned, value, error)
-    if worker is not None:
+def _pooled(job: tuple, stopped: threading.Event) -> tuple:
+    """Run one job on an idle worker, or a new one; return ``(warnings, value, error)``."""
+    r, worker = job[1], None
+    try:
         with _idle_lock:
+            if stopped.is_set():  # the call was interrupted: nothing reads this result
+                return [], None, None
+            worker = _idle.pop() if _idle else _Worker()
+        warned, value, error, trace = worker.run(job)
+    except Exception as e:  # no worker started, it died, or a job did not pickle
+        code = worker and worker.close(kill=True)
+        with _idle_lock:  # idle workers may be gone too: later calls start afresh
+            while _idle:
+                _idle.pop().close(kill=True)
+        lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
+        return [], None, _failure(r, lost)
+    with _idle_lock:  # a worker killed by an interrupt may still have replied: not kept
+        if stopped.is_set():
+            worker.close(kill=True)
+        else:
             _idle.append(worker)
+    if trace is not None:
+        error.__cause__ = _RemoteTraceback(trace)
+    return warned, value, None if error is None else _failure(r, error)
 
 
-def _repetitions(config: ExperimentConfig) -> list[float]:
-    """Every repetition's effect MSE in order; the long ones run in worker processes."""
-    replies = _Replies()
-    jobs = None
-    threads = []
-    base = covariates = None
-    files = [] if config.csv_path is None else _realization_files(config)
-    if config.fixed_covariates:
-        covariates = _stream(config.seed, 0, 0).standard_normal(
-            (config.synthetic.n, config.synthetic.d)
-        )
-    for r in range(config.repetitions):
-        if replies.first_failure < r:
-            break
-        try:
-            if r < len(files):  # a single file loads once and serves every repetition
-                base = load_csv(files[r])
-                if base.true_ite is None:
-                    raise ConfigError(
-                        f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
-                    )
-        except Exception as e:  # raised as is, after any lower repetition's failure
-            replies.add(r, [], None, e)
-            break
-        job = (config, r, base, covariates)
-        if _train_steps(config, config.synthetic.n if base is None else base.n) < POOL_MIN_STEPS:
-            try:
-                replies.add(r, [], _run_repetition(*job), None)
-            except Exception as e:
-                replies.add(r, [], None, _failure(r, e))
-            continue
-        if jobs is None:
-            cpus = len(os.sched_getaffinity(0))
-            jobs = queue.Queue(maxsize=min(config.repetitions, cpus))
-            threads = [
-                threading.Thread(target=_dispatch, args=(jobs, replies), daemon=True)
-                for _ in range(jobs.maxsize)
-            ]
-            for thread in threads:
-                thread.start()
-        jobs.put(job)
-    for thread in threads:
-        jobs.put(None)
-    for thread in threads:
-        thread.join()
-    per_rep = []
-    for r in range(config.repetitions):
-        warned, value, error = replies[r]
+def _walk(entries: list, per_rep: list, ahead: int) -> None:
+    """Check entries, outcomes or Futures of them, into `per_rep` in order; raise the first error.
+
+    It stops at an unfinished Future once no more than ``ahead`` entries are unchecked.
+    """
+    while len(per_rep) < len(entries):
+        r = len(per_rep)
+        entry = entries[r]
+        if isinstance(entry, Future):
+            if not entry.done() and len(entries) - r <= ahead:
+                return
+            entry = entry.result()
+        warned, value, error = entry
         try:  # a worker's warnings meet this process's filters, which may raise them
             for message, category in warned:
                 warnings.warn(message, category)
@@ -570,7 +516,53 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
         if error is not None:
             raise error
         per_rep.append(value)
-    return per_rep
+
+
+def _repetitions(config: ExperimentConfig) -> list[float]:
+    """Every repetition's effect MSE in order; the long ones run in worker processes."""
+    base = covariates = None
+    files = [] if config.csv_path is None else _realization_files(config)
+    if config.fixed_covariates:
+        covariates = _stream(config.seed, 0, 0).standard_normal(
+            (config.synthetic.n, config.synthetic.d)
+        )
+    threads = min(config.repetitions, len(os.sched_getaffinity(0)))
+    pool, stopped = ThreadPoolExecutor(threads), threading.Event()
+    entries, per_rep = [], []
+    try:
+        for r in range(config.repetitions):
+            try:
+                if r < len(files):  # a single file loads once and serves every repetition
+                    base = load_csv(files[r])
+                    if base.true_ite is None:
+                        raise ConfigError(
+                            f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
+                        )
+            except Exception as e:  # raised as is, after any lower repetition's failure
+                entries.append(([], None, e))
+                break
+            job = (config, r, base, covariates)
+            rows = config.synthetic.n if base is None else base.n
+            if _train_steps(config, rows) < POOL_MIN_STEPS:
+                try:
+                    entries.append(([], _run_repetition(*job), None))
+                except Exception as e:  # no later repetition is read
+                    entries.append(([], None, _failure(r, e)))
+                    break
+            else:
+                entries.append(pool.submit(_pooled, job, stopped))
+            _walk(entries, per_rep, 2 * threads)  # so few loaded realizations wait at once
+        _walk(entries, per_rep, 0)
+        return per_rep
+    except BaseException as e:
+        if not isinstance(e, Exception):  # an interrupt: kill running jobs, do not wait
+            with _idle_lock:
+                stopped.set()
+                for worker in _live.difference(_idle):
+                    worker.proc.kill()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -580,7 +572,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for at least `POOL_MIN_STEPS` minibatch steps run side by side in worker
     processes, one per CPU this process may use; the rest run here. Either
     way each `per_rep_mse` value has the same bits, and the lowest failing
-    repetition's error is raised. A ``csv_path`` directory gives repetition r
+    repetition's error is raised. An interrupt kills the workers still running
+    instead of waiting for them. A ``csv_path`` directory gives repetition r
     the r-th ``*.csv`` in sorted order.
     """
     start = time.perf_counter()

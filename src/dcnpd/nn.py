@@ -106,9 +106,6 @@ class DenseLayer:
     def fan_out(self) -> int:
         return self.W.shape[1]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.W.copy(), self.b.copy(), self.activation)
-
 
 @dataclass
 class MLPParams:
@@ -144,9 +141,6 @@ class MLPParams:
             out.append(layer.W)
             out.append(layer.b)
         return out
-
-    def copy(self) -> "MLPParams":
-        return MLPParams([layer.copy() for layer in self.layers])
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,7 @@ benchmark orderings, noiseless recovery, end-to-end determinism, and an
 optional real-data check driven by the DCNPD_IHDP_DIR environment variable.
 """
 
+import copy
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -140,7 +141,7 @@ def test_criterion_03_alternating_phase_freezing(criteria_log):
         prop,
         config,
         on_epoch=lambda record, params: snapshots.append(
-            (record.epoch, record.phase, params.copy())
+            (record.epoch, record.phase, copy.deepcopy(params))
         ),
     )
     init_rng = np.random.default_rng(5)

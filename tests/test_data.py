@@ -17,6 +17,7 @@ from dcnpd.data import (
     ObservationalDataset,
     ParseError,
     SchemaError,
+    Standardization,
     SyntheticConfig,
     ValidationError,
     generate_synthetic,
@@ -599,11 +600,26 @@ class TestStandardize:
         with pytest.raises(ValueError):
             transform.transform(np.ones(4))
 
+    @pytest.mark.parametrize(
+        "mean, std", [([0.0, 0.0], [1.0, math.inf]), ([0.0, math.nan], [1.0, 1.0])]
+    )
+    def test_non_finite_fit_is_rejected(self, mean, std):
+        with pytest.raises(ValueError, match="feature 1: mean .* must be finite"):
+            Standardization(mean, std)
+
+    def test_overflowing_feature_is_rejected_not_zeroed(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 3))
+        X[:, 0] *= 1e200  # the variance overflows to inf
+        ds = ObservationalDataset(X, np.arange(40) % 2, rng.standard_normal(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="feature 0: .* std inf must be finite"):
+                standardize(ds)
+
     def test_round_trip_dict(self):
         ds = generate_synthetic(SyntheticConfig(n=10, d=3, seed=0))
         _, transform = standardize(ds)
-        from dcnpd.data import Standardization
-
         clone = Standardization.from_dict(transform.to_dict())
         np.testing.assert_array_equal(clone.mean, transform.mean)
         np.testing.assert_array_equal(clone.std, transform.std)

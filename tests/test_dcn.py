@@ -1,5 +1,7 @@
 """Multitask network: forward consistency, mask sampling, MC inference."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,12 +124,6 @@ class TestParams:
             predict_deterministic(params, x)[2], predict_deterministic(clone, x)[2]
         )
 
-    def test_copy_is_independent(self):
-        params = small_dcn(1)
-        clone = params.copy()
-        clone.shared.layers[0].W[0, 0] += 1.0
-        assert params.shared.layers[0].W[0, 0] != clone.shared.layers[0].W[0, 0]
-
 
 class TestForward:
     def test_zero_net_outputs_zero(self):
@@ -136,7 +132,7 @@ class TestForward:
 
     def test_identical_heads_agree_for_any_shared_mask(self):
         params = small_dcn(3)
-        params.head1 = params.head0.copy()
+        params.head1 = copy.deepcopy(params.head0)
         rng = np.random.default_rng(4)
         masks = dcn_masks(0.5, params.mask_widths(), 1, rng)
         x = rng.normal(size=3)
@@ -256,7 +252,7 @@ class TestEstimateIte:
 
     def test_identical_heads_with_shared_head_mask_give_zero(self):
         params = small_dcn(17, heads=(5,))
-        params.head1 = params.head0.copy()
+        params.head1 = copy.deepcopy(params.head0)
         rng = np.random.default_rng(18)
         x = rng.normal(size=3)
         for _ in range(20):

@@ -3,12 +3,13 @@
 import json
 import math
 import os
-import queue
 import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -429,16 +430,49 @@ print(json.dumps({
 """
 
 
-def run_pool_script(config: ExperimentConfig, mode: str) -> dict:
+def script_env() -> dict:
+    """This environment, with the package under test first on PYTHONPATH."""
     src = str(Path(experiment.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_pool_script(config: ExperimentConfig, mode: str) -> dict:
     result = subprocess.run(
         [sys.executable, "-c", POOL_SCRIPT, mode, json.dumps(config.to_dict())],
-        env=env, capture_output=True, text=True, timeout=300, check=False,
+        env=script_env(), capture_output=True, text=True, timeout=300, check=False,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+# prints the worker PIDs once every worker is busy, then waits to be interrupted
+INTERRUPT_SCRIPT = """
+import json, os, signal, sys, threading, time
+from dcnpd import experiment
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started with it ignored
+config = experiment.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+def report():
+    deadline = time.monotonic() + 60
+    busy = min(config.repetitions, len(os.sched_getaffinity(0)))
+    while sum(w.busy for w in list(experiment._live)) < busy and time.monotonic() < deadline:
+        time.sleep(0.01)
+    print(json.dumps([w.proc.pid for w in list(experiment._live)]), flush=True)
+threading.Thread(target=report, daemon=True).start()
+experiment.run_experiment(config)
+"""
+
+
+def write_arms(folder: Path, files: list[tuple[str, int]]) -> None:
+    """One CSV per (kind, rows) in sorted-name order; kinds are ok, all-control and no-truth."""
+    for i, (kind, n) in enumerate(files):
+        config = SyntheticConfig(n=n, d=3, bias_strength=1.0)
+        ds = generate_synthetic(config, np.random.default_rng(i))
+        if kind == "all-control":
+            ds = ObservationalDataset(ds.X, np.zeros(n, dtype=int), ds.Y, ds.mu0, ds.mu1)
+        elif kind == "no-truth":
+            ds = ObservationalDataset(ds.X, ds.W, ds.Y)
+        save_csv(ds, folder / f"r{i}.csv")
 
 
 class TestWorkerPool:
@@ -457,6 +491,20 @@ class TestWorkerPool:
         refuse_in_process(monkeypatch)
         assert run_experiment(config).per_rep_mse == expected
         assert run_experiment(config).per_rep_mse == expected  # reused workers
+
+    def test_a_directory_run_holds_few_loaded_realizations(self, tmp_path, monkeypatch):
+        write_realizations(tmp_path, 8)
+        loaded, counts = [], []
+
+        def load(path):
+            loaded.append(weakref.ref(dataset := load_csv(path)))
+            counts.append(sum(ref() is not None for ref in loaded))
+            return dataset
+
+        monkeypatch.setattr(experiment, "load_csv", load)
+        run_experiment(pooled_config(synthetic=None, csv_path=str(tmp_path), repetitions=8))
+        assert len(counts) == 8
+        assert max(counts) <= 2 * min(8, len(os.sched_getaffinity(0))) + 1
 
     @pytest.mark.parametrize("model, reps", [("dcn-fixed:0.2", 2), ("nn4", 1)])
     def test_other_neural_models_pool_bitwise(self, monkeypatch, model, reps):
@@ -520,11 +568,7 @@ class TestWorkerPool:
             object.__setattr__(config, "model", 5)  # parse_model raises in the worker
         else:
             covariates = np.zeros((1, 1))  # generate_synthetic rejects their shape
-        jobs, replies = queue.Queue(), experiment._Replies()
-        jobs.put((config, 0, None, covariates))
-        jobs.put(None)
-        experiment._dispatch(jobs, replies)
-        error = replies[0][2]
+        error = experiment._pooled((config, 0, None, covariates), threading.Event())[2]
         assert type(error) is raised
         if raised is RuntimeError:
             assert str(error).startswith("repetition 0 failed: covariates must have shape")
@@ -533,25 +577,56 @@ class TestWorkerPool:
             (error.__cause__ if raised is RuntimeError else error).__cause__
         )
 
-    def test_replies_keep_every_reply_and_the_lowest_failure_under_contention(self):
-        replies, failing = experiment._Replies(), set(range(7, 800, 13))
+    @pytest.mark.parametrize(
+        "epochs, files, raised, message",
+        [
+            # 40 rows train one step per epoch: every repetition is pooled
+            (POOL_MIN_STEPS, [("ok", 40), ("all-control", 40), ("ok", 40), ("no-truth", 40)],
+             RuntimeError, "repetition 1 failed: training needs both"),
+            (POOL_MIN_STEPS, [("ok", 40), ("no-truth", 40), ("all-control", 40), ("ok", 40)],
+             ConfigError, "r1.csv must carry mu0 and mu1"),
+            # 500 epochs: 40 rows run here (500 steps), 80 rows are pooled (1,000 steps);
+            # repetition 1 fails here, as a rule before the pooled repetition 0 replies
+            (500, [("all-control", 80), ("all-control", 40), ("ok", 80)],
+             RuntimeError, "repetition 0 failed: training needs both"),
+            (500, [("ok", 80), ("all-control", 40), ("all-control", 80), ("ok", 40)],
+             RuntimeError, "repetition 1 failed: training needs both"),
+        ],
+    )
+    def test_lowest_failing_repetition_is_raised(self, tmp_path, epochs, files, raised, message):
+        write_arms(tmp_path, files)
+        config = ExperimentConfig(
+            model="dcn-fixed:0.2", seed=3, csv_path=str(tmp_path), repetitions=len(files),
+            train=TrainConfig(epochs=epochs, shared_widths=(8,)),
+        )
+        with pytest.raises(raised, match=message):
+            run_experiment(config)
 
-        def add(offset):
-            for r in range(offset, 800, 8):
-                replies.add(r, [], None, ValueError() if r in failing else None)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_an_interrupt_stops_a_pooled_run_promptly(self):
+        config = pooled_config(repetitions=2, train=TrainConfig(epochs=40_000, shared_widths=(8,)))
+        script = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPT_SCRIPT, json.dumps(config.to_dict())],
+            env=script_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,  # so the interrupt reaches the script alone
+        )
         try:
-            threads = [threading.Thread(target=add, args=(k,)) for k in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            workers = json.loads(script.stdout.readline())
+            start = time.monotonic()
+            script.send_signal(signal.SIGINT)
+            _, stderr = script.communicate(timeout=60)
+            elapsed = time.monotonic() - start
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(replies) == list(range(800)) and replies.first_failure == 7
+            try:  # whatever happened, leave no process of the script's session behind
+                os.killpg(script.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            script.communicate()
+        assert len(workers) == min(2, len(os.sched_getaffinity(0)))
+        assert "KeyboardInterrupt" in stderr
+        assert elapsed < 3
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_worker_warnings_meet_this_process_filters(self, tmp_path):
         # features near 1e200 overflow in standardize's variance: a RuntimeWarning
@@ -734,7 +809,8 @@ class TestModelBundles:
         "kind, key, value",
         [("knn", "k", 0), ("knn", "k", None), ("dcn-pd", "gamma", 1.5), ("knn", "k", 2.7),
          ("dcn-pd", "n_samples", 2.5), ("dcn-pd", "n_samples", True),
-         ("dcn-pd", "gamma", 0.5)],  # in range, but not the propensity model's gamma
+         ("dcn-pd", "gamma", 0.5),  # in range, but not the propensity model's gamma
+         ("knn", "standardization", {"mean": [0.0, 0.0], "std": [1.0, math.inf]})],
     )
     def test_bundle_invalid_field_rejected(self, tiny_bundles, kind, key, value):
         bundle = {**tiny_bundles[kind], key: value}

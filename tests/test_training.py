@@ -1,5 +1,6 @@
 """Alternating-loop behavior: phase schedule, mask schedule, determinism."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestSchedule:
     def collect_epochs(self, train_fn, *args, config):
         snaps: list[tuple[EpochRecord, DCNParams]] = []
         train_fn(*args, config, np.random.default_rng(42),
-                 on_epoch=lambda rec, p: snaps.append((rec, p.copy())))
+                 on_epoch=lambda rec, p: snaps.append((rec, copy.deepcopy(p))))
         return snaps
 
     def test_phase_labels_alternate_starting_with_control(self):

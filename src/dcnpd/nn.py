@@ -42,17 +42,6 @@ def _activate(z: np.ndarray, name: str, out: np.ndarray | None = None) -> np.nda
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(z: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
-    # Derivative w.r.t. the pre-activation; ReLU uses the 0 subgradient at 0.
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 def aligned(a) -> np.ndarray:
     """``a`` as float64 starting on a 64-byte boundary (``a`` itself if it does).
 
@@ -255,7 +244,10 @@ class ForwardCache:
 
     ``masks`` holds the caller's mask arrays themselves, not copies.
     ``output`` is the network output, kept so that a later call can write
-    into it (see `mlp_forward`).
+    into it (see `mlp_forward`). The last three fields are `mlp_backward`'s
+    buffers, None until the first backward on this cache: the per-layer
+    ``(dW, db)``, the gradient at each layer's input plus one at the
+    output, and each layer's activation derivative (None for identity).
     """
 
     inputs: list[np.ndarray]
@@ -263,6 +255,9 @@ class ForwardCache:
     acts: list[np.ndarray]
     masks: list[np.ndarray | None]
     output: np.ndarray | None = None
+    grads: list[tuple[np.ndarray, np.ndarray]] | None = None
+    grad_bufs: list[np.ndarray] | None = None
+    act_grads: list[np.ndarray | None] | None = None
 
 
 def mlp_forward(
@@ -329,34 +324,58 @@ def mlp_forward(
 
 
 def mlp_backward(
-    params: MLPParams, cache: ForwardCache, grad_output: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    params: MLPParams, cache: ForwardCache, grad_output: np.ndarray, input_grad: bool = True
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
     """Backpropagate ``dloss/doutput`` through the cached forward pass.
 
-    Returns ``(grads, grad_input)`` where ``grads[i] = (dW_i, db_i)``.
-    Gradients are sums over the batch; any averaging lives in the loss
-    gradient the caller supplies. Units masked out in the forward pass
-    propagate exactly zero gradient.
+    Returns ``(grads, grad_input)`` where ``grads[i] = (dW_i, db_i)``;
+    ``grad_input`` is None with ``input_grad=False``, which skips layer 0's
+    ``gz @ W.T``. Gradients are sums over the batch; any averaging lives in
+    the loss gradient the caller supplies. Units masked out in the forward
+    pass propagate exactly zero gradient.
+
+    Every returned array is a buffer of ``cache``: the first backward on a
+    cache allocates them, and each later one, after `mlp_forward` has
+    refilled the cache through ``out=``, overwrites them. ``grad_output`` is
+    never written.
     """
     if len(cache.inputs) != len(params.layers):
         raise ValueError("cache does not match the parameter stack")
     grad_output = np.asarray(grad_output, dtype=np.float64)
-    if grad_output.shape != (cache.inputs[0].shape[0], params.output_dim):
+    rows = cache.inputs[0].shape[0]
+    if grad_output.shape != (rows, params.output_dim):
         raise ValueError("grad_output shape does not match the forward output")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)  # type: ignore[list-item]
+    for layer, h in zip(params.layers, cache.inputs):
+        if h.shape[1] != layer.fan_in:
+            raise ValueError("cache does not match the parameter stack")
+    if cache.grads is None:
+        cache.grads = [(np.empty(layer.W.shape), np.empty(layer.fan_out)) for layer in params.layers]
+        widths = [params.input_dim, *(layer.fan_out for layer in params.layers)]
+        cache.grad_bufs = [np.empty((rows, w)) for w in widths]
+        kinds = {"relu": bool, "sigmoid": np.float64}
+        cache.act_grads = [
+            np.empty((rows, layer.fan_out), kinds[layer.activation])
+            if layer.activation in kinds
+            else None
+            for layer in params.layers
+        ]
     g = grad_output
     for i in reversed(range(len(params.layers))):
-        layer = params.layers[i]
-        if cache.inputs[i].shape[1] != layer.fan_in:
-            raise ValueError("cache does not match the parameter stack")
-        if cache.masks[i] is not None:
-            g = g * cache.masks[i]
-        gz = g * _activation_grad(cache.pre_acts[i], cache.acts[i], layer.activation)
-        dW = cache.inputs[i].T @ gz
-        db = gz.sum(axis=0)
-        grads[i] = (dW, db)
-        g = gz @ layer.W.T
-    return grads, g
+        layer, z, a, m = params.layers[i], cache.pre_acts[i], cache.acts[i], cache.masks[i]
+        # below the top layer g is grad_bufs[i + 1] itself, so gz overwrites it
+        gz, act_grad = cache.grad_bufs[i + 1], cache.act_grads[i]
+        if m is not None:
+            g = np.multiply(g, m, out=gz)
+        # dloss/dz; ReLU takes the 0 subgradient at 0, identity leaves g as it is
+        if layer.activation == "relu":
+            g = np.multiply(g, np.greater(z, 0.0, out=act_grad), out=gz)
+        elif layer.activation == "sigmoid":
+            g = np.multiply(g, np.multiply(a, np.subtract(1.0, a, out=act_grad), out=act_grad), out=gz)
+        dW, db = cache.grads[i]
+        np.matmul(cache.inputs[i].T, g, out=dW)
+        np.sum(g, axis=0, out=db)
+        g = np.matmul(g, layer.W.T, out=cache.grad_bufs[i]) if i or input_grad else None
+    return cache.grads, g
 
 
 def flatten_grads(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
@@ -370,10 +389,14 @@ def flatten_grads(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators for a fixed list of parameter arrays."""
+    """Adam moment accumulators for a fixed list of parameter arrays.
+
+    ``scratch`` holds two arrays per parameter that `adam_step` overwrites.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]
     t: int = 0
     lr: float = 0.001
     beta1: float = 0.9
@@ -390,14 +413,15 @@ class AdamState:
         epsilon: float = 1e-8,
     ) -> "AdamState":
         m, v = ([np.zeros_like(p) for p in params] for _ in range(2))
-        return cls(m, v, 0, lr, beta1, beta2, epsilon)
+        scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        return cls(m, v, scratch, 0, lr, beta1, beta2, epsilon)
 
 
 def adam_step(
     params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
 ) -> None:
     """One bias-corrected Adam update, applied to ``params`` in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
         raise ValueError("params, grads, and state must have matching lengths")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
@@ -405,10 +429,9 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # lr * (m/bc1) / (sqrt(v/bc2) + eps), operation for operation, in two
-        # scratch arrays instead of a fresh full-size temporary per operation
-        step, denom = np.empty_like(p), np.empty_like(p)
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
+        # lr * (m/bc1) / (sqrt(v/bc2) + eps), operation for operation, in the
+        # state's two scratch arrays instead of a temporary per operation
         m *= state.beta1
         m += np.multiply(g, 1.0 - state.beta1, out=step)
         v *= state.beta2
@@ -424,6 +447,7 @@ def train_step(
     x: np.ndarray,
     masks: Sequence[Sequence[np.ndarray | None] | None],
     loss_grad: Callable[[np.ndarray], np.ndarray],
+    caches: list[ForwardCache | None] | None = None,
 ) -> tuple[list[list[tuple[np.ndarray, np.ndarray]]], list[ForwardCache]]:
     """One Adam step on a chain of nets, each feeding the next.
 
@@ -433,21 +457,24 @@ def train_step(
     ``states[i]``. Raises FloatingPointError, before any update, if the
     forward output is not finite.
 
-    Returns each net's applied gradients and forward cache. A training loop
-    holds them until its next step returns: freeing a whole step's arrays at
-    once lets glibc trim the heap and fault it back in on every step.
+    ``caches``, one slot per net, works as in `dcn_forward`: an empty slot
+    receives the net's new cache and a filled one is refilled, so steps of
+    one input shape and mask layout reuse one set of activation and
+    gradient buffers. Returns each net's applied gradients and the caches;
+    the gradients are buffers of those caches, overwritten by the next step
+    on them.
     """
-    caches = []
+    caches = [None] * len(nets) if caches is None else caches
     h = x
-    for net, mask in zip(nets, masks):
-        h, cache = mlp_forward(net, h, mask)
-        caches.append(cache)
+    for i, (net, mask) in enumerate(zip(nets, masks)):
+        h, caches[i] = mlp_forward(net, h, mask, caches[i])
     if not np.isfinite(h).all():
         raise FloatingPointError("forward output is not finite")
     g = loss_grad(h)
     grads = [None] * len(nets)
     for i in reversed(range(len(nets))):
-        grads[i], g = mlp_backward(nets[i], caches[i], g)
+        # the chain's input gradient is never read
+        grads[i], g = mlp_backward(nets[i], caches[i], g, input_grad=i > 0)
         adam_step(nets[i].parameter_arrays(), flatten_grads(grads[i]), states[i])
     return grads, caches
 

@@ -152,12 +152,10 @@ def train_propensity(
     logit_view = MLPParams(net.layers[:-1] + [logit_head])
     w = scaled.W.astype(np.float64)
     state = AdamState.for_params(logit_view.parameter_arrays(), lr=learning_rate)
+    caches = [None]
     for epoch in range(1, epochs + 1):
         try:
-            # held until the next step returns (see train_step)
-            last_step = train_step(
-                [logit_view], [state], scaled.X, [None], lambda z: _bce_grad(z, w)
-            )
+            train_step([logit_view], [state], scaled.X, [None], lambda z: _bce_grad(z, w), caches)
         except FloatingPointError as e:
             raise FloatingPointError(f"propensity training, epoch {epoch}: {e}") from None
     return PropensityModel(net, transform, schedule)

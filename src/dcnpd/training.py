@@ -106,21 +106,28 @@ def fit_phases(
     ``keep`` of its rows, a mask for every layer output of the chain ``nets``
     but the last, and takes one `train_step` on the squared error of the
     chain's first output. ``on_epoch`` receives each epoch's `EpochRecord`,
-    whose error is the maskless one on the phase's rows.
+    whose error is the maskless one on the phase's rows. Each phase keeps
+    one set of step caches and one mask block per minibatch length, of
+    which it has at most two.
     """
+    buffers = {}  # (phase, minibatch length) -> (train_step caches, mask block)
     for k in range(1, config.epochs + 1):
-        name, nets, states, rows = phases[(k - 1) % len(phases)]
+        phase = (k - 1) % len(phases)
+        name, nets, states, rows = phases[phase]
         widths = [layer.fan_out for net in nets for layer in net.layers][:-1]
         ends = list(accumulate(len(net.layers) for net in nets))
         try:
             for batch in minibatches(len(rows), config.batch_size, rng):
                 idx = rows[batch]
+                if (phase, len(idx)) not in buffers:
+                    block = np.empty((1, len(idx) * sum(widths)))
+                    buffers[phase, len(idx)] = [None] * len(nets), block
+                caches, block = buffers[phase, len(idx)]
                 # masks are drawn unconditionally, even at keep 1, so runs that
                 # differ only in schedule stay on the same random stream
-                masks = draw_masks(widths, keep[idx], rng)
+                masks = draw_masks(widths, keep[idx], rng, out=block)
                 per_net = [masks[a:b] for a, b in zip([0, *ends], ends)]
-                # held until the next step returns (see train_step)
-                last_step = train_step(nets, states, X[idx], per_net, _squared_error_grad(Y[idx]))
+                train_step(nets, states, X[idx], per_net, _squared_error_grad(Y[idx]), caches)
         except FloatingPointError as e:
             raise FloatingPointError(f"epoch {k} ({name} phase): {e}") from None
         if on_epoch is not None:

@@ -395,6 +395,60 @@ class TestBackward:
         # is ~6e-6, so a 1e-5 step would measure rounding, not the derivative.
         assert self.masked_gradient_error("sigmoid", epsilon=1e-4) < 1e-6
 
+    @staticmethod
+    def written_out_backward(params, cache, grad_output):
+        """The backward pass with a fresh array per operation, as formulas."""
+        grads, g = [None] * len(params.layers), grad_output
+        for i in reversed(range(len(params.layers))):
+            layer, z, a = params.layers[i], cache.pre_acts[i], cache.acts[i]
+            if cache.masks[i] is not None:
+                g = g * cache.masks[i]
+            if layer.activation == "relu":
+                gz = g * (z > 0.0).astype(np.float64)
+            elif layer.activation == "sigmoid":
+                gz = g * (a * (1.0 - a))
+            else:
+                gz = g * np.ones_like(z)
+            grads[i] = (cache.inputs[i].T @ gz, gz.sum(axis=0))
+            g = gz @ layer.W.T
+        return grads, g
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_matches_written_out_formulas_bitwise(self, activation, masked, rows):
+        rng = np.random.default_rng(12)
+        widths = (4, 6, 5, 3)
+        params = build_mlp(widths, rng, activation, activation)
+
+        def masks():
+            # a mask on every layer, the output too, when masked
+            drawn = draw_masks(widths[1:], rng.uniform(0.3, 1.0, rows), rng)
+            return drawn if masked else None
+
+        def check(cache, expect_buffers=None):
+            g = rng.normal(size=(rows, widths[-1]))
+            g_before = g.tobytes()
+            want, want_in = self.written_out_backward(params, cache, g)
+            got, got_in = mlp_backward(params, cache, g)
+            assert g.tobytes() == g_before
+            assert got_in.tobytes() == want_in.tobytes()
+            for (dw, db), (ww, wb) in zip(got, want, strict=True):
+                assert dw.tobytes() == ww.tobytes() and db.tobytes() == wb.tobytes()
+            skipped, none = mlp_backward(params, cache, g, input_grad=False)
+            assert none is None and skipped is got
+            for (dw, db), (ww, wb) in zip(skipped, want):
+                assert dw.tobytes() == ww.tobytes() and db.tobytes() == wb.tobytes()
+            if expect_buffers is not None:
+                assert all(a is b for a, b in zip(flatten_grads(got), expect_buffers, strict=True))
+            return flatten_grads(got)
+
+        _, cache = mlp_forward(params, rng.normal(size=(rows, widths[0])), masks())
+        buffers = check(cache)
+        refilled = mlp_forward(params, rng.normal(size=(rows, widths[0])), masks(), out=cache)[1]
+        assert refilled is cache
+        check(cache, expect_buffers=buffers)
+
     def test_grad_output_shape_mismatch_raises(self):
         params = tiny_net()
         _, cache = mlp_forward(params, np.ones((2, 3)))
@@ -445,6 +499,33 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(ValueError):
             adam_step([p], [np.zeros(2)], state)
+
+    def test_matches_written_out_update_bitwise(self):
+        rng = np.random.default_rng(41)
+        shapes = [(1,), (3,), (4, 5)]
+        params = [rng.normal(size=s) for s in shapes]
+        lr, b1, b2, eps = 0.01, 0.8, 0.99, 1e-6
+        state = AdamState.for_params(params, lr, b1, b2, eps)
+        scratch = [a for pair in state.scratch for a in pair]
+        want_p = [p.copy() for p in params]
+        want_m, want_v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        for t in range(1, 4):
+            grads = [rng.normal(size=s) for s in shapes]
+            adam_step(params, grads, state)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            # the 14 operations; the scratch pair ends holding the step and denominator
+            want_scratch = []
+            for j, g in enumerate(grads):
+                want_m[j] = want_m[j] * b1 + g * (1.0 - b1)
+                want_v[j] = want_v[j] * b2 + (g * g) * (1.0 - b2)
+                denom = np.sqrt(want_v[j] / bc2) + eps
+                step = (want_m[j] / bc1 * lr) / denom
+                want_p[j] = want_p[j] - step
+                want_scratch += [step, denom]
+            got = params + state.m + state.v + scratch
+            for a, b in zip(got, want_p + want_m + want_v + want_scratch, strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert all(a is b for a, b in zip([a for pair in state.scratch for a in pair], scratch))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -10,7 +10,16 @@ from dcnpd.data import ObservationalDataset, Standardization, standardize
 from dcnpd import dcn, training
 from dcnpd.dcn import DCNParams, build_dcn, mc_ite_matrix, predict_deterministic
 from dcnpd.baselines import train_direct_nn
-from dcnpd.nn import DenseLayer, MLPParams, build_mlp, draw_masks, minibatches, train_step
+from dcnpd.nn import (
+    AdamState,
+    DenseLayer,
+    MLPParams,
+    build_mlp,
+    draw_masks,
+    flatten_grads,
+    minibatches,
+    train_step,
+)
 from dcnpd.propensity import (
     DropoutSchedule,
     PropensityModel,
@@ -289,6 +298,50 @@ class TestReferenceLoop:
         trained = train_direct_nn(ds, arch, self.CONFIG, np.random.default_rng(29), 0.25)
         expected = reference_direct(ds, arch, 0.75, self.CONFIG, np.random.default_rng(29))
         assert stack_equal(trained.net, expected)
+
+
+def same_bits(a: list, b: list) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+def dcn_arrays(params: DCNParams) -> list:
+    return [a for net in (params.shared, params.head0, params.head1) for a in net.parameter_arrays()]
+
+
+class TestStepBuffers:
+    """Steps on kept caches reuse their arrays and give the fresh-allocation bits."""
+
+    def test_steps_on_the_same_caches_reuse_gradient_arrays(self):
+        rng = np.random.default_rng(50)
+        nets = [build_mlp((3, 6, 4), rng), build_mlp((4, 5, 1), rng)]
+        fresh_nets = copy.deepcopy(nets)
+        states, fresh_states = (
+            [AdamState.for_params(net.parameter_arrays()) for net in group]
+            for group in (nets, fresh_nets)
+        )
+        x, y = rng.normal(size=(7, 3)), rng.normal(size=7)
+        caches, returned = [None, None], []
+        for _ in range(2):
+            masks = draw_masks([6, 4, 5], rng.uniform(0.5, 1.0, 7), rng)
+            per_net = [masks[:2], masks[2:]]
+            grads, kept = train_step(nets, states, x, per_net, squared_error_grad(y), caches)
+            assert kept is caches
+            returned.append([a for net_grads in grads for a in flatten_grads(net_grads)])
+            train_step(fresh_nets, fresh_states, x, per_net, squared_error_grad(y))
+        assert all(a is b for a, b in zip(*returned, strict=True))
+        for net, fresh in zip(nets, fresh_nets):
+            assert same_bits(net.parameter_arrays(), fresh.parameter_arrays())
+
+    def test_short_last_minibatches_match_reference_bitwise(self):
+        ds = biased_toy(61, seed=51)
+        config = replace(TestReferenceLoop.CONFIG, epochs=5)
+        arms = np.bincount(ds.W)
+        assert (arms % config.batch_size != 0).all() and (arms > config.batch_size).all()
+        prop = train_propensity(ds, epochs=20, rng=np.random.default_rng(53))
+        keep = keep_probability(predict_propensity(prop, ds.X), DropoutSchedule(config.gamma))
+        trained = train_dcn(ds, prop, config, np.random.default_rng(52))
+        expected = reference_alternating(ds, keep, config, np.random.default_rng(52))
+        assert same_bits(dcn_arrays(trained), dcn_arrays(expected))
 
 
 class TestDeterminismAndEquivalence:

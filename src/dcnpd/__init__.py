@@ -6,7 +6,7 @@ by alternating phases on treated and control subjects, Monte Carlo effect
 inference, synthetic observational benchmarks, and reference baselines.
 """
 
-from .baselines import DirectModel, KnnConfig, knn_ite, train_direct_nn
+from .baselines import KnnConfig, knn_ite, train_direct_nn
 from .data import (
     ObservationalDataset,
     Standardization,
@@ -17,14 +17,7 @@ from .data import (
     standardize,
     train_test_split,
 )
-from .dcn import (
-    DCNParams,
-    ITEEstimate,
-    build_dcn,
-    dcn_forward,
-    estimate_ite,
-    predict_deterministic,
-)
+from .dcn import DCNParams, ITEEstimate, build_dcn, dcn_forward, estimate_ite
 from .experiment import (
     ConfigError,
     ExperimentConfig,
@@ -38,7 +31,6 @@ from .nn import (
     DenseLayer,
     MLPParams,
     adam_step,
-    grad_check,
     mlp_backward,
     mlp_forward,
     xavier_init,
@@ -52,19 +44,13 @@ from .propensity import (
     predict_propensity,
     train_propensity,
 )
-from .training import (
-    TrainConfig,
-    factual_mse,
-    train_dcn,
-    train_dcn_fixed_dropout,
-)
+from .training import TrainConfig, train_dcn, train_dcn_fixed_dropout
 
 __all__ = [
     "AdamState",
     "ConfigError",
     "DCNParams",
     "DenseLayer",
-    "DirectModel",
     "DropoutSchedule",
     "ExperimentConfig",
     "ExperimentReport",
@@ -83,16 +69,13 @@ __all__ = [
     "dropout_probability",
     "emit_report",
     "estimate_ite",
-    "factual_mse",
     "generate_synthetic",
-    "grad_check",
     "ite_mse",
     "keep_probability",
     "knn_ite",
     "load_csv",
     "mlp_backward",
     "mlp_forward",
-    "predict_deterministic",
     "predict_propensity",
     "run_experiment",
     "save_csv",

@@ -5,7 +5,7 @@ The fixed-dropout variant of the multitask network lives in `training`
 baselines. Both potential outcomes of a subject are estimated from
 group-restricted neighbor sets in the matching estimator, and from one
 network that takes the treatment bit as an input feature in the direct
-estimator.
+estimator. Fitted models and their effect readouts live in `experiment`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ObservationalDataset, check_count
-from .nn import MLPParams, build_mlp, mlp_forward
+from .nn import MLPParams, build_mlp
 from .training import TrainConfig, fit_phases
 
 DEFAULT_DIRECT_ARCH = (200, 200, 200)  # hidden widths; output layer is the 4th
@@ -67,56 +67,19 @@ def knn_ite(
     )
 
 
-@dataclass
-class DirectModel:
-    """Single regressor f(x, w); effects are read off as f(x,1) - f(x,0)."""
-
-    net: MLPParams
-
-    def __post_init__(self):
-        if self.net.output_dim != 1:
-            raise ValueError("direct model must have a single output unit")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.net.input_dim - 1
-
-    def predict_outcome(self, x: np.ndarray, w) -> np.ndarray | float:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        rows = x[None, :] if single else x
-        if rows.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"feature width {rows.shape[1]} does not match model width {self.feature_dim}"
-            )
-        w_col = np.broadcast_to(np.asarray(w, dtype=np.float64), (rows.shape[0],))
-        inputs = np.column_stack([rows, w_col])
-        out = mlp_forward(self.net, inputs)[0][:, 0]
-        return float(out[0]) if single else out
-
-    def predict_ite(self, x: np.ndarray) -> np.ndarray | float:
-        return self.predict_outcome(x, 1.0) - self.predict_outcome(x, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"net": self.net.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DirectModel":
-        return cls(MLPParams.from_dict(payload["net"]))
-
-
 def train_direct_nn(
     dataset: ObservationalDataset,
     arch: Sequence[int] = DEFAULT_DIRECT_ARCH,
     config: TrainConfig = TrainConfig(),
     rng: np.random.Generator | None = None,
     dropout_prob: float = DIRECT_DROPOUT,
-) -> DirectModel:
-    """Fit the direct regressor on (x, w) -> y with uniform hidden dropout.
+) -> MLPParams:
+    """Fit the direct regressor on (x, w) -> y with uniform hidden dropout; return its net.
 
     One `training.fit_phases` phase over every row: the same loop,
     optimizer, loss, initialization, and minibatch size as the multitask
-    network, so comparisons isolate the architecture.
+    network, so comparisons isolate the architecture. The net's input is
+    the features followed by the treatment bit.
     """
     if not 0.0 <= dropout_prob < 1.0:
         raise ValueError("dropout_prob must lie in [0, 1)")
@@ -126,4 +89,4 @@ def train_direct_nn(
     inputs = np.column_stack([dataset.X, dataset.W.astype(np.float64)])
     phase = ("direct", [net], [config.adam_state(net.parameter_arrays())], np.arange(dataset.n))
     fit_phases([phase], inputs, dataset.Y, np.full(dataset.n, 1.0 - dropout_prob), config, rng)
-    return DirectModel(net)
+    return net

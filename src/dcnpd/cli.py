@@ -23,7 +23,7 @@ from .experiment import (
     config_from_json,
     emit_report,
     ite_mse,
-    load_dataset_file,
+    load_source,
     predict_from_bundle,
     run_experiment,
     train_model_bundle,
@@ -80,17 +80,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_dict(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``; an unreadable or invalid file is a ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise ConfigError(f"cannot read config file: {e}") from None
+        raise ConfigError(f"cannot read {what}: {e}") from None
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config file is not valid JSON: {e}") from None
+        raise ConfigError(f"{what} is not valid JSON: {e}") from None
+
+
+def _load_config_dict(path: str | None) -> dict:
+    payload = {} if path is None else _read_json(path, "config file")
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a JSON object")
     return payload
@@ -178,20 +181,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     payload = _load_config_dict(args.config)
     seed = _require_seed(payload, args)
-    try:
-        with open(args.model_file, encoding="utf-8") as fh:
-            bundle = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read model file: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"model file is not valid JSON: {e}") from None
+    bundle = _read_json(args.model_file, "model file")
     if not isinstance(bundle, dict) or "kind" not in bundle:
         raise ConfigError("model file is not a model bundle (missing 'kind')")
     rng = np.random.default_rng(seed)
-    if payload.get("csv_path") is not None:
-        dataset = load_dataset_file(payload["csv_path"])
-    else:
-        dataset = generate_synthetic(_synthetic_from(payload), rng)
+    csv_path = payload.get("csv_path")
+    synthetic = _synthetic_from(payload) if csv_path is None else None
+    dataset = load_source(csv_path, synthetic, rng)
     if dataset.true_ite is None:
         raise ConfigError(
             "evaluation needs ground truth: the dataset must carry mu0 and mu1"

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import check_count
-from .nn import ForwardCache, MLPParams, build_mlp, draw_masks, mlp_forward
+from .nn import ForwardCache, MLPParams, build_mlp, draw_masks, mask_widths, mlp_forward
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 DEFAULT_SHARED_WIDTHS = (200, 200)
@@ -59,14 +59,6 @@ class DCNParams:
     def input_dim(self) -> int:
         return self.shared.input_dim
 
-    def mask_widths(self) -> tuple[list[int], list[int], list[int]]:
-        """Maskable widths: all shared-layer outputs, heads' hidden layers only."""
-        return (
-            [layer.fan_out for layer in self.shared.layers],
-            self.head0.hidden_widths(),
-            self.head1.hidden_widths(),
-        )
-
     def to_dict(self) -> dict:
         return {
             "shared": self.shared.to_dict(),
@@ -104,7 +96,7 @@ def build_dcn(
 def dcn_forward(
     params: DCNParams,
     x: np.ndarray,
-    masks: tuple[list, list, list] | None = None,
+    masks: Sequence[list] | None = None,
     caches: list[ForwardCache | None] | None = None,
 ):
     """Evaluate both heads as a (y0, y1) pair; the shared stack runs exactly once.
@@ -130,12 +122,6 @@ def dcn_forward(
         out, slots[i] = mlp_forward(net, rep, groups[i], slots[i])
         outs.append(float(out[0, 0]) if single else out[..., 0])
     return tuple(outs)
-
-
-def predict_deterministic(params: DCNParams, x: np.ndarray):
-    """Maskless point prediction: (y0, y1, y1 - y0)."""
-    y0, y1 = dcn_forward(params, x)
-    return y0, y1, y1 - y0
 
 
 @dataclass
@@ -181,11 +167,13 @@ def _mc_outcomes(
 
     Row i keeps units with its scheduled `keep_probability`, as in
     training; each draw takes fresh masks for the shared stack, then head0,
-    then head1. ``X`` is checked once, and `draw_masks` checks the
-    keep vector. A chunk of c draws is one stacked (c, n, d) pass whose
-    masks come from one random block, in the order that c single draws
-    take them: the bits of one fresh (n, d) pass per draw. The first chunk allocates the block and
-    the forward caches; every later chunk of its size writes into them.
+    then head1: every shared output and each head's hidden outputs, the
+    `mask_widths` of the chains (shared, head0) and (head1). ``X`` is
+    checked once, and `draw_masks` checks the keep vector. A chunk of c
+    draws is one stacked (c, n, d) pass whose masks come from one random
+    block, in the order that c single draws take them: the bits of one
+    fresh (n, d) pass per draw. The first chunk allocates the block and the
+    forward caches; every later chunk of its size writes into them.
     """
     check_count("n_samples", n_samples, error=ValueError)
     n = X.shape[0]
@@ -196,18 +184,16 @@ def _mc_outcomes(
         raise ValueError(f"row {int(np.argmin(finite))} of X contains NaN or infinite values")
     keep = keep_probability(predict_propensity(prop, X), schedule)
     y0, y1 = np.empty((2, n, n_samples))
-    widths = params.mask_widths()
-    flat = [w for ws in widths for w in ws]
+    widths = mask_widths([params.shared, params.head0]) + mask_widths([params.head1])
     chunk = max(1, min(n_samples, ROWS // n))
     block = None
     for start in range(0, n_samples, chunk):
         c = min(chunk, n_samples - start)
         if block is None or len(block) != c:
-            block, caches = np.empty((c, n * sum(flat))), [None] * 3
+            block, caches = np.empty((c, n * sum(map(sum, widths)))), [None] * 3
             stack = np.broadcast_to(X, (c, *X.shape))
-        masks = iter(draw_masks(flat, keep, rng, draws=c, out=block))
-        groups = [[next(masks) for _ in ws] for ws in widths]
-        out0, out1 = dcn_forward(params, stack, groups, caches=caches)
+        masks = draw_masks(widths, keep, rng, draws=c, out=block)
+        out0, out1 = dcn_forward(params, stack, masks, caches=caches)
         y0[:, start : start + c], y1[:, start : start + c] = out0.T, out1.T
     return y0, y1
 

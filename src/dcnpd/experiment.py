@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import DEFAULT_DIRECT_ARCH, DirectModel, KnnConfig, knn_ite, train_direct_nn
+from .baselines import DEFAULT_DIRECT_ARCH, KnnConfig, knn_ite, train_direct_nn
 from .data import (
     ObservationalDataset,
     Standardization,
@@ -42,7 +42,8 @@ from .data import (
     standardize,
     train_test_split,
 )
-from .dcn import DCNParams, mc_ite_matrix, predict_deterministic
+from .dcn import DCNParams, dcn_forward, mc_ite_matrix
+from .nn import MLPParams, mlp_forward
 from .propensity import DropoutSchedule, PropensityModel, train_propensity
 from .training import TrainConfig, train_dcn, train_dcn_fixed_dropout
 
@@ -206,10 +207,10 @@ _DATA, _SPLIT, _TRAIN, _MC = range(4)
 #
 # ``fit(train_set, config, value, rng)`` trains on standardized rows, where
 # ``value`` is the model token's parameter; the fitted object predicts effects
-# for standardized rows with ``predict_ite(X, rng)``, and ``to_dict`` /
-# ``from_dict`` write and read the kind's bundle fields. Trainers are called
-# through this module's globals, so rebinding them (as a tracer does) reaches
-# every call.
+# for standardized rows with ``predict_ite(X, rng)``, ``width`` is the feature
+# width it takes, and ``to_dict`` / ``from_dict`` write and read the kind's
+# bundle fields. Trainers are called through this module's globals, so
+# rebinding them (as a tracer does) reaches every call.
 
 
 @dataclass
@@ -222,6 +223,13 @@ class _PropensityDropoutDCN:
 
     def __post_init__(self):
         check_count("n_samples", self.n_samples, error=ValueError)
+        width = self.propensity.net.input_dim
+        if width != self.width:
+            raise ValueError(f"propensity width {width} does not match dcn width {self.width}")
+
+    @property
+    def width(self) -> int:
+        return self.dcn.input_dim
 
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
@@ -262,12 +270,17 @@ class _FixedDropoutDCN:
     dropout_prob: float
     dcn: DCNParams
 
+    @property
+    def width(self) -> int:
+        return self.dcn.input_dim
+
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
         return cls(value, train_dcn_fixed_dropout(train_set, value, config.train, rng))
 
     def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return predict_deterministic(self.dcn, X)[2]
+        y0, y1 = dcn_forward(self.dcn, X)
+        return y1 - y0
 
     def to_dict(self) -> dict:
         return {"dropout_prob": self.dropout_prob, "dcn": self.dcn.to_dict()}
@@ -277,15 +290,38 @@ class _FixedDropoutDCN:
         return cls(bundle["dropout_prob"], DCNParams.from_dict(bundle["dcn"]))
 
 
-class _DirectNet(DirectModel):
-    """One four-layer regressor on (x, w); deterministic effects. Bundles as `DirectModel`."""
+@dataclass
+class _DirectNet:
+    """One four-layer regressor f(x, w); deterministic effects f(x, 1) - f(x, 0)."""
+
+    net: MLPParams
+
+    def __post_init__(self):
+        if self.net.output_dim != 1:
+            raise ValueError("direct model must have a single output unit")
+
+    @property
+    def width(self) -> int:
+        return self.net.input_dim - 1
 
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
-        return cls(train_direct_nn(train_set, DEFAULT_DIRECT_ARCH, config.train, rng).net)
+        return cls(train_direct_nn(train_set, DEFAULT_DIRECT_ARCH, config.train, rng))
 
     def predict_ite(self, X: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        return super().predict_ite(X)
+        # one pass per arm: a single 2n-row pass may round differently
+        y1, y0 = (
+            mlp_forward(self.net, np.column_stack([X, np.full(len(X), w)]))[0][:, 0]
+            for w in (1.0, 0.0)
+        )
+        return y1 - y0
+
+    def to_dict(self) -> dict:
+        return {"net": self.net.to_dict()}
+
+    @classmethod
+    def from_dict(cls, bundle: dict):
+        return cls(MLPParams.from_dict(bundle["net"]))
 
 
 @dataclass
@@ -294,6 +330,10 @@ class _Matching:
 
     train_set: ObservationalDataset
     knn: KnnConfig
+
+    @property
+    def width(self) -> int:
+        return self.train_set.d
 
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
@@ -616,23 +656,20 @@ def load_report(path) -> ExperimentReport:
 # --- model bundles (CLI train/evaluate interchange format) ---
 
 
-def load_dataset_file(path) -> ObservationalDataset:
-    """One dataset CSV; only `run_experiment` takes a directory of realizations."""
-    if Path(path).is_dir():
-        raise ConfigError(f"csv_path {path} is a directory; only benchmark reads one")
-    return load_csv(path)
-
-
-def load_source(config: ExperimentConfig, rng: np.random.Generator) -> ObservationalDataset:
-    """The config's dataset: load the CSV or draw one synthetic realization."""
-    if config.csv_path is not None:
-        return load_dataset_file(config.csv_path)
-    return generate_synthetic(config.synthetic, rng)
+def load_source(
+    csv_path: str | None, synthetic: SyntheticConfig | None, rng: np.random.Generator
+) -> ObservationalDataset:
+    """One dataset: the CSV file at ``csv_path``, else one draw of ``synthetic`` from ``rng``."""
+    if csv_path is None:
+        return generate_synthetic(synthetic, rng)
+    if Path(csv_path).is_dir():
+        raise ConfigError(f"csv_path {csv_path} is a directory; only benchmark reads one")
+    return load_csv(csv_path)
 
 
 def train_model_bundle(config: ExperimentConfig) -> dict:
     """Train the configured model on the full dataset; return a JSON-ready bundle."""
-    dataset = load_source(config, _stream(config.seed, 1, 0, _DATA))
+    dataset = load_source(config.csv_path, config.synthetic, _stream(config.seed, 1, 0, _DATA))
     scaled, transform = standardize(dataset)
     kind, value = parse_model(config.model)
     model = MODELS[kind].fit(scaled, config, value, _stream(config.seed, 1, 0, _TRAIN))
@@ -663,5 +700,10 @@ def predict_from_bundle(
         raise ConfigError(f"{kind} bundle is missing the field {e}") from None
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{kind} bundle holds an invalid field: {e}") from None
+    width = len(transform.mean)
+    if width != model.width:
+        raise ConfigError(
+            f"{kind} bundle: standardization width {width} does not match model width {model.width}"
+        )
     X_scaled = transform.transform(np.asarray(X, dtype=np.float64))
     return model.predict_ite(X_scaled, np.random.default_rng() if rng is None else rng)

@@ -1,4 +1,4 @@
-"""Dense feed-forward substrate: layers, dropout masks, Adam, gradient checking.
+"""Dense feed-forward substrate: layers, dropout masks, backprop, Adam.
 
 Everything runs in float64 on plain numpy arrays (row-major, one row per
 example). Randomness always comes from an explicitly passed
@@ -119,17 +119,9 @@ class MLPParams:
     def output_dim(self) -> int:
         return self.layers[-1].fan_out
 
-    def hidden_widths(self) -> list[int]:
-        """Widths of every layer output except the final one."""
-        return [layer.fan_out for layer in self.layers[:-1]]
-
     def parameter_arrays(self) -> list[np.ndarray]:
         """Flat view [W1, b1, W2, b2, ...]; the arrays themselves, not copies."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.W)
-            out.append(layer.b)
-        return out
+        return [a for layer in self.layers for a in (layer.W, layer.b)]
 
     def to_dict(self) -> dict:
         return {
@@ -192,21 +184,29 @@ def bernoulli_mask(uniform: np.ndarray, keep) -> np.ndarray:
     return np.divide(uniform, keep, out=uniform)
 
 
+def mask_widths(chain: Sequence[MLPParams]) -> list[list[int]]:
+    """Per-net widths of the masked outputs of a chain of nets: all but the chain's output."""
+    widths = [[layer.fan_out for layer in net.layers] for net in chain]
+    widths[-1].pop()
+    return widths
+
+
 def draw_masks(
-    widths: Sequence[int],
+    groups: Sequence[Sequence[int]],
     keep: np.ndarray,
     rng: np.random.Generator,
     draws: int | None = None,
     out: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """One inverted-dropout mask per width, for ``draws`` draws, from one random block.
+) -> list[list[np.ndarray]]:
+    """Inverted-dropout masks for ``draws`` draws, one list per net, from one random block.
 
+    ``groups`` holds one list of widths per net (see `mask_widths`).
     ``keep`` is the per-row keep probability vector; row ``i`` of every mask
     holds ``0.0`` or ``1/keep[i]``. One ``rng.random`` call fills a
-    ``(draws, rows * sum(widths))`` block (one row when ``draws`` is None)
-    whose row ``m`` holds, width by width, the ``(rows, width)`` masks of
-    draw ``m`` row by row: the stream and the values of one
-    ``(rng.random((rows, width)) < keep[:, None]) / keep[:, None]`` per
+    ``(draws, rows * total width)`` block (one row when ``draws`` is None)
+    whose row ``m`` holds, net by net and width by width, the ``(rows,
+    width)`` masks of draw ``m`` row by row: the stream and the values of
+    one ``(rng.random((rows, width)) < keep[:, None]) / keep[:, None]`` per
     width and draw, in that order. `bernoulli_mask` turns each width's view
     of the block into its mask in place, so each mask is that view,
     ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
@@ -217,17 +217,20 @@ def draw_masks(
     keep = _checked_keep(keep)
     rows = len(keep)
     c = 1 if draws is None else draws
-    shape = (c, rows * sum(widths))
+    shape = (c, rows * sum(map(sum, groups)))
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 block of shape {shape}")
     rng.random(out=out)
     masks, start = [], 0
-    for w in widths:
-        mask = bernoulli_mask(out[:, start : start + rows * w].reshape(c, rows, w), keep[:, None])
-        masks.append(mask[0] if draws is None else mask)
-        start += rows * w
+    for widths in groups:
+        masks.append([])
+        for w in widths:
+            view = out[:, start : start + rows * w].reshape(c, rows, w)
+            mask = bernoulli_mask(view, keep[:, None])
+            masks[-1].append(mask[0] if draws is None else mask)
+            start += rows * w
     return masks
 
 
@@ -245,9 +248,10 @@ class ForwardCache:
     ``masks`` holds the caller's mask arrays themselves, not copies.
     ``output`` is the network output, kept so that a later call can write
     into it (see `mlp_forward`). The last three fields are `mlp_backward`'s
-    buffers, None until the first backward on this cache: the per-layer
-    ``(dW, db)``, the gradient at each layer's input plus one at the
-    output, and each layer's activation derivative (None for identity).
+    buffers, None until the first backward on this cache: the parameter
+    gradients ``[dW1, db1, dW2, db2, ...]`` in `MLPParams.parameter_arrays`
+    order, the gradient at each layer's input plus one at the output, and
+    each layer's activation derivative (None for identity).
     """
 
     inputs: list[np.ndarray]
@@ -255,7 +259,7 @@ class ForwardCache:
     acts: list[np.ndarray]
     masks: list[np.ndarray | None]
     output: np.ndarray | None = None
-    grads: list[tuple[np.ndarray, np.ndarray]] | None = None
+    grads: list[np.ndarray] | None = None
     grad_bufs: list[np.ndarray] | None = None
     act_grads: list[np.ndarray | None] | None = None
 
@@ -325,10 +329,12 @@ def mlp_forward(
 
 def mlp_backward(
     params: MLPParams, cache: ForwardCache, grad_output: np.ndarray, input_grad: bool = True
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backpropagate ``dloss/doutput`` through the cached forward pass.
 
-    Returns ``(grads, grad_input)`` where ``grads[i] = (dW_i, db_i)``;
+    Returns ``(grads, grad_input)`` where ``grads`` is
+    ``[dW1, db1, dW2, db2, ...]``, the layout of
+    `MLPParams.parameter_arrays`, so it goes to `adam_step` as is;
     ``grad_input`` is None with ``input_grad=False``, which skips layer 0's
     ``gz @ W.T``. Gradients are sums over the batch; any averaging lives in
     the loss gradient the caller supplies. Units masked out in the forward
@@ -349,7 +355,7 @@ def mlp_backward(
         if h.shape[1] != layer.fan_in:
             raise ValueError("cache does not match the parameter stack")
     if cache.grads is None:
-        cache.grads = [(np.empty(layer.W.shape), np.empty(layer.fan_out)) for layer in params.layers]
+        cache.grads = [np.empty(a.shape) for a in params.parameter_arrays()]
         widths = [params.input_dim, *(layer.fan_out for layer in params.layers)]
         cache.grad_bufs = [np.empty((rows, w)) for w in widths]
         kinds = {"relu": bool, "sigmoid": np.float64}
@@ -371,20 +377,10 @@ def mlp_backward(
             g = np.multiply(g, np.greater(z, 0.0, out=act_grad), out=gz)
         elif layer.activation == "sigmoid":
             g = np.multiply(g, np.multiply(a, np.subtract(1.0, a, out=act_grad), out=act_grad), out=gz)
-        dW, db = cache.grads[i]
-        np.matmul(cache.inputs[i].T, g, out=dW)
-        np.sum(g, axis=0, out=db)
+        np.matmul(cache.inputs[i].T, g, out=cache.grads[2 * i])
+        np.sum(g, axis=0, out=cache.grads[2 * i + 1])
         g = np.matmul(g, layer.W.T, out=cache.grad_bufs[i]) if i or input_grad else None
     return cache.grads, g
-
-
-def flatten_grads(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """[ (dW1, db1), ... ] -> [dW1, db1, ...], matching `parameter_arrays`."""
-    out: list[np.ndarray] = []
-    for dW, db in grads:
-        out.append(dW)
-        out.append(db)
-    return out
 
 
 @dataclass
@@ -448,7 +444,7 @@ def train_step(
     masks: Sequence[Sequence[np.ndarray | None] | None],
     loss_grad: Callable[[np.ndarray], np.ndarray],
     caches: list[ForwardCache | None] | None = None,
-) -> tuple[list[list[tuple[np.ndarray, np.ndarray]]], list[ForwardCache]]:
+) -> tuple[list[list[np.ndarray]], list[ForwardCache]]:
     """One Adam step on a chain of nets, each feeding the next.
 
     ``masks[i]``, the per-layer mask list of ``nets[i]`` (or None), applies
@@ -475,45 +471,6 @@ def train_step(
     for i in reversed(range(len(nets))):
         # the chain's input gradient is never read
         grads[i], g = mlp_backward(nets[i], caches[i], g, input_grad=i > 0)
-        adam_step(nets[i].parameter_arrays(), flatten_grads(grads[i]), states[i])
+        adam_step(nets[i].parameter_arrays(), grads[i], states[i])
     return grads, caches
 
-
-def grad_check(
-    params: MLPParams,
-    loss_fn: Callable[[MLPParams], tuple[float, list[tuple[np.ndarray, np.ndarray]]]],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    ``loss_fn`` evaluates the current parameters and returns
-    ``(loss, grads)`` with grads in `mlp_backward` layout; it must be
-    deterministic (fix any masks and data in its closure). Relative error
-    per entry is ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
-    Raises FloatingPointError if any evaluated loss is non-finite.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    loss0, grads = loss_fn(params)
-    if not np.isfinite(loss0):
-        raise FloatingPointError("loss is not finite at the base point")
-    flat = flatten_grads(grads)
-    arrays = params.parameter_arrays()
-    if len(flat) != len(arrays):
-        raise ValueError("gradient layout does not match the parameter stack")
-    max_rel = 0.0
-    for arr, g in zip(arrays, flat):
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + epsilon
-            loss_plus = loss_fn(params)[0]
-            arr[idx] = orig - epsilon
-            loss_minus = loss_fn(params)[0]
-            arr[idx] = orig
-            if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-                raise FloatingPointError("loss is not finite at a perturbed point")
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            analytic = g[idx]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-            max_rel = max(max_rel, rel)
-    return max_rel

@@ -83,6 +83,11 @@ class PropensityModel:
             raise ValueError("propensity net must have a single output unit")
         if self.net.layers[-1].activation != "sigmoid":
             raise ValueError("propensity net must end in a sigmoid output")
+        if len(self.standardization.mean) != self.net.input_dim:
+            raise ValueError(
+                f"standardization width {len(self.standardization.mean)} "
+                f"does not match propensity net width {self.net.input_dim}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import ObservationalDataset, check_count
-from .dcn import DCNParams, build_dcn, dcn_forward
-from .nn import AdamState, MLPParams, draw_masks, minibatches, mlp_forward, train_step
+from .dcn import DCNParams, build_dcn
+from .nn import AdamState, MLPParams, draw_masks, mask_widths, minibatches, mlp_forward, train_step
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
 
 
@@ -75,15 +74,6 @@ class EpochRecord:
     factual_mse: float
 
 
-def factual_mse(params: DCNParams, batch: ObservationalDataset) -> float:
-    """Mean squared error of each subject's own arm against its factual outcome."""
-    if batch.n == 0:
-        raise ValueError("factual_mse needs a non-empty batch")
-    y0, y1 = dcn_forward(params, batch.X)
-    pred = np.where(batch.W == 1, y1, y0)
-    return float(np.mean((pred - batch.Y) ** 2))
-
-
 def _squared_error_grad(y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     # dloss/doutput of the mean squared error of a net's first output against y
     return lambda out: (2.0 * (out[:, 0] - y) / len(y))[:, None]
@@ -103,31 +93,29 @@ def fit_phases(
     A phase is ``(name, nets, states, rows)``: epoch k makes one shuffled
     minibatch pass of ``phases[(k - 1) % len(phases)]`` over its ``rows`` of
     ``X`` and ``Y``. Each minibatch draws, with one `draw_masks` call at
-    ``keep`` of its rows, a mask for every layer output of the chain ``nets``
-    but the last, and takes one `train_step` on the squared error of the
-    chain's first output. ``on_epoch`` receives each epoch's `EpochRecord`,
-    whose error is the maskless one on the phase's rows. Each phase keeps
-    one set of step caches and one mask block per minibatch length, of
-    which it has at most two.
+    ``keep`` of its rows, the masks of ``mask_widths(nets)``, and takes one
+    `train_step` on the squared error of the chain's first output.
+    ``on_epoch`` receives each epoch's `EpochRecord`, whose error is the
+    maskless one on the phase's rows. Each phase keeps one set of step
+    caches and one mask block per minibatch length, of which it has at
+    most two.
     """
     buffers = {}  # (phase, minibatch length) -> (train_step caches, mask block)
     for k in range(1, config.epochs + 1):
         phase = (k - 1) % len(phases)
         name, nets, states, rows = phases[phase]
-        widths = [layer.fan_out for net in nets for layer in net.layers][:-1]
-        ends = list(accumulate(len(net.layers) for net in nets))
+        widths = mask_widths(nets)
         try:
             for batch in minibatches(len(rows), config.batch_size, rng):
                 idx = rows[batch]
                 if (phase, len(idx)) not in buffers:
-                    block = np.empty((1, len(idx) * sum(widths)))
+                    block = np.empty((1, len(idx) * sum(map(sum, widths))))
                     buffers[phase, len(idx)] = [None] * len(nets), block
                 caches, block = buffers[phase, len(idx)]
                 # masks are drawn unconditionally, even at keep 1, so runs that
                 # differ only in schedule stay on the same random stream
                 masks = draw_masks(widths, keep[idx], rng, out=block)
-                per_net = [masks[a:b] for a, b in zip([0, *ends], ends)]
-                train_step(nets, states, X[idx], per_net, _squared_error_grad(Y[idx]), caches)
+                train_step(nets, states, X[idx], masks, _squared_error_grad(Y[idx]), caches)
         except FloatingPointError as e:
             raise FloatingPointError(f"epoch {k} ({name} phase): {e}") from None
         if on_epoch is not None:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from dcnpd.baselines import DirectModel, KnnConfig, knn_ite, train_direct_nn
+from dcnpd.baselines import KnnConfig, knn_ite, train_direct_nn
 from dcnpd.data import ObservationalDataset
-from dcnpd.nn import DenseLayer, MLPParams
+from dcnpd.experiment import _DirectNet
+from dcnpd.nn import DenseLayer, MLPParams, mask_widths, mlp_forward
 from dcnpd.training import TrainConfig
 
 
@@ -130,54 +131,57 @@ class TestKnn:
         assert mae < ds.true_ite.max() - ds.true_ite.min()
 
 
+def direct_model(*args, **kwargs) -> _DirectNet:
+    """`train_direct_nn`'s net in the `nn4` model that reads effects off it."""
+    return _DirectNet(train_direct_nn(*args, **kwargs))
+
+
 class TestDirectModel:
     def test_zero_net_predicts_zero_effect(self):
         net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "identity")])
-        model = DirectModel(net)
+        model = _DirectNet(net)
         X = np.random.default_rng(0).normal(size=(6, 2))
         np.testing.assert_array_equal(model.predict_ite(X), np.zeros(6))
 
     def test_antisymmetry_of_effect_readout(self):
-        model = train_direct_nn(
+        model = direct_model(
             _linear_toy(80, seed=2),
             arch=(8,),
             config=TrainConfig(epochs=3, batch_size=16),
             rng=np.random.default_rng(3),
         )
         X = np.random.default_rng(4).normal(size=(5, 3))
-        forward = model.predict_outcome(X, 1.0) - model.predict_outcome(X, 0.0)
-        backward = model.predict_outcome(X, 0.0) - model.predict_outcome(X, 1.0)
-        np.testing.assert_array_equal(forward, -backward)
-        np.testing.assert_array_equal(model.predict_ite(X), forward)
-
-    def test_single_vector_returns_float(self):
-        net = MLPParams([DenseLayer(np.zeros((3, 1)), np.array([0.5]), "identity")])
-        model = DirectModel(net)
-        assert model.predict_outcome(np.zeros(2), 1.0) == 0.5
-        assert model.predict_ite(np.zeros(2)) == 0.0
+        y1, y0 = (
+            mlp_forward(model.net, np.column_stack([X, np.full(5, w)]))[0][:, 0]
+            for w in (1.0, 0.0)
+        )
+        np.testing.assert_array_equal(y1 - y0, -(y0 - y1))
+        assert model.predict_ite(X).tobytes() == (y1 - y0).tobytes()
 
     def test_feature_width_checked(self):
         net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "identity")])
-        with pytest.raises(ValueError):
-            DirectModel(net).predict_outcome(np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="width"):
+            _DirectNet(net).predict_ite(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="single output"):
+            _DirectNet(MLPParams([DenseLayer(np.zeros((3, 2)), np.zeros(2), "identity")]))
 
     def test_default_architecture_is_four_layers(self):
         ds = _linear_toy(40, seed=5)
-        model = train_direct_nn(
+        net = train_direct_nn(
             ds, config=TrainConfig(epochs=1, batch_size=16), rng=np.random.default_rng(6)
         )
-        assert len(model.net.layers) == 4
-        assert model.net.hidden_widths() == [200, 200, 200]
-        assert model.net.input_dim == ds.d + 1
+        assert len(net.layers) == 4
+        assert mask_widths([net]) == [[200, 200, 200]]
+        assert net.input_dim == ds.d + 1
 
     def test_dict_round_trip(self):
-        model = train_direct_nn(
+        model = direct_model(
             _linear_toy(30, seed=7),
             arch=(8,),
             config=TrainConfig(epochs=2, batch_size=8),
             rng=np.random.default_rng(8),
         )
-        clone = DirectModel.from_dict(model.to_dict())
+        clone = _DirectNet.from_dict(model.to_dict())
         X = np.random.default_rng(9).normal(size=(4, 3))
         np.testing.assert_array_equal(clone.predict_ite(X), model.predict_ite(X))
 
@@ -199,7 +203,7 @@ class TestDirectTraining:
         W = rng.integers(0, 2, n)
         Y = X @ np.array([0.6, -0.4, 0.2, 0.1])  # ignores w entirely
         ds = ObservationalDataset(X, W, Y)
-        model = train_direct_nn(
+        model = direct_model(
             ds,
             arch=(32, 32),
             config=TrainConfig(epochs=200, batch_size=32),
@@ -209,10 +213,10 @@ class TestDirectTraining:
 
     def test_mse_improves_from_single_epoch_to_many(self):
         ds = _linear_toy(300, seed=12)
-        early = train_direct_nn(
+        early = direct_model(
             ds, arch=(32,), config=TrainConfig(epochs=1), rng=np.random.default_rng(13)
         )
-        late = train_direct_nn(
+        late = direct_model(
             ds, arch=(32,), config=TrainConfig(epochs=120), rng=np.random.default_rng(13)
         )
 
@@ -224,8 +228,8 @@ class TestDirectTraining:
     def test_determinism(self):
         ds = _linear_toy(60, seed=14)
         cfg = TrainConfig(epochs=3, batch_size=16)
-        a = train_direct_nn(ds, (8,), cfg, np.random.default_rng(15))
-        b = train_direct_nn(ds, (8,), cfg, np.random.default_rng(15))
+        a = direct_model(ds, (8,), cfg, np.random.default_rng(15))
+        b = direct_model(ds, (8,), cfg, np.random.default_rng(15))
         X = ds.X[:5]
         np.testing.assert_array_equal(a.predict_ite(X), b.predict_ite(X))
 

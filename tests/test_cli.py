@@ -207,6 +207,18 @@ class TestTrainAndEvaluate:
                      "--model-file", str(model_file)]) == 2
 
 
+    def test_evaluate_rejects_bundle_of_another_width(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        model_file = tmp_path / "model.json"
+        assert main(["train", "--config", str(config), "--out", str(model_file)]) == 0
+        bundle = json.loads(model_file.read_text())
+        bundle["standardization"] = {"mean": [0.0] * 4, "std": [1.0] * 4}
+        model_file.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--model-file", str(model_file)]) == 2
+        assert "standardization width 4 does not match model width 3" in capsys.readouterr().err
+
     def test_evaluate_rejects_unknown_bundle_version(self, tmp_path, capsys):
         config = write_config(tmp_path)
         model_file = tmp_path / "model.json"

@@ -16,8 +16,8 @@ from dcnpd.dcn import (
     dcn_forward,
     estimate_ite,
     mc_ite_matrix,
-    predict_deterministic,
 )
+from dcnpd.experiment import _FixedDropoutDCN
 from dcnpd.nn import DenseLayer, MLPParams, draw_masks
 from dcnpd.propensity import (
     DropoutSchedule,
@@ -47,10 +47,23 @@ def zero_dcn(d=3, width=4):
     )
 
 
+def dcn_mask_widths(params):
+    """(shared, head0, head1) widths: every shared output, each head's hidden ones."""
+    return [
+        [layer.fan_out for layer in params.shared.layers],
+        [layer.fan_out for layer in params.head0.layers[:-1]],
+        [layer.fan_out for layer in params.head1.layers[:-1]],
+    ]
+
+
 def dcn_masks(keep, widths, rows, rng):
     """A (shared, head0, head1) mask triple for a ``rows``-row batch at ``keep``."""
-    keep = np.full(rows, keep)
-    return tuple(draw_masks(ws, keep, rng) for ws in widths)
+    return draw_masks(widths, np.full(rows, keep), rng)
+
+
+def deterministic_ite(params, x):
+    """The maskless effect, as the fixed-dropout model predicts it."""
+    return _FixedDropoutDCN(0.0, params).predict_ite(x, None)
 
 
 def fresh_mask(shape, keep, rng):
@@ -68,7 +81,7 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     y0 = np.empty(n_samples)
     y1 = np.empty(n_samples)
     for m in range(n_samples):
-        groups = [[fresh_mask(w, keep, rng) for w in ws] for ws in params.mask_widths()]
+        groups = [[fresh_mask(w, keep, rng) for w in ws] for ws in dcn_mask_widths(params)]
         y0[m], y1[m] = dcn_forward(params, x, groups)
     return y1 - y0, y0, y1
 
@@ -80,7 +93,7 @@ def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
     for m in range(n_samples):
         groups = [
             [fresh_mask((len(keep), w), keep[:, None], rng) for w in ws]
-            for ws in params.mask_widths()
+            for ws in dcn_mask_widths(params)
         ]
         y0[:, m], y1[:, m] = dcn_forward(params, X, groups)
     return y0, y1
@@ -101,7 +114,7 @@ class TestParams:
         assert all(l.activation == "relu" for l in params.shared.layers)
         assert len(params.head0.layers) == 1
         assert params.head0.layers[0].activation == "identity"
-        assert params.mask_widths() == ([200, 200], [], [])
+        assert dcn_mask_widths(params) == [[200, 200], [], []]
 
     def test_head_width_mismatch_rejected(self):
         shared = MLPParams([DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu")])
@@ -120,9 +133,7 @@ class TestParams:
         params = small_dcn(1)
         clone = DCNParams.from_dict(params.to_dict())
         x = np.random.default_rng(2).normal(size=(5, 3))
-        np.testing.assert_array_equal(
-            predict_deterministic(params, x)[2], predict_deterministic(clone, x)[2]
-        )
+        np.testing.assert_array_equal(deterministic_ite(params, x), deterministic_ite(clone, x))
 
 
 class TestForward:
@@ -134,7 +145,7 @@ class TestForward:
         params = small_dcn(3)
         params.head1 = copy.deepcopy(params.head0)
         rng = np.random.default_rng(4)
-        masks = dcn_masks(0.5, params.mask_widths(), 1, rng)
+        masks = dcn_masks(0.5, dcn_mask_widths(params), 1, rng)
         x = rng.normal(size=3)
         y0, y1 = dcn_forward(params, x, masks)
         assert y0 == y1
@@ -142,7 +153,7 @@ class TestForward:
     def test_all_ones_masks_equal_maskless(self):
         params = small_dcn(5)
         x = np.random.default_rng(6).normal(size=(4, 3))
-        masks = dcn_masks(1.0, params.mask_widths(), 4, np.random.default_rng(7))
+        masks = dcn_masks(1.0, dcn_mask_widths(params), 4, np.random.default_rng(7))
         with_mask = dcn_forward(params, x, masks)
         bare = dcn_forward(params, x)
         np.testing.assert_array_equal(with_mask[0], bare[0])
@@ -161,23 +172,28 @@ class TestForward:
 
 
 class TestPredictDeterministic:
+    """The fixed-dropout model's effect: one maskless `dcn_forward`, y1 - y0."""
+
     def test_zero_net(self):
-        assert predict_deterministic(zero_dcn(), np.ones(3)) == (0.0, 0.0, 0.0)
+        assert deterministic_ite(zero_dcn(), np.ones(3)) == 0.0
+        np.testing.assert_array_equal(deterministic_ite(zero_dcn(), np.ones((2, 3))), [0.0, 0.0])
 
     def test_bias_offset_between_heads(self):
         params = zero_dcn()
         params.head1.layers[-1].b[0] = 1.75
-        for x in np.random.default_rng(12).normal(size=(5, 3)):
-            y0, y1, ite = predict_deterministic(params, x)
-            assert ite == 1.75 and y1 - y0 == 1.75
+        X = np.random.default_rng(12).normal(size=(5, 3))
+        y0, y1 = dcn_forward(params, X)
+        np.testing.assert_array_equal(deterministic_ite(params, X), np.full(5, 1.75))
+        np.testing.assert_array_equal(y1 - y0, np.full(5, 1.75))
 
     def test_batch_shape(self):
-        y0, y1, ite = predict_deterministic(small_dcn(), np.zeros((7, 3)))
+        y0, y1 = dcn_forward(small_dcn(), np.zeros((7, 3)))
+        ite = deterministic_ite(small_dcn(), np.zeros((7, 3)))
         assert y0.shape == y1.shape == ite.shape == (7,)
 
 
 class TestSampleMasks:
-    """The DCN mask set drawn group by group through `draw_masks`."""
+    """The DCN mask set, one list per net, drawn through `draw_masks`."""
 
     def test_keep_one_gives_all_ones(self):
         shared, head0, head1 = dcn_masks(1.0, ([5, 6], [4], []), 3, np.random.default_rng(0))
@@ -187,22 +203,22 @@ class TestSampleMasks:
 
     def test_keep_zero_rejected(self):
         with pytest.raises(ValueError):
-            draw_masks([5], np.zeros(2), np.random.default_rng(0))
+            draw_masks([[5]], np.zeros(2), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            draw_masks([5], np.array([0.5, 0.0]), np.random.default_rng(0))
+            draw_masks([[5]], np.array([0.5, 0.0]), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            draw_masks([2], np.array([np.nan, 0.5]), np.random.default_rng(0))
+            draw_masks([[2]], np.array([np.nan, 0.5]), np.random.default_rng(0))
 
     def test_rejected_keep_leaves_generator_untouched(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="keep probability"):
-            draw_masks([5], np.array([0.5, 0.0]), rng)
+            draw_masks([[5]], np.array([0.5, 0.0]), rng)
         assert rng.bit_generator.state == before
 
     def test_binomial_concentration(self):
-        masks = draw_masks([10_000], np.array([0.5, 0.2]), np.random.default_rng(1))
-        frac = (masks[0] > 0.0).mean(axis=1)
+        [[mask]] = draw_masks([[10_000]], np.array([0.5, 0.2]), np.random.default_rng(1))
+        frac = (mask > 0.0).mean(axis=1)
         assert 0.48 <= frac[0] <= 0.52
         assert 0.18 <= frac[1] <= 0.22
 
@@ -215,7 +231,7 @@ class TestSampleMasks:
 
     def test_stored_keep_prob(self):
         keep = np.array([0.35, 0.9, 1.0])
-        masks = draw_masks([4, 2], keep, np.random.default_rng(3))
+        [masks] = draw_masks([[4, 2]], keep, np.random.default_rng(3))
         assert [m.shape for m in masks] == [(3, 4), (3, 2)]
         # a kept unit carries its row's inverted-dropout scale
         for m in masks:
@@ -239,8 +255,7 @@ class TestEstimateIte:
         assert est.std == 0.0
         assert np.all(est.samples == est.samples[0])
         assert est.quantiles == (est.mean, est.mean)
-        _, _, ite = predict_deterministic(params, np.ones(3))
-        assert est.mean == ite
+        assert est.mean == deterministic_ite(params, np.ones(3))
 
     def test_single_sample_convention(self):
         params = small_dcn(15)
@@ -256,7 +271,7 @@ class TestEstimateIte:
         rng = np.random.default_rng(18)
         x = rng.normal(size=3)
         for _ in range(20):
-            masks = dcn_masks(0.5, params.mask_widths(), 1, rng)
+            masks = dcn_masks(0.5, dcn_mask_widths(params), 1, rng)
             forced = (masks[0], masks[1], masks[1])  # inject
             y0, y1 = dcn_forward(params, x, forced)
             assert y1 - y0 == 0.0
@@ -410,7 +425,7 @@ class TestMcMatrix:
 
         def draw_spy(widths, keep, rng, draws=None, out=None):
             masks = draw(widths, keep, rng, draws, out)
-            assert all(np.shares_memory(m, out) for m in masks)
+            assert all(np.shares_memory(m, out) for group in masks for m in group)
             blocks.append(out)
             return masks
 
@@ -461,7 +476,7 @@ class TestMcMatrix:
         prop = stub_propensity(0.0)  # keep prob exactly 1 everywhere
         X = np.random.default_rng(31).normal(size=(4, 3))
         samples = mc_ite_matrix(params, prop, DropoutSchedule(1.0), X, 10, np.random.default_rng(32))
-        _, _, ite = predict_deterministic(params, X)
+        ite = deterministic_ite(params, X)
         np.testing.assert_array_equal(samples, np.repeat(ite[:, None], 10, axis=1))
 
     def test_rejects_flat_input(self):

@@ -42,6 +42,7 @@ from dcnpd.experiment import (
     run_experiment,
     train_model_bundle,
 )
+from dcnpd.nn import DenseLayer, MLPParams
 from dcnpd.training import TrainConfig
 
 
@@ -689,6 +690,7 @@ class TestEmitReport:
 
 
 HEADER_KEYS = {"schema_version", "kind", "standardization"}
+WIDE = {"mean": [0.0, 0.0, 0.0], "std": [1.0, 1.0, 1.0]}
 BUNDLE_KEYS = {
     "dcn-pd": HEADER_KEYS | {"gamma", "n_samples", "propensity", "dcn"},
     "dcn-fixed": HEADER_KEYS | {"dropout_prob", "dcn"},
@@ -810,9 +812,26 @@ class TestModelBundles:
         [("knn", "k", 0), ("knn", "k", None), ("dcn-pd", "gamma", 1.5), ("knn", "k", 2.7),
          ("dcn-pd", "n_samples", 2.5), ("dcn-pd", "n_samples", True),
          ("dcn-pd", "gamma", 0.5),  # in range, but not the propensity model's gamma
-         ("knn", "standardization", {"mean": [0.0, 0.0], "std": [1.0, math.inf]})],
+         ("knn", "standardization", {"mean": [0.0, 0.0], "std": [1.0, math.inf]})]
+        # a standardization 3 wide on models fitted to 2 features
+        + [(kind, "standardization", WIDE) for kind in BUNDLE_KEYS],
     )
     def test_bundle_invalid_field_rejected(self, tiny_bundles, kind, key, value):
         bundle = {**tiny_bundles[kind], key: value}
         with pytest.raises(ConfigError, match=f"{kind} bundle"):
             predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))
+
+    def test_bundle_width_mismatch_names_both_widths(self, tiny_bundles):
+        for kind in BUNDLE_KEYS:
+            bundle = {**tiny_bundles[kind], "standardization": WIDE}
+            with pytest.raises(ConfigError, match="standardization width 3 .* width 2"):
+                predict_from_bundle(bundle, np.zeros((1, 3)), rng=np.random.default_rng(0))
+        bundle = tiny_bundles["dcn-pd"]
+        prop = {**bundle["propensity"], "standardization": WIDE}
+        with pytest.raises(ConfigError, match="standardization width 3 .* width 2"):
+            predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)))
+        # a propensity model of its own width 3 against the 2-wide network
+        net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "sigmoid")])
+        prop = {**bundle["propensity"], "net": net.to_dict(), "standardization": WIDE}
+        with pytest.raises(ConfigError, match="propensity width 3 .* width 2"):
+            predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)))

@@ -17,8 +17,7 @@ from dcnpd.nn import (
     bernoulli_mask,
     build_mlp,
     draw_masks,
-    flatten_grads,
-    grad_check,
+    mask_widths,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -26,6 +25,7 @@ from dcnpd.nn import (
     train_step,
     xavier_init,
 )
+from oracles import grad_check
 
 # Hand-derived: one identity unit, w=2, b=0, x=3, squared-error loss
 # 0.5*(out - y)^2 against y=1. out=6, dloss/dout=5, dW=x*5=15, db=5.
@@ -49,8 +49,8 @@ class TestForward:
         out, cache = mlp_forward(params, np.array([[3.0]]))
         assert out.item() == 6.0
         grads, grad_in = mlp_backward(params, cache, np.array([[5.0]]))
-        assert grads[0][0].item() == HAND_DW
-        assert grads[0][1].item() == HAND_DB
+        assert grads[0].item() == HAND_DW
+        assert grads[1].item() == HAND_DB
         assert grad_in.item() == HAND_DX
 
     def test_relu_clamps_negative(self):
@@ -126,7 +126,7 @@ class TestDropoutMasking:
         x = np.random.default_rng(1).normal(size=(6, 3))
         out, cache = mlp_forward(params, x, [np.array([2.0, 0.0, 2.0, 0.0, 2.0])])
         grads, _ = mlp_backward(params, cache, np.ones_like(out))
-        dW0, db0 = grads[0]
+        dW0, db0 = grads[:2]
         np.testing.assert_array_equal(dW0[:, 1], 0.0)
         np.testing.assert_array_equal(dW0[:, 3], 0.0)
         assert db0[1] == 0.0 and db0[3] == 0.0
@@ -174,20 +174,21 @@ class TestDropoutMasking:
         st.integers(0, 2**32 - 1),
         st.sampled_from([None, 1, 4]),
         st.integers(1, 8),
-        st.lists(st.integers(1, 9), max_size=4),
+        st.lists(st.lists(st.integers(1, 9), max_size=3), min_size=1, max_size=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_draw_masks_match_per_width_bernoulli_loop(self, seed, draws, rows, widths):
+    def test_draw_masks_match_per_width_bernoulli_loop(self, seed, draws, rows, groups):
         # pins the training masks (draws=None) and the Monte Carlo blocks alike
         keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
         rng_block, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        masks = draw_masks(widths, keep, rng_block, draws)
-        assert len(masks) == len(widths)
+        masks = draw_masks(groups, keep, rng_block, draws)
+        assert [len(group) for group in masks] == [len(widths) for widths in groups]
         for k in range(draws or 1):
-            for i, w in enumerate(widths):
-                expected = (rng_loop.random((rows, w)) < keep[:, None]) / keep[:, None]
-                got = masks[i] if draws is None else masks[i][k]
-                assert got.shape == (rows, w) and got.tobytes() == expected.tobytes()
+            for group, widths in zip(masks, groups):
+                for mask, w in zip(group, widths):
+                    expected = (rng_loop.random((rows, w)) < keep[:, None]) / keep[:, None]
+                    got = mask if draws is None else mask[k]
+                    assert got.shape == (rows, w) and got.tobytes() == expected.tobytes()
         assert rng_block.random() == rng_loop.random()
 
     @given(
@@ -200,7 +201,7 @@ class TestDropoutMasking:
     def test_draw_masks_hold_zero_or_inverse_keep(self, seed, draws, rows, widths):
         keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
         inverse = 1.0 / keep[:, None]  # row i: 1/keep[i]
-        for mask in draw_masks(widths, keep, np.random.default_rng(seed), draws):
+        for mask in draw_masks([widths], keep, np.random.default_rng(seed), draws)[0]:
             assert ((mask == 0.0) | (mask == inverse)).all()
 
 
@@ -230,7 +231,7 @@ class TestReusedBuffers:
 
         def draw():
             keep = rng.uniform(0.2, 1.0, rows)
-            masks = draw_masks([6, 5, 2], keep, rng)
+            masks = draw_masks([[6, 5, 2]], keep, rng)[0]
             return [m if on else None for m, on in zip(masks, masked)]
 
         x_a, mask_a = rng.normal(size=(rows, 4)), draw()
@@ -250,26 +251,24 @@ class TestReusedBuffers:
         assert_same_cache(reused, fresh)
         np.testing.assert_array_equal(x_b, x_before)
         g = rng.normal(size=fresh_out.shape)
-        for (dw, db), (fw, fb) in zip(
-            mlp_backward(params, reused, g)[0], mlp_backward(params, fresh, g)[0]
-        ):
-            np.testing.assert_array_equal(dw, fw)
-            np.testing.assert_array_equal(db, fb)
+        for a, b in zip(mlp_backward(params, reused, g)[0], mlp_backward(params, fresh, g)[0]):
+            np.testing.assert_array_equal(a, b)
 
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 20),
         st.sampled_from([None, 1, 3]),
-        st.lists(st.integers(1, 9), max_size=3),
+        st.lists(st.lists(st.integers(1, 9), max_size=2), min_size=1, max_size=2),
     )
     @settings(max_examples=40, deadline=None)
-    def test_draw_masks_out_matches_fresh(self, seed, rows, draws, widths):
+    def test_draw_masks_out_matches_fresh(self, seed, rows, draws, groups):
         keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
         # a block holding stale values, as an earlier draw leaves it
-        block = np.random.default_rng(seed + 1).random((draws or 1, rows * sum(widths)))
+        total = sum(map(sum, groups))
+        block = np.random.default_rng(seed + 1).random((draws or 1, rows * total))
         rng_fresh, rng_out = np.random.default_rng(seed), np.random.default_rng(seed)
-        fresh = draw_masks(widths, keep, rng_fresh, draws)
-        refilled = draw_masks(widths, keep, rng_out, draws, out=block)
+        fresh = sum(draw_masks(groups, keep, rng_fresh, draws), [])
+        refilled = sum(draw_masks(groups, keep, rng_out, draws, out=block), [])
         for m, f in zip(refilled, fresh, strict=True):
             assert np.shares_memory(m, block)
             np.testing.assert_array_equal(m, f)
@@ -278,19 +277,19 @@ class TestReusedBuffers:
     def test_mismatched_out_rejected(self):
         params, rng = tiny_net(), np.random.default_rng(0)
         keep = np.full(2, 0.5)
-        _, cache = mlp_forward(params, np.ones((2, 3)), draw_masks([5], keep, rng))
+        _, cache = mlp_forward(params, np.ones((2, 3)), draw_masks([[5]], keep, rng)[0])
         with pytest.raises(ValueError, match="shape"):
-            mlp_forward(params, np.ones((3, 3)), draw_masks([5], np.full(3, 0.5), rng), out=cache)
+            mlp_forward(params, np.ones((3, 3)), draw_masks([[5]], np.full(3, 0.5), rng)[0], out=cache)
         with pytest.raises(ValueError, match="layers"):
             mlp_forward(params, np.ones((2, 3)), None, out=cache)
         with pytest.raises(ValueError):
             mlp_forward(tiny_net(widths=(3, 4, 1)), np.ones((2, 3)), out=cache)
         with pytest.raises(ValueError, match="block"):
-            draw_masks([5, 5], keep, rng, out=np.empty((1, 10)))
+            draw_masks([[5], [5]], keep, rng, out=np.empty((1, 10)))
         with pytest.raises(ValueError, match="block"):
-            draw_masks([5], keep, rng, draws=3, out=np.empty((2, 10)))
+            draw_masks([[5]], keep, rng, draws=3, out=np.empty((2, 10)))
         with pytest.raises(ValueError, match="block"):
-            draw_masks([5], keep, rng, out=np.empty((1, 10), dtype=np.float32))
+            draw_masks([[5]], keep, rng, out=np.empty((1, 10), dtype=np.float32))
 
 
 class TestStackedBatches:
@@ -309,7 +308,7 @@ class TestStackedBatches:
         params = build_mlp((4, 6, 5, 2), rng, hidden_activation=hidden)
         keep = rng.uniform(0.2, 1.0, rows)
         x = rng.normal(size=(c, rows, 4))
-        stacked = draw_masks([6, 5, 2], keep, rng, draws=c)
+        stacked = draw_masks([[6, 5, 2]], keep, rng, draws=c)[0]
         masks = [m if on else None for m, on in zip(stacked, masked)]
         out, cache = mlp_forward(params, x, masks)
         _, other = mlp_forward(params, x[::-1], masks)
@@ -333,8 +332,8 @@ class TestStackedBatches:
     def test_draw_masks_draws_match_successive_calls(self, seed, c, rows, widths):
         keep = np.random.default_rng(seed).uniform(0.1, 1.0, rows)
         rng_one, rng_each = np.random.default_rng(seed), np.random.default_rng(seed)
-        stacked = draw_masks(widths, keep, rng_one, draws=c)
-        each = [draw_masks(widths, keep, rng_each) for _ in range(c)]
+        stacked = draw_masks([widths], keep, rng_one, draws=c)[0]
+        each = [draw_masks([widths], keep, rng_each)[0] for _ in range(c)]
         assert [m.shape for m in stacked] == [(c, rows, w) for w in widths]
         for i in range(len(widths)):
             for k in range(c):
@@ -344,7 +343,7 @@ class TestStackedBatches:
     def test_mismatched_stack_rejected(self):
         params, rng = tiny_net(), np.random.default_rng(0)
         keep = np.full(2, 0.5)
-        masks = draw_masks([5], keep, rng, draws=3)
+        masks = draw_masks([[5]], keep, rng, draws=3)[0]
         with pytest.raises(ValueError, match="mask"):
             mlp_forward(params, np.ones((4, 2, 3)), masks)
         with pytest.raises(ValueError, match="mask"):
@@ -398,7 +397,7 @@ class TestBackward:
     @staticmethod
     def written_out_backward(params, cache, grad_output):
         """The backward pass with a fresh array per operation, as formulas."""
-        grads, g = [None] * len(params.layers), grad_output
+        grads, g = [None] * (2 * len(params.layers)), grad_output
         for i in reversed(range(len(params.layers))):
             layer, z, a = params.layers[i], cache.pre_acts[i], cache.acts[i]
             if cache.masks[i] is not None:
@@ -409,7 +408,7 @@ class TestBackward:
                 gz = g * (a * (1.0 - a))
             else:
                 gz = g * np.ones_like(z)
-            grads[i] = (cache.inputs[i].T @ gz, gz.sum(axis=0))
+            grads[2 * i : 2 * i + 2] = cache.inputs[i].T @ gz, gz.sum(axis=0)
             g = gz @ layer.W.T
         return grads, g
 
@@ -423,7 +422,7 @@ class TestBackward:
 
         def masks():
             # a mask on every layer, the output too, when masked
-            drawn = draw_masks(widths[1:], rng.uniform(0.3, 1.0, rows), rng)
+            drawn = draw_masks([widths[1:]], rng.uniform(0.3, 1.0, rows), rng)[0]
             return drawn if masked else None
 
         def check(cache, expect_buffers=None):
@@ -433,15 +432,13 @@ class TestBackward:
             got, got_in = mlp_backward(params, cache, g)
             assert g.tobytes() == g_before
             assert got_in.tobytes() == want_in.tobytes()
-            for (dw, db), (ww, wb) in zip(got, want, strict=True):
-                assert dw.tobytes() == ww.tobytes() and db.tobytes() == wb.tobytes()
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
             skipped, none = mlp_backward(params, cache, g, input_grad=False)
             assert none is None and skipped is got
-            for (dw, db), (ww, wb) in zip(skipped, want):
-                assert dw.tobytes() == ww.tobytes() and db.tobytes() == wb.tobytes()
+            assert [a.tobytes() for a in skipped] == [b.tobytes() for b in want]
             if expect_buffers is not None:
-                assert all(a is b for a, b in zip(flatten_grads(got), expect_buffers, strict=True))
-            return flatten_grads(got)
+                assert all(a is b for a, b in zip(got, expect_buffers, strict=True))
+            return list(got)
 
         _, cache = mlp_forward(params, rng.normal(size=(rows, widths[0])), masks())
         buffers = check(cache)
@@ -552,8 +549,8 @@ class TestTrainStep:
         out, cache2 = mlp_forward(expected[1], rep)
         grads2, grad_rep = mlp_backward(expected[1], cache2, (out - y[:, None]) / 6)
         grads1, _ = mlp_backward(expected[0], cache1, grad_rep)
-        adam_step(expected[0].parameter_arrays(), flatten_grads(grads1), exp_states[0])
-        adam_step(expected[1].parameter_arrays(), flatten_grads(grads2), exp_states[1])
+        adam_step(expected[0].parameter_arrays(), grads1, exp_states[0])
+        adam_step(expected[1].parameter_arrays(), grads2, exp_states[1])
 
         states = [AdamState.for_params(n.parameter_arrays()) for n in (first, second)]
         applied, caches = train_step(
@@ -563,7 +560,7 @@ class TestTrainStep:
             for a, b in zip(got.parameter_arrays(), want.parameter_arrays()):
                 np.testing.assert_array_equal(a, b)
         for got, want in zip(applied, (grads1, grads2)):
-            for a, b in zip(flatten_grads(got), flatten_grads(want)):
+            for a, b in zip(got, want, strict=True):
                 np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(caches[1].inputs[0], rep)
         assert [s.t for s in states] == [1, 1]
@@ -634,9 +631,16 @@ class TestParamsPlumbing:
         params = build_mlp((4, 8, 8, 2), np.random.default_rng(0))
         assert [l.fan_in for l in params.layers] == [4, 8, 8]
         assert [l.activation for l in params.layers] == ["relu", "relu", "identity"]
-        assert params.hidden_widths() == [8, 8]
 
-    def test_flatten_grads_layout(self):
-        grads = [(np.ones((2, 3)), np.ones(3)), (np.ones((3, 1)), np.ones(1))]
-        flat = flatten_grads(grads)
-        assert [a.shape for a in flat] == [(2, 3), (3,), (3, 1), (1,)]
+    def test_mask_widths_cover_every_output_but_the_chains_last(self):
+        first, second = tiny_net(0, (4, 8, 6)), tiny_net(1, (6, 5, 3, 1))
+        assert mask_widths([first, second]) == [[8, 6], [5, 3]]
+        assert mask_widths([second]) == [[5, 3]]
+        assert mask_widths([tiny_net(2, (4, 1))]) == [[]]
+
+    def test_backward_grads_follow_parameter_arrays(self):
+        params = tiny_net(4, (2, 3, 1))
+        out, cache = mlp_forward(params, np.ones((5, 2)))
+        grads, _ = mlp_backward(params, cache, np.ones_like(out))
+        assert [a.shape for a in grads] == [(2, 3), (3,), (3, 1), (1,)]
+        assert [a.shape for a in grads] == [a.shape for a in params.parameter_arrays()]

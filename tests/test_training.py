@@ -8,7 +8,7 @@ import pytest
 
 from dcnpd.data import ObservationalDataset, Standardization, standardize
 from dcnpd import dcn, training
-from dcnpd.dcn import DCNParams, build_dcn, mc_ite_matrix, predict_deterministic
+from dcnpd.dcn import DCNParams, build_dcn, dcn_forward, mc_ite_matrix
 from dcnpd.baselines import train_direct_nn
 from dcnpd.nn import (
     AdamState,
@@ -16,7 +16,6 @@ from dcnpd.nn import (
     MLPParams,
     build_mlp,
     draw_masks,
-    flatten_grads,
     minibatches,
     train_step,
 )
@@ -27,13 +26,8 @@ from dcnpd.propensity import (
     predict_propensity,
     train_propensity,
 )
-from dcnpd.training import (
-    EpochRecord,
-    TrainConfig,
-    factual_mse,
-    train_dcn,
-    train_dcn_fixed_dropout,
-)
+from dcnpd.training import EpochRecord, TrainConfig, train_dcn, train_dcn_fixed_dropout
+from oracles import factual_mse
 
 SMALL = TrainConfig(epochs=10, batch_size=8, shared_widths=(8,), head_widths=())
 
@@ -238,7 +232,10 @@ def reference_alternating(ds, keep, config, rng):
     one `draw_masks` call and takes one `train_step` on (shared, head).
     """
     params = build_dcn(ds.d, rng, config.shared_widths, config.head_widths)
-    shared_widths, head0_widths, head1_widths = params.mask_widths()
+    shared_widths = [layer.fan_out for layer in params.shared.layers]
+    head0_widths, head1_widths = (
+        [layer.fan_out for layer in head.layers[:-1]] for head in (params.head0, params.head1)
+    )
     shared_state, head0_state, head1_state = (
         config.adam_state(net.parameter_arrays())
         for net in (params.shared, params.head0, params.head1)
@@ -251,12 +248,12 @@ def reference_alternating(ds, keep, config, rng):
         idx, head, head_state, head_widths = arms[k % 2]
         for batch in minibatches(len(idx), config.batch_size, rng):
             rows = idx[batch]
-            masks = draw_masks(shared_widths + head_widths, keep[rows], rng)
+            masks = draw_masks([shared_widths, head_widths], keep[rows], rng)
             train_step(
                 [params.shared, head],
                 [shared_state, head_state],
                 ds.X[rows],
-                [masks[: len(shared_widths)], masks[len(shared_widths) :]],
+                masks,
                 squared_error_grad(ds.Y[rows]),
             )
     return params
@@ -269,8 +266,9 @@ def reference_direct(ds, arch, keep, config, rng):
     state = config.adam_state(net.parameter_arrays())
     for _ in range(config.epochs):
         for rows in minibatches(ds.n, config.batch_size, rng):
-            masks = draw_masks(net.hidden_widths(), np.full(len(rows), keep), rng)
-            train_step([net], [state], inputs[rows], [masks], squared_error_grad(ds.Y[rows]))
+            widths = [layer.fan_out for layer in net.layers[:-1]]
+            masks = draw_masks([widths], np.full(len(rows), keep), rng)
+            train_step([net], [state], inputs[rows], masks, squared_error_grad(ds.Y[rows]))
     return net
 
 
@@ -297,7 +295,7 @@ class TestReferenceLoop:
         arch = (7, 5)
         trained = train_direct_nn(ds, arch, self.CONFIG, np.random.default_rng(29), 0.25)
         expected = reference_direct(ds, arch, 0.75, self.CONFIG, np.random.default_rng(29))
-        assert stack_equal(trained.net, expected)
+        assert stack_equal(trained, expected)
 
 
 def same_bits(a: list, b: list) -> bool:
@@ -322,12 +320,11 @@ class TestStepBuffers:
         x, y = rng.normal(size=(7, 3)), rng.normal(size=7)
         caches, returned = [None, None], []
         for _ in range(2):
-            masks = draw_masks([6, 4, 5], rng.uniform(0.5, 1.0, 7), rng)
-            per_net = [masks[:2], masks[2:]]
-            grads, kept = train_step(nets, states, x, per_net, squared_error_grad(y), caches)
+            masks = draw_masks([[6, 4], [5]], rng.uniform(0.5, 1.0, 7), rng)
+            grads, kept = train_step(nets, states, x, masks, squared_error_grad(y), caches)
             assert kept is caches
-            returned.append([a for net_grads in grads for a in flatten_grads(net_grads)])
-            train_step(fresh_nets, fresh_states, x, per_net, squared_error_grad(y))
+            returned.append([a for net_grads in grads for a in net_grads])
+            train_step(fresh_nets, fresh_states, x, masks, squared_error_grad(y))
         assert all(a is b for a, b in zip(*returned, strict=True))
         for net, fresh in zip(nets, fresh_nets):
             assert same_bits(net.parameter_arrays(), fresh.parameter_arrays())
@@ -381,7 +378,7 @@ class TestTrainingProgress:
         cfg = TrainConfig(epochs=2, batch_size=8, shared_widths=(8,), head_widths=(6,))
         params = train_dcn(ds, stub_propensity(0.0), cfg, np.random.default_rng(18))
         assert len(params.head0.layers) == 2
-        assert params.mask_widths()[1] == [6]
+        assert [layer.fan_out for layer in params.head0.layers] == [6, 1]
 
 
 class TestErrors:
@@ -433,5 +430,6 @@ class TestRecovery:
         cfg = TrainConfig(epochs=200)
         params = train_dcn(scaled, prop, cfg, np.random.default_rng(21))
         holdout = np.random.default_rng(22).normal(size=(200, d))
-        _, _, ite = predict_deterministic(params, transform.transform(holdout))
+        y0, y1 = dcn_forward(params, transform.transform(holdout))
+        ite = y1 - y0
         assert np.mean((ite - 2.0) ** 2) < 0.25

@@ -71,7 +71,8 @@ def train_direct_nn(
     dataset: ObservationalDataset,
     arch: Sequence[int] = DEFAULT_DIRECT_ARCH,
     config: TrainConfig = TrainConfig(),
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     dropout_prob: float = DIRECT_DROPOUT,
 ) -> MLPParams:
     """Fit the direct regressor on (x, w) -> y with uniform hidden dropout; return its net.
@@ -83,8 +84,6 @@ def train_direct_nn(
     """
     if not 0.0 <= dropout_prob < 1.0:
         raise ValueError("dropout_prob must lie in [0, 1)")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     net = build_mlp((dataset.d + 1, *arch, 1), rng, output_activation="identity")
     inputs = np.column_stack([dataset.X, dataset.W.astype(np.float64)])
     phase = ("direct", [net], [config.adam_state(net.parameter_arrays())], np.arange(dataset.n))

@@ -9,18 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import SyntheticConfig, check_count, generate_synthetic, save_csv
+from .data import generate_synthetic, save_csv
 from .experiment import (
     MODEL_TOKENS,
     SCHEMA_VERSION,
     ConfigError,
     ExperimentConfig,
-    config_from_json,
     emit_report,
     ite_mse,
     load_source,
@@ -92,58 +91,34 @@ def _read_json(path, what: str):
         raise ConfigError(f"{what} is not valid JSON: {e}") from None
 
 
-def _load_config_dict(path: str | None) -> dict:
-    payload = {} if path is None else _read_json(path, "config file")
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file with the flags applied, read the same way by every command."""
+    payload = {} if args.config is None else _read_json(args.config, "config file")
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a JSON object")
-    return payload
-
-
-def _overlay_flags(payload: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.reps is not None:
-        payload["repetitions"] = args.reps
-    if args.out is not None:
-        payload["out"] = args.out
-    return payload
+    flags = {"seed": args.seed, "repetitions": getattr(args, "reps", None), "out": args.out}
+    payload.update((key, value) for key, value in flags.items() if value is not None)
+    if payload.get("synthetic") is None and payload.get("csv_path") is None:
+        payload["synthetic"] = {}
+    return ExperimentConfig.from_dict(payload)
 
 
 def _experiment_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     """One config per ``--model`` flag (or the config file's model), same payload."""
-    payload = _overlay_flags(_load_config_dict(args.config), args)
-    if payload.get("synthetic") is None and payload.get("csv_path") is None:
-        payload["synthetic"] = {}
-    models = args.model or ([payload["model"]] if "model" in payload else [])
-    if not models:
-        raise ConfigError("a model is required: pass --model or set it in the config")
-    if "seed" not in payload:
-        raise ConfigError("a seed is required: pass --seed or set it in the config")
-    return [ExperimentConfig.from_dict({**payload, "model": model}) for model in models]
-
-
-def _require_seed(payload: dict, args: argparse.Namespace) -> int:
-    # train and benchmark leave this check to ExperimentConfig
-    for block in ("synthetic", "train"):
-        if isinstance(payload.get(block), dict) and "seed" in payload[block]:
-            raise ConfigError(f"{block}.seed is never read: set the top-level seed")
-    seed = args.seed if args.seed is not None else payload.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required: pass --seed or set it in the config")
-    check_count("seed", seed, 0, ConfigError)
-    return seed
-
-
-def _synthetic_from(payload: dict) -> SyntheticConfig:
-    return config_from_json(SyntheticConfig, payload.get("synthetic") or {}, "synthetic block")
+    config = _config(args)
+    if not args.model and config.model is None:
+        raise ConfigError(
+            f"model must be a string, one of {MODEL_TOKENS}: pass --model or set it in the config"
+        )
+    return [replace(config, model=model) for model in args.model or [config.model]]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    payload = _load_config_dict(args.config)
-    seed = _require_seed(payload, args)
-    config = _synthetic_from(payload)
-    out = Path(args.out or payload.get("out") or "dataset.csv")
-    dataset = generate_synthetic(config, np.random.default_rng(seed))
+    config = _config(args)
+    if config.csv_path is not None:
+        raise ConfigError("generate draws a synthetic dataset: the config must not set csv_path")
+    out = Path(config.out or "dataset.csv")
+    dataset = generate_synthetic(config.synthetic, np.random.default_rng(config.seed))
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
@@ -152,8 +127,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         json.dumps(
             {
                 "schema_version": SCHEMA_VERSION,
-                "seed": seed,
-                "synthetic": asdict(config),
+                "seed": config.seed,
+                "synthetic": asdict(config.synthetic),
             },
             indent=2,
             sort_keys=True,
@@ -170,7 +145,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if others:
         raise ConfigError("train fits one model: pass --model once")
     bundle = train_model_bundle(config)
-    out = Path(args.out or config.out or "model.json")
+    out = Path(config.out or "model.json")
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(bundle, sort_keys=True) + "\n", encoding="utf-8")
@@ -179,20 +154,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    payload = _load_config_dict(args.config)
-    seed = _require_seed(payload, args)
+    config = _config(args)
     bundle = _read_json(args.model_file, "model file")
     if not isinstance(bundle, dict) or "kind" not in bundle:
         raise ConfigError("model file is not a model bundle (missing 'kind')")
-    rng = np.random.default_rng(seed)
-    csv_path = payload.get("csv_path")
-    synthetic = _synthetic_from(payload) if csv_path is None else None
-    dataset = load_source(csv_path, synthetic, rng)
+    rng = np.random.default_rng(config.seed)  # the dataset's draws, then the masks
+    dataset = load_source(config.csv_path, config.synthetic, rng)
     if dataset.true_ite is None:
         raise ConfigError(
             "evaluation needs ground truth: the dataset must carry mu0 and mu1"
         )
-    predictions = predict_from_bundle(bundle, dataset.X, rng=rng)
+    predictions = predict_from_bundle(bundle, dataset.X, rng)
     result = {
         "schema_version": SCHEMA_VERSION,
         "kind": bundle["kind"],
@@ -201,8 +173,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     }
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
-    if args.out is not None:
-        out = Path(args.out)
+    if config.out is not None:
+        out = Path(config.out)
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + "\n", encoding="utf-8")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -247,14 +247,13 @@ def save_csv(dataset: ObservationalDataset, path) -> None:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Generator knobs; ``seed`` is used when no explicit stream is passed."""
+    """Generator knobs; there is no seed here: `generate_synthetic` takes its stream as ``rng``."""
 
     n: int = 750
     d: int = 25
     bias_strength: float = 3.0
     noise_std: float = 1.0
     surface: str = "LinearOffset"
-    seed: int | None = None
 
     def __post_init__(self):
         check_count("n", self.n, least=2)
@@ -268,7 +267,7 @@ class SyntheticConfig:
 
 def generate_synthetic(
     config: SyntheticConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     covariates: np.ndarray | None = None,
 ) -> ObservationalDataset:
     """Draw a biased observational dataset with known potential outcomes.
@@ -284,8 +283,6 @@ def generate_synthetic(
     (X, b, W, noise); ``covariates`` skips the X draw so repeated calls can
     redraw everything else over the same subjects.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n, d = config.n, config.d
     if covariates is None:
         X = rng.standard_normal((n, d))

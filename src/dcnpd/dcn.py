@@ -203,8 +203,8 @@ def estimate_ite(
     prop: PropensityModel,
     schedule: DropoutSchedule,
     x: np.ndarray,
-    n_samples: int = 100,
-    rng: np.random.Generator | None = None,
+    n_samples: int,
+    rng: np.random.Generator,
 ) -> ITEEstimate:
     """Draw n_samples stochastic effect estimates for one subject.
 
@@ -217,8 +217,6 @@ def estimate_ite(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("estimate_ite takes a single feature vector")
-    if rng is None:
-        rng = np.random.default_rng()
     y0, y1 = _mc_outcomes(params, prop, schedule, x[None, :], n_samples, rng)
     return _summarize(y1[0] - y0[0], y0[0], y1[0])
 

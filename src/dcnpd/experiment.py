@@ -84,9 +84,15 @@ def parse_model(token: str) -> tuple[str, float | int | None]:
 
 
 def config_from_json(cls, payload, where: str):
-    """``cls(**payload)`` from a JSON object; lists become tuple fields, bad input ConfigError."""
+    """``cls(**payload)`` from a JSON object; lists become tuple fields.
+
+    An unknown key, a malformed value or a field ``cls`` rejects is a ConfigError.
+    """
     if not isinstance(payload, dict):
         raise ConfigError(f"the {where} must be a JSON object, got {payload!r}")
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown keys in the {where}: {unknown}")
     kwargs = dict(payload)
     for f in fields(cls):
         if f.name in kwargs and str(f.type).startswith("tuple"):
@@ -103,10 +109,13 @@ def config_from_json(cls, payload, where: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run needs; the seed is mandatory."""
+    """Everything a run needs; the seed is mandatory, the model only to train one.
 
-    model: str
+    ``seed`` is the only seed: every random draw of a run comes from its streams.
+    """
+
     seed: int
+    model: str | None = None
     synthetic: SyntheticConfig | None = None
     csv_path: str | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -120,13 +129,11 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        parse_model(self.model)
+        if self.model is not None:
+            parse_model(self.model)
         if self.seed is None:
             raise ConfigError("a seed is required; reproducibility is not optional")
         check_count("seed", self.seed, 0, ConfigError)
-        for name in ("synthetic", "train"):
-            if getattr(getattr(self, name), "seed", None) is not None:
-                raise ConfigError(f"{name}.seed is never read: set the top-level seed")
         if (self.synthetic is None) == (self.csv_path is None):
             raise ConfigError("exactly one dataset source: synthetic or csv_path")
         check_count("repetitions", self.repetitions, error=ConfigError)
@@ -148,20 +155,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "model" not in payload or "seed" not in payload:
-            raise ConfigError("config requires both a model and a seed")
+        """The config a JSON object describes; each level rejects keys it does not know."""
+        if "seed" not in payload:
+            raise ConfigError("a seed is required: pass --seed or set it in the config")
         kwargs = dict(payload)
-        if kwargs.get("synthetic") is not None:
-            kwargs["synthetic"] = config_from_json(
-                SyntheticConfig, kwargs["synthetic"], "synthetic block"
-            )
-        if kwargs.get("train") is not None:
-            kwargs["train"] = config_from_json(TrainConfig, kwargs["train"], "train block")
-        else:
+        if kwargs.get("train") is None:
             kwargs.pop("train", None)
+        for name, block in (("synthetic", SyntheticConfig), ("train", TrainConfig)):
+            if kwargs.get(name) is not None:
+                kwargs[name] = config_from_json(block, kwargs[name], f"{name} block")
         return config_from_json(cls, kwargs, "config")
 
 
@@ -234,9 +236,8 @@ class _PropensityDropoutDCN:
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
         schedule = DropoutSchedule(config.train.gamma)
-        prop = train_propensity(
-            train_set, config.propensity_arch, config.propensity_epochs, rng, schedule=schedule
-        )
+        arch, epochs = config.propensity_arch, config.propensity_epochs
+        prop = train_propensity(train_set, arch, epochs, rng=rng, schedule=schedule)
         return cls(prop, train_dcn(train_set, prop, config.train, rng), config.n_samples)
 
     def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -306,9 +307,9 @@ class _DirectNet:
 
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
-        return cls(train_direct_nn(train_set, DEFAULT_DIRECT_ARCH, config.train, rng))
+        return cls(train_direct_nn(train_set, DEFAULT_DIRECT_ARCH, config.train, rng=rng))
 
-    def predict_ite(self, X: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # one pass per arm: a single 2n-row pass may round differently
         y1, y0 = (
             mlp_forward(self.net, np.column_stack([X, np.full(len(X), w)]))[0][:, 0]
@@ -681,10 +682,8 @@ def train_model_bundle(config: ExperimentConfig) -> dict:
     }
 
 
-def predict_from_bundle(
-    bundle: dict, X: np.ndarray, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Predicted effects for raw (unstandardized) feature rows."""
+def predict_from_bundle(bundle: dict, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Predicted effects for raw (unstandardized) feature rows; draws, if any, from ``rng``."""
     version = bundle.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -705,5 +704,7 @@ def predict_from_bundle(
         raise ConfigError(
             f"{kind} bundle: standardization width {width} does not match model width {model.width}"
         )
-    X_scaled = transform.transform(np.asarray(X, dtype=np.float64))
-    return model.predict_ite(X_scaled, np.random.default_rng() if rng is None else rng)
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[-1] != width:
+        raise ConfigError(f"the data have {X.shape[-1]} features; the {kind} bundle takes {width}")
+    return model.predict_ite(transform.transform(X), rng)

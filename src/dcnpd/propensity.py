@@ -131,7 +131,8 @@ def train_propensity(
     dataset: ObservationalDataset,
     arch: Sequence[int] = DEFAULT_ARCH,
     epochs: int = DEFAULT_EPOCHS,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     schedule: DropoutSchedule = DropoutSchedule(),
     learning_rate: float = 0.001,
 ) -> PropensityModel:
@@ -144,8 +145,6 @@ def train_propensity(
     treated = int(dataset.W.sum())
     if treated == 0 or treated == dataset.n:
         raise ValueError("propensity training needs both treated and control subjects")
-    if rng is None:
-        rng = np.random.default_rng()
     scaled, transform = standardize(dataset)
     net = build_mlp(
         (dataset.d, *arch, 1), rng, hidden_activation="relu", output_activation="sigmoid"

@@ -33,7 +33,10 @@ from .propensity import DropoutSchedule, PropensityModel, keep_probability, pred
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the alternating loop; defaults follow the benchmark setup."""
+    """Knobs for the alternating loop; defaults follow the benchmark setup.
+
+    There is no seed here: every trainer takes its random stream as ``rng``.
+    """
 
     epochs: int = 100
     gamma: float = 1.0
@@ -44,7 +47,6 @@ class TrainConfig:
     batch_size: int = 32
     shared_widths: tuple[int, ...] = (200, 200)
     head_widths: tuple[int, ...] = ()
-    seed: int | None = None
 
     def __post_init__(self):
         check_count("epochs", self.epochs, error=ValueError)
@@ -129,10 +131,9 @@ def _train_alternating(
     dataset: ObservationalDataset,
     keep: np.ndarray,
     config: TrainConfig,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     on_epoch: Callable[[EpochRecord, DCNParams], None] | None,
 ) -> DCNParams:
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     control = np.flatnonzero(dataset.W == 0)
     treated = np.flatnonzero(dataset.W == 1)
     if len(treated) == 0 or len(control) == 0:
@@ -154,7 +155,7 @@ def train_dcn(
     dataset: ObservationalDataset,
     prop: PropensityModel,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     on_epoch: Callable[[EpochRecord, DCNParams], None] | None = None,
 ) -> DCNParams:
@@ -162,8 +163,8 @@ def train_dcn(
 
     The propensity model stays frozen; its scores are computed once up
     front. ``on_epoch``, when given, receives each epoch's `EpochRecord`
-    and the network as it stands. With ``rng`` omitted, the stream is
-    seeded from ``config.seed``.
+    and the network as it stands. Initialization, minibatch order and
+    masks all draw from ``rng``.
     """
     if prop.net.input_dim != dataset.d:
         raise ValueError(
@@ -178,7 +179,7 @@ def train_dcn_fixed_dropout(
     dataset: ObservationalDataset,
     dropout_prob: float,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     on_epoch: Callable[[EpochRecord, DCNParams], None] | None = None,
 ) -> DCNParams:

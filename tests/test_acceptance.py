@@ -128,13 +128,14 @@ def test_criterion_03_alternating_phase_freezing(criteria_log):
     Y = X @ np.array([1.0, -0.5, 0.25]) + W * 1.5 + rng.standard_normal(n)
     dataset = ObservationalDataset(X, W, Y)
     prop = constant_score_model(d, 0.5)
-    config = TrainConfig(epochs=10, shared_widths=(16,), batch_size=16, seed=5)
+    config = TrainConfig(epochs=10, shared_widths=(16,), batch_size=16)
 
     snapshots = []
     train_dcn(
         dataset,
         prop,
         config,
+        np.random.default_rng(5),
         on_epoch=lambda record, params: snapshots.append(
             (record.epoch, record.phase, copy.deepcopy(params))
         ),

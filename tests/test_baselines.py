@@ -141,7 +141,7 @@ class TestDirectModel:
         net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "identity")])
         model = _DirectNet(net)
         X = np.random.default_rng(0).normal(size=(6, 2))
-        np.testing.assert_array_equal(model.predict_ite(X), np.zeros(6))
+        np.testing.assert_array_equal(model.predict_ite(X, None), np.zeros(6))
 
     def test_antisymmetry_of_effect_readout(self):
         model = direct_model(
@@ -156,12 +156,12 @@ class TestDirectModel:
             for w in (1.0, 0.0)
         )
         np.testing.assert_array_equal(y1 - y0, -(y0 - y1))
-        assert model.predict_ite(X).tobytes() == (y1 - y0).tobytes()
+        assert model.predict_ite(X, None).tobytes() == (y1 - y0).tobytes()
 
     def test_feature_width_checked(self):
         net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "identity")])
         with pytest.raises(ValueError, match="width"):
-            _DirectNet(net).predict_ite(np.zeros((1, 3)))
+            _DirectNet(net).predict_ite(np.zeros((1, 3)), None)
         with pytest.raises(ValueError, match="single output"):
             _DirectNet(MLPParams([DenseLayer(np.zeros((3, 2)), np.zeros(2), "identity")]))
 
@@ -183,7 +183,7 @@ class TestDirectModel:
         )
         clone = _DirectNet.from_dict(model.to_dict())
         X = np.random.default_rng(9).normal(size=(4, 3))
-        np.testing.assert_array_equal(clone.predict_ite(X), model.predict_ite(X))
+        np.testing.assert_array_equal(clone.predict_ite(X, None), model.predict_ite(X, None))
 
 
 def _linear_toy(n, seed, effect=1.5, noise=0.0):
@@ -209,7 +209,7 @@ class TestDirectTraining:
             config=TrainConfig(epochs=200, batch_size=32),
             rng=np.random.default_rng(11),
         )
-        assert np.abs(model.predict_ite(X)).mean() < 0.2
+        assert np.abs(model.predict_ite(X, None)).mean() < 0.2
 
     def test_mse_improves_from_single_epoch_to_many(self):
         ds = _linear_toy(300, seed=12)
@@ -221,26 +221,28 @@ class TestDirectTraining:
         )
 
         def mse(model):
-            return float(np.mean((model.predict_ite(ds.X) - ds.true_ite) ** 2))
+            return float(np.mean((model.predict_ite(ds.X, None) - ds.true_ite) ** 2))
 
         assert mse(late) < mse(early)
 
     def test_determinism(self):
         ds = _linear_toy(60, seed=14)
         cfg = TrainConfig(epochs=3, batch_size=16)
-        a = direct_model(ds, (8,), cfg, np.random.default_rng(15))
-        b = direct_model(ds, (8,), cfg, np.random.default_rng(15))
+        a = direct_model(ds, (8,), cfg, rng=np.random.default_rng(15))
+        b = direct_model(ds, (8,), cfg, rng=np.random.default_rng(15))
         X = ds.X[:5]
-        np.testing.assert_array_equal(a.predict_ite(X), b.predict_ite(X))
+        np.testing.assert_array_equal(a.predict_ite(X, None), b.predict_ite(X, None))
 
     def test_divergence_raises_naming_the_epoch(self):
         ds = _linear_toy(40, seed=17)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="epoch 1"):
-                train_direct_nn(ds, (8, 8), cfg, np.random.default_rng(18))
+                train_direct_nn(ds, (8, 8), cfg, rng=np.random.default_rng(18))
 
     def test_dropout_domain(self):
         ds = _linear_toy(30, seed=16)
         with pytest.raises(ValueError):
-            train_direct_nn(ds, (8,), TrainConfig(epochs=1), np.random.default_rng(0), dropout_prob=1.0)
+            train_direct_nn(
+                ds, (8,), TrainConfig(epochs=1), rng=np.random.default_rng(0), dropout_prob=1.0
+            )

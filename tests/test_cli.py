@@ -77,16 +77,27 @@ class TestArgumentHandling:
         path.write_text("{not json", encoding="utf-8")
         assert main(["benchmark", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("block", ["synthetic", "train"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"synthetic": {"n": 60, "d": 3, "seed": 5}}, "the synthetic block: ['seed']"),
+            ({"train": {"seed": 5}}, "the train block: ['seed']"),
+            ({"bogus": 1}, "the config: ['bogus']"),
+            ({"train": {"epoch": 2}}, "the train block: ['epoch']"),
+            ({"csv_path": "data.csv"}, "exactly one dataset source: synthetic or csv_path"),
+        ],
+        ids=["synthetic", "train", "unknown-key", "unknown-block-key", "two-sources"],
+    )
     @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "benchmark"])
-    def test_seed_inside_a_block_exits_2(self, tmp_path, capsys, command, block):
-        config = write_config(tmp_path, **{block: {"seed": 5}})
+    def test_seed_inside_a_block_exits_2(self, tmp_path, capsys, command, fields, message):
+        # every command reads its config alike: a block seed is one more unknown key
+        config = write_config(tmp_path, **fields)
         out = tmp_path / "out.json"
         args = [command, "--config", str(config), "--out", str(out)]
         if command == "evaluate":
             args += ["--model-file", str(tmp_path / "m.json")]
         assert main(args) == 2
-        assert "set the top-level seed" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -101,6 +112,7 @@ class TestGenerate:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["seed"] == 7
         assert sidecar["synthetic"]["n"] == 60
+        assert "seed" not in sidecar["synthetic"]  # the top-level seed is the only one
         assert str(out) in capsys.readouterr().out
 
     def test_same_seed_regenerates_identical_csv(self, tmp_path):
@@ -117,6 +129,13 @@ class TestGenerate:
         assert main(["generate", "--config", str(config), "--seed", "8",
                      "--out", str(out_b)]) == 0
         assert out_a.read_text() != out_b.read_text()
+
+    def test_rejects_csv_path(self, tmp_path, capsys):
+        config = write_config(tmp_path, csv_path="data.csv", synthetic=None)
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        assert "csv_path" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_seed(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -218,6 +237,30 @@ class TestTrainAndEvaluate:
         assert main(["evaluate", "--config", str(config),
                      "--model-file", str(model_file)]) == 2
         assert "standardization width 4 does not match model width 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["knn:3", "nn4"])
+    def test_evaluate_on_data_of_another_width_exits_2(self, tmp_path, capsys, model):
+        config = write_config(tmp_path, model=model, train={"epochs": 2})
+        model_file = tmp_path / "model.json"
+        assert main(["train", "--config", str(config), "--out", str(model_file)]) == 0
+        wide = write_config(tmp_path, name="wide.json", synthetic={"n": 40, "d": 4})
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(wide), "--model-file", str(model_file),
+                     "--out", str(out)]) == 2
+        kind = model.split(":")[0]
+        assert f"the data have 4 features; the {kind} bundle takes 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_reads_out_from_the_config(self, tmp_path, capsys):
+        model_file = tmp_path / "model.json"
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--out", str(model_file)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "scores" / "eval.json"
+        config = write_config(tmp_path, name="e.json", out=str(out))
+        assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
     def test_evaluate_rejects_unknown_bundle_version(self, tmp_path, capsys):
         config = write_config(tmp_path)

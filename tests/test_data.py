@@ -93,7 +93,7 @@ class TestDatasetInvariants:
             )
 
     def test_subset_keeps_ground_truth(self):
-        ds = generate_synthetic(SyntheticConfig(n=10, d=2, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=10, d=2), np.random.default_rng(0))
         sub = ds.subset(np.array([4, 1]))
         np.testing.assert_array_equal(sub.true_ite, ds.true_ite[[4, 1]])
         np.testing.assert_array_equal(sub.X, ds.X[[4, 1]])
@@ -110,7 +110,7 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.Y, [0.5, 1.5, 2.5])
 
     def test_ground_truth_round_trip(self, tmp_path):
-        ds = generate_synthetic(SyntheticConfig(n=20, d=3, seed=1))
+        ds = generate_synthetic(SyntheticConfig(n=20, d=3), np.random.default_rng(1))
         path = tmp_path / "gt.csv"
         save_csv(ds, path)
         loaded = load_csv(path)
@@ -434,7 +434,7 @@ class TestCsvAgainstReference:
         assert read_outcome(load_csv, folder / "new.csv") == read_outcome(lambda _: ds, None)
 
     def test_writer_matches_reference_across_row_blocks(self, tmp_path):
-        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2, seed=2))
+        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(2))
         save_csv(ds, tmp_path / "new.csv")
         reference_save_csv(ds, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -443,32 +443,40 @@ class TestCsvAgainstReference:
 
 class TestGenerator:
     def test_shapes_and_ground_truth_identity(self):
-        ds = generate_synthetic(SyntheticConfig(n=50, d=7, seed=3))
+        ds = generate_synthetic(SyntheticConfig(n=50, d=7), np.random.default_rng(3))
         assert ds.X.shape == (50, 7) and ds.n == 50 and ds.d == 7
         np.testing.assert_array_equal(ds.true_ite, ds.mu1 - ds.mu0)
 
     def test_linear_offset_effect_is_two_plus_x1(self):
         ds = generate_synthetic(
-            SyntheticConfig(n=100, d=4, surface="LinearOffset", seed=4)
+            SyntheticConfig(n=100, d=4, surface="LinearOffset"), np.random.default_rng(4)
         )
         # true_ite is computed as mu1 - mu0, so cancellation leaves ulp noise
         np.testing.assert_allclose(ds.true_ite, 2.0 + ds.X[:, 0], rtol=1e-12, atol=1e-12)
 
     def test_noiseless_outcome_equals_factual_mu(self):
-        ds = generate_synthetic(SyntheticConfig(n=100, d=3, noise_std=0.0, seed=5))
+        ds = generate_synthetic(
+            SyntheticConfig(n=100, d=3, noise_std=0.0), np.random.default_rng(5)
+        )
         np.testing.assert_array_equal(ds.Y, np.where(ds.W == 1, ds.mu1, ds.mu0))
 
     def test_exp_surface_control_mean_positive(self):
-        ds = generate_synthetic(SyntheticConfig(n=200, d=5, surface="ExpSurface", seed=6))
+        ds = generate_synthetic(
+            SyntheticConfig(n=200, d=5, surface="ExpSurface"), np.random.default_rng(6)
+        )
         assert np.all(ds.mu0 > 0)
 
     def test_unbiased_assignment_near_half(self):
         n = 4000
-        ds = generate_synthetic(SyntheticConfig(n=n, d=3, bias_strength=0.0, seed=7))
+        ds = generate_synthetic(
+            SyntheticConfig(n=n, d=3, bias_strength=0.0), np.random.default_rng(7)
+        )
         assert abs(ds.W.mean() - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_bias_correlates_treatment_with_direction(self):
-        ds = generate_synthetic(SyntheticConfig(n=1000, d=5, bias_strength=3.0, seed=8))
+        ds = generate_synthetic(
+            SyntheticConfig(n=1000, d=5, bias_strength=3.0), np.random.default_rng(8)
+        )
         along = ds.X.mean(axis=1)  # direction a is uniform over features
         corr = np.corrcoef(ds.W, along)[0, 1]
         assert corr > 0.3
@@ -477,14 +485,14 @@ class TestGenerator:
         gaps = []
         for strength in (0.0, 1.0, 3.0):
             ds = generate_synthetic(
-                SyntheticConfig(n=5000, d=4, bias_strength=strength, seed=9)
+                SyntheticConfig(n=5000, d=4, bias_strength=strength), np.random.default_rng(9)
             )
             along = ds.X.mean(axis=1)
             gaps.append(abs(along[ds.W == 1].mean() - along[ds.W == 0].mean()))
         assert gaps[0] <= gaps[1] + 1e-3 and gaps[1] <= gaps[2] + 1e-3
 
     def test_fixed_covariates_are_reused(self):
-        cfg = SyntheticConfig(n=30, d=2, seed=10)
+        cfg = SyntheticConfig(n=30, d=2)
         X = np.random.default_rng(99).standard_normal((30, 2))
         a = generate_synthetic(cfg, np.random.default_rng(1), covariates=X)
         b = generate_synthetic(cfg, np.random.default_rng(2), covariates=X)
@@ -495,12 +503,12 @@ class TestGenerator:
     def test_covariate_shape_checked(self):
         with pytest.raises(ValidationError):
             generate_synthetic(
-                SyntheticConfig(n=5, d=2, seed=0), covariates=np.ones((4, 2))
+                SyntheticConfig(n=5, d=2), np.random.default_rng(0), covariates=np.ones((4, 2))
             )
 
     def test_same_seed_same_dataset(self):
-        cfg = SyntheticConfig(n=40, d=6, seed=11)
-        a, b = generate_synthetic(cfg), generate_synthetic(cfg)
+        cfg = SyntheticConfig(n=40, d=6)
+        a, b = (generate_synthetic(cfg, np.random.default_rng(11)) for _ in range(2))
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.Y, b.Y)
@@ -522,29 +530,29 @@ class TestGenerator:
 
 class TestSplit:
     def test_ceiling_sizes(self):
-        ds = generate_synthetic(SyntheticConfig(n=10, d=2, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=10, d=2), np.random.default_rng(0))
         train, test = train_test_split(ds, 0.8, np.random.default_rng(0))
         assert (train.n, test.n) == (8, 2)
 
     def test_747_splits_like_the_benchmark(self):
-        ds = generate_synthetic(SyntheticConfig(n=747, d=3, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=747, d=3), np.random.default_rng(0))
         train, test = train_test_split(ds, 0.8, np.random.default_rng(0))
         assert (train.n, test.n) == (598, 149)
 
     def test_same_seed_same_partition(self):
-        ds = generate_synthetic(SyntheticConfig(n=25, d=2, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=25, d=2), np.random.default_rng(0))
         a = train_test_split(ds, 0.6, np.random.default_rng(5))
         b = train_test_split(ds, 0.6, np.random.default_rng(5))
         np.testing.assert_array_equal(a[0].X, b[0].X)
         np.testing.assert_array_equal(a[1].X, b[1].X)
 
     def test_empty_side_rejected(self):
-        ds = generate_synthetic(SyntheticConfig(n=2, d=2, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=2, d=2), np.random.default_rng(0))
         with pytest.raises(ValueError):
             train_test_split(ds, 0.9, np.random.default_rng(0))
 
     def test_fraction_domain(self):
-        ds = generate_synthetic(SyntheticConfig(n=10, d=2, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=10, d=2), np.random.default_rng(0))
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 train_test_split(ds, bad, np.random.default_rng(0))
@@ -584,18 +592,18 @@ class TestStandardize:
         assert transform.std[0] == 1.0
 
     def test_transform_of_mean_is_exactly_zero(self):
-        ds = generate_synthetic(SyntheticConfig(n=30, d=4, seed=12))
+        ds = generate_synthetic(SyntheticConfig(n=30, d=4), np.random.default_rng(12))
         _, transform = standardize(ds)
         np.testing.assert_array_equal(transform.transform(transform.mean), np.zeros(4))
 
     def test_population_std_convention(self):
-        ds = generate_synthetic(SyntheticConfig(n=50, d=3, seed=13))
+        ds = generate_synthetic(SyntheticConfig(n=50, d=3), np.random.default_rng(13))
         scaled, _ = standardize(ds)
         np.testing.assert_allclose(scaled.X.std(axis=0), 1.0, rtol=1e-12)
         np.testing.assert_allclose(scaled.X.mean(axis=0), 0.0, atol=1e-14)
 
     def test_width_mismatch_on_transform(self):
-        ds = generate_synthetic(SyntheticConfig(n=10, d=3, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=10, d=3), np.random.default_rng(0))
         _, transform = standardize(ds)
         with pytest.raises(ValueError):
             transform.transform(np.ones(4))
@@ -618,7 +626,7 @@ class TestStandardize:
                 standardize(ds)
 
     def test_round_trip_dict(self):
-        ds = generate_synthetic(SyntheticConfig(n=10, d=3, seed=0))
+        ds = generate_synthetic(SyntheticConfig(n=10, d=3), np.random.default_rng(0))
         _, transform = standardize(ds)
         clone = Standardization.from_dict(transform.to_dict())
         np.testing.assert_array_equal(clone.mean, transform.mean)

@@ -323,16 +323,16 @@ class TestEstimateIte:
     def test_input_validation(self):
         params = small_dcn()
         prop = stub_propensity(0.0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            estimate_ite(params, prop, DropoutSchedule(1.0), np.ones((2, 3)))
+            estimate_ite(params, prop, DropoutSchedule(1.0), np.ones((2, 3)), 100, rng)
         for n_samples in (0, 2.5, True):
             with pytest.raises(ValueError, match="n_samples"):
-                estimate_ite(params, prop, DropoutSchedule(1.0), np.ones(3), n_samples)
+                estimate_ite(params, prop, DropoutSchedule(1.0), np.ones(3), n_samples, rng)
             with pytest.raises(ValueError, match="n_samples"):
-                mc_ite_matrix(params, prop, DropoutSchedule(1.0), np.ones((2, 3)), n_samples,
-                              np.random.default_rng(0))
+                mc_ite_matrix(params, prop, DropoutSchedule(1.0), np.ones((2, 3)), n_samples, rng)
         with pytest.raises(ValueError, match="row 0"):
-            estimate_ite(params, prop, DropoutSchedule(1.0), np.array([1.0, np.inf, 0.0]))
+            estimate_ite(params, prop, DropoutSchedule(1.0), np.array([1.0, np.inf, 0.0]), 100, rng)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)

@@ -130,19 +130,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             quick_config(model="forest")
 
-    @pytest.mark.parametrize(
-        "block",
-        [
-            {"synthetic": SyntheticConfig(n=60, d=3, seed=5)},
-            {"train": TrainConfig(seed=5)},
-            {"train": TrainConfig(seed=0)},
-        ],
-    )
-    def test_rejects_block_seed(self, block):
-        # run_experiment passes its own streams, so a block seed would be ignored
-        with pytest.raises(ConfigError, match="top-level seed"):
-            quick_config(**block)
-
     def test_fixed_covariates_needs_synthetic_source(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(
@@ -161,8 +148,15 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         payload = quick_config().to_dict()
         payload["typo_field"] = 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown keys in the config: \['typo_field'\]"):
             ExperimentConfig.from_dict(payload)
+        # the top-level seed is the only one: a block seed is an unknown key too
+        for block in ("synthetic", "train"):
+            payload = quick_config().to_dict()
+            payload[block]["seed"] = 5
+            message = rf"unknown keys in the {block} block: \['seed'\]"
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig.from_dict(payload)
 
     @pytest.mark.parametrize(
         "override, field_name",
@@ -181,15 +175,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=field_name):
             ExperimentConfig.from_dict(payload)
 
-    def test_from_dict_requires_model_and_seed(self):
+    def test_from_dict_requires_a_seed_not_a_model(self):
         payload = quick_config().to_dict()
         del payload["seed"]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="seed is required"):
             ExperimentConfig.from_dict(payload)
+        # generate and evaluate read the same config, and fit no model
         payload = quick_config().to_dict()
         del payload["model"]
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(payload)
+        assert ExperimentConfig.from_dict(payload) == quick_config(model=None)
 
 
 def manual_knn_rep_mse(config: ExperimentConfig, r: int) -> float:
@@ -754,7 +748,7 @@ class TestModelBundles:
         assert set(bundle) == BUNDLE_KEYS["knn"]
         rng = np.random.default_rng(99)
         X_new = rng.standard_normal((5, 3))
-        predictions = predict_from_bundle(bundle, X_new)
+        predictions = predict_from_bundle(bundle, X_new, np.random.default_rng(0))
         full = generate_synthetic(
             config.synthetic,
             np.random.default_rng(np.random.SeedSequence(11, spawn_key=(1, 0, 0))),
@@ -777,8 +771,8 @@ class TestModelBundles:
             predictions = predict_from_bundle(bundle, X_new, rng=rng)
             assert predictions.shape == (4,)
             assert np.all(np.isfinite(predictions))
-            if model != "dcn-pd":  # deterministic predictors need no stream
-                repeat = predict_from_bundle(bundle, X_new)
+            if model != "dcn-pd":  # deterministic predictors ignore the stream
+                repeat = predict_from_bundle(bundle, X_new, np.random.default_rng(6))
                 np.testing.assert_array_equal(predictions, repeat)
             else:  # Monte Carlo: same stream, same answer
                 repeat = predict_from_bundle(bundle, X_new, rng=np.random.default_rng(5))
@@ -794,6 +788,7 @@ class TestModelBundles:
                     "standardization": {"mean": [0.0], "std": [1.0]},
                 },
                 np.zeros((1, 1)),
+                np.random.default_rng(0),
             )
 
     @pytest.mark.parametrize(
@@ -822,16 +817,20 @@ class TestModelBundles:
             predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))
 
     def test_bundle_width_mismatch_names_both_widths(self, tiny_bundles):
+        rng = np.random.default_rng(0)
         for kind in BUNDLE_KEYS:
+            # data of another width than a consistent bundle's
+            with pytest.raises(ConfigError, match=f"3 features; the {kind} bundle takes 2"):
+                predict_from_bundle(tiny_bundles[kind], np.zeros((1, 3)), rng)
             bundle = {**tiny_bundles[kind], "standardization": WIDE}
             with pytest.raises(ConfigError, match="standardization width 3 .* width 2"):
-                predict_from_bundle(bundle, np.zeros((1, 3)), rng=np.random.default_rng(0))
+                predict_from_bundle(bundle, np.zeros((1, 3)), rng)
         bundle = tiny_bundles["dcn-pd"]
         prop = {**bundle["propensity"], "standardization": WIDE}
         with pytest.raises(ConfigError, match="standardization width 3 .* width 2"):
-            predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)))
+            predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)), rng)
         # a propensity model of its own width 3 against the 2-wide network
         net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "sigmoid")])
         prop = {**bundle["propensity"], "net": net.to_dict(), "standardization": WIDE}
         with pytest.raises(ConfigError, match="propensity width 3 .* width 2"):
-            predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)))
+            predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)), rng)

@@ -212,7 +212,9 @@ class TestTraining:
     def test_epochs_validated(self):
         for epochs in (0, 2.5, True):
             with pytest.raises(ValueError, match="epochs"):
-                train_propensity(separable_toy(20, seed=0), epochs=epochs)
+                train_propensity(
+                    separable_toy(20, seed=0), epochs=epochs, rng=np.random.default_rng(0)
+                )
 
 
 class TestSerialization:

@@ -119,8 +119,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ConfigError("generate draws a synthetic dataset: the config must not set csv_path")
     out = Path(config.out or "dataset.csv")
     dataset = generate_synthetic(config.synthetic, np.random.default_rng(config.seed))
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
     sidecar = out.with_suffix(".json")
     sidecar.write_text(
@@ -146,8 +145,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train fits one model: pass --model once")
     bundle = train_model_bundle(config)
     out = Path(config.out or "model.json")
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(bundle, sort_keys=True) + "\n", encoding="utf-8")
     print(f"trained {config.model} and saved the bundle to {out}")
     return 0
@@ -175,8 +173,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(text)
     if config.out is not None:
         out = Path(config.out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + "\n", encoding="utf-8")
     return 0
 

@@ -19,13 +19,13 @@ import json
 import math
 import os
 import pickle
+import select
+import signal
 import subprocess
 import sys
-import threading
 import time
 import traceback
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -418,8 +418,7 @@ def _run_repetition(
 POOL_MIN_STEPS = 1_000
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _idle: list["_Worker"] = []  # started, healthy and free for the next call
-_live: set = set()  # every worker not yet reaped, for the exit hook
-_idle_lock = threading.Lock()
+_live: set = set()  # every worker not yet reaped; those not idle are running a job
 
 
 def _train_steps(config: ExperimentConfig, n: int) -> int:
@@ -443,16 +442,21 @@ class _Worker:
             stdout=subprocess.PIPE,
             env=env,
         )
-        self.busy = False
         _live.add(self)
 
-    def run(self, job: tuple) -> tuple:
-        self.busy = True
+    def fileno(self) -> int:  # select waits on the reply pipe
+        return self.proc.stdout.fileno()
+
+    def send(self, job: tuple) -> None:
         pickle.dump(job, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
         self.proc.stdin.flush()
-        reply = pickle.load(self.proc.stdout)
-        self.busy = False
-        return reply
+
+    def reply(self) -> tuple:
+        """The job's ``(warnings, value, error)``; an error's cause is the worker's traceback."""
+        warned, value, error, trace = pickle.load(self.proc.stdout)
+        if trace is not None:
+            error.__cause__ = _RemoteTraceback(trace)
+        return warned, value, error
 
     def close(self, kill: bool = False) -> int:
         """Reap the worker: killed, or ended by closing its input; returns its exit code."""
@@ -471,11 +475,12 @@ class _Worker:
 @atexit.register
 def _close_workers() -> None:
     for worker in list(_live):
-        worker.close(kill=worker.busy)
+        worker.close(kill=worker not in _idle)
 
 
 def _serve() -> None:
     """A worker's loop: read a pickled job, write ``(warnings, value, error, traceback)``."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller kills busy workers on a Ctrl-C
     jobs, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # a stray print must not corrupt the reply stream
     while True:
@@ -510,53 +515,33 @@ def _failure(r: int, e: Exception) -> Exception:
     return error
 
 
-def _pooled(job: tuple, stopped: threading.Event) -> tuple:
-    """Run one job on an idle worker, or a new one; return ``(warnings, value, error)``."""
-    r, worker = job[1], None
-    try:
-        with _idle_lock:
-            if stopped.is_set():  # the call was interrupted: nothing reads this result
-                return [], None, None
-            worker = _idle.pop() if _idle else _Worker()
-        warned, value, error, trace = worker.run(job)
-    except Exception as e:  # no worker started, it died, or a job did not pickle
-        code = worker and worker.close(kill=True)
-        with _idle_lock:  # idle workers may be gone too: later calls start afresh
-            while _idle:
-                _idle.pop().close(kill=True)
-        lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
-        return [], None, _failure(r, lost)
-    with _idle_lock:  # a worker killed by an interrupt may still have replied: not kept
-        if stopped.is_set():
-            worker.close(kill=True)
-        else:
-            _idle.append(worker)
-    if trace is not None:
-        error.__cause__ = _RemoteTraceback(trace)
-    return warned, value, None if error is None else _failure(r, error)
+def _lost(worker: _Worker | None, r: int, e: Exception) -> Exception:
+    """Kill a worker that did not start, take or answer job r, and the idle ones; r's error."""
+    code = worker and worker.close(kill=True)
+    while _idle:  # idle workers may be gone too: later calls start afresh
+        _idle.pop().close(kill=True)
+    lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
+    return _failure(r, lost)
 
 
-def _walk(entries: list, per_rep: list, ahead: int) -> None:
-    """Check entries, outcomes or Futures of them, into `per_rep` in order; raise the first error.
-
-    It stops at an unfinished Future once no more than ``ahead`` entries are unchecked.
-    """
-    while len(per_rep) < len(entries):
-        r = len(per_rep)
-        entry = entries[r]
-        if isinstance(entry, Future):
-            if not entry.done() and len(entries) - r <= ahead:
-                return
-            entry = entry.result()
-        warned, value, error = entry
+def _collect(running: dict, values: dict, errors: dict, timeout: float | None = None) -> None:
+    """Record the replies of the running workers ready within ``timeout`` s (None: one at least)."""
+    for worker in select.select(list(running), [], [], timeout)[0]:
+        r = running.pop(worker)
+        try:
+            warned, value, error = worker.reply()
+        except Exception as e:  # the worker died
+            errors[r] = _lost(worker, r, e)
+            continue
+        _idle.append(worker)
         try:  # a worker's warnings meet this process's filters, which may raise them
             for message, category in warned:
                 warnings.warn(message, category)
+            if error is not None:
+                raise error
+            values[r] = value
         except Exception as e:
-            raise _failure(r, e) from e
-        if error is not None:
-            raise error
-        per_rep.append(value)
+            errors[r] = _failure(r, e)
 
 
 def _repetitions(config: ExperimentConfig) -> list[float]:
@@ -567,9 +552,8 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
         covariates = _stream(config.seed, 0, 0).standard_normal(
             (config.synthetic.n, config.synthetic.d)
         )
-    threads = min(config.repetitions, len(os.sched_getaffinity(0)))
-    pool, stopped = ThreadPoolExecutor(threads), threading.Event()
-    entries, per_rep = [], []
+    most = min(config.repetitions, len(os.sched_getaffinity(0)))  # workers running at once
+    values, errors, running = {}, {}, {}  # running maps a worker to its repetition
     try:
         for r in range(config.repetitions):
             try:
@@ -580,30 +564,38 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
                             f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
                         )
             except Exception as e:  # raised as is, after any lower repetition's failure
-                entries.append(([], None, e))
+                errors[r] = e
                 break
             job = (config, r, base, covariates)
             rows = config.synthetic.n if base is None else base.n
             if _train_steps(config, rows) < POOL_MIN_STEPS:
                 try:
-                    entries.append(([], _run_repetition(*job), None))
-                except Exception as e:  # no later repetition is read
-                    entries.append(([], None, _failure(r, e)))
-                    break
+                    values[r] = _run_repetition(*job)
+                except Exception as e:
+                    errors[r] = _failure(r, e)
             else:
-                entries.append(pool.submit(_pooled, job, stopped))
-            _walk(entries, per_rep, 2 * threads)  # so few loaded realizations wait at once
-        _walk(entries, per_rep, 0)
-        return per_rep
-    except BaseException as e:
-        if not isinstance(e, Exception):  # an interrupt: kill running jobs, do not wait
-            with _idle_lock:
-                stopped.set()
-                for worker in _live.difference(_idle):
-                    worker.proc.kill()
+                while len(running) == most:  # the first worker to reply takes this job
+                    _collect(running, values, errors)
+                if not errors:
+                    worker = None
+                    try:
+                        worker = _idle.pop() if _idle else _Worker()
+                        worker.send(job)
+                        running[worker] = r
+                    except Exception as e:  # no worker started, it died, or a job did not pickle
+                        errors[r] = _lost(worker, r, e)
+            _collect(running, values, errors, timeout=0)
+            if errors:  # no repetition starts after a failure; the running ones finish
+                break
+        while running:
+            _collect(running, values, errors)
+    except BaseException:  # an interrupt: kill the running workers, do not wait for them
+        for worker in _live.difference(_idle):
+            worker.close(kill=True)
         raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+    if errors:
+        raise errors[min(errors)]
+    return [values[r] for r in range(config.repetitions)]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -450,12 +450,58 @@ config = experiment.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 def report():
     deadline = time.monotonic() + 60
     busy = min(config.repetitions, len(os.sched_getaffinity(0)))
-    while sum(w.busy for w in list(experiment._live)) < busy and time.monotonic() < deadline:
+    while len(experiment._live) - len(experiment._idle) < busy and time.monotonic() < deadline:
         time.sleep(0.01)
     print(json.dumps([w.proc.pid for w in list(experiment._live)]), flush=True)
 threading.Thread(target=report, daemon=True).start()
 experiment.run_experiment(config)
 """
+
+
+def ignores_sigint(pid: int) -> bool:
+    """Whether the process ignores SIGINT, read from its SigIgn mask (Linux)."""
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        mask = next(line for line in fh if line.startswith("SigIgn:")).split()[1]
+    return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
+
+
+def interrupt_pooled_run(group: bool) -> str:
+    """SIGINT a pooled run once its workers are busy; check it stops promptly; return its stderr.
+
+    With ``group`` the signal goes to the script's whole process group, as a
+    terminal's Ctrl-C does, once every worker serves its job and ignores SIGINT.
+    """
+    config = pooled_config(repetitions=2, train=TrainConfig(epochs=200_000, shared_widths=(8,)))
+    script = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPT_SCRIPT, json.dumps(config.to_dict())],
+        env=script_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,  # so the interrupt reaches the script's processes alone
+    )
+    try:
+        workers = json.loads(script.stdout.readline())
+        deadline = time.monotonic() + 10
+        while group and not all(map(ignores_sigint, workers)):
+            assert time.monotonic() < deadline, "a worker does not ignore SIGINT"
+            time.sleep(0.01)
+        start = time.monotonic()
+        if group:
+            os.killpg(script.pid, signal.SIGINT)
+        else:
+            script.send_signal(signal.SIGINT)
+        _, stderr = script.communicate(timeout=60)
+        elapsed = time.monotonic() - start
+    finally:
+        try:  # whatever happened, leave no process of the script's session behind
+            os.killpg(script.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        script.communicate()
+    assert len(workers) == min(2, len(os.sched_getaffinity(0)))
+    assert elapsed < 3
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    return stderr
 
 
 def write_arms(folder: Path, files: list[tuple[str, int]]) -> None:
@@ -499,7 +545,7 @@ class TestWorkerPool:
         monkeypatch.setattr(experiment, "load_csv", load)
         run_experiment(pooled_config(synthetic=None, csv_path=str(tmp_path), repetitions=8))
         assert len(counts) == 8
-        assert max(counts) <= 2 * min(8, len(os.sched_getaffinity(0))) + 1
+        assert max(counts) <= 2  # the current realization and the previous one
 
     @pytest.mark.parametrize("model, reps", [("dcn-fixed:0.2", 2), ("nn4", 1)])
     def test_other_neural_models_pool_bitwise(self, monkeypatch, model, reps):
@@ -563,7 +609,12 @@ class TestWorkerPool:
             object.__setattr__(config, "model", 5)  # parse_model raises in the worker
         else:
             covariates = np.zeros((1, 1))  # generate_synthetic rejects their shape
-        error = experiment._pooled((config, 0, None, covariates), threading.Event())[2]
+        worker = experiment._Worker()
+        try:
+            worker.send((config, 0, None, covariates))
+            error = experiment._failure(0, worker.reply()[2])
+        finally:
+            worker.close()
         assert type(error) is raised
         if raised is RuntimeError:
             assert str(error).startswith("repetition 0 failed: covariates must have shape")
@@ -598,30 +649,21 @@ class TestWorkerPool:
             run_experiment(config)
 
     def test_an_interrupt_stops_a_pooled_run_promptly(self):
-        config = pooled_config(repetitions=2, train=TrainConfig(epochs=40_000, shared_widths=(8,)))
-        script = subprocess.Popen(
-            [sys.executable, "-c", INTERRUPT_SCRIPT, json.dumps(config.to_dict())],
-            env=script_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,  # so the interrupt reaches the script alone
-        )
-        try:
-            workers = json.loads(script.stdout.readline())
-            start = time.monotonic()
-            script.send_signal(signal.SIGINT)
-            _, stderr = script.communicate(timeout=60)
-            elapsed = time.monotonic() - start
-        finally:
-            try:  # whatever happened, leave no process of the script's session behind
-                os.killpg(script.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            script.communicate()
-        assert len(workers) == min(2, len(os.sched_getaffinity(0)))
-        assert "KeyboardInterrupt" in stderr
-        assert elapsed < 3
-        for pid in workers:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert "KeyboardInterrupt" in interrupt_pooled_run(group=False)
+
+    def test_ctrl_c_to_the_process_group_prints_one_traceback(self):
+        stderr = interrupt_pooled_run(group=True)  # the script's and its workers' stderr
+        assert stderr.count("KeyboardInterrupt") == 1, stderr
+
+    def test_a_pooled_run_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        config = pooled_config(repetitions=2)
+        expected = in_process(config, [None] * 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        refuse_in_process(monkeypatch)
+        assert run_experiment(config).per_rep_mse == expected
 
     def test_worker_warnings_meet_this_process_filters(self, tmp_path):
         # features near 1e200 overflow in standardize's variance: a RuntimeWarning

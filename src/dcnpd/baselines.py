@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ObservationalDataset, check_count
+from .data import ROW_BLOCK, ObservationalDataset, check_count
 from .nn import MLPParams, build_mlp
 from .training import TrainConfig, fit_phases
 
@@ -43,6 +43,37 @@ def _group_mean_outcome(distances: np.ndarray, Y: np.ndarray, rows: np.ndarray, 
     return float(Y[rows[nearest]].mean())
 
 
+def knn_arms(W: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Treated and control row indices; both arms must hold at least ``k`` rows."""
+    is_treated = W == 1
+    treated, control = np.flatnonzero(is_treated), np.flatnonzero(~is_treated)
+    if len(treated) < k or len(control) < k:
+        raise ValueError(
+            f"both groups need at least k={k} members "
+            f"(treated {len(treated)}, control {len(control)})"
+        )
+    return treated, control
+
+
+def _distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``x`` to each row of ``X``, ROW_BLOCK rows at a time.
+
+    A block's squares are summed while still in cache, and a C-order block
+    sums each row's squares as that row alone would be summed, so every
+    distance has the bits of ``np.sqrt(np.sum((X[i] - x) ** 2))``.
+    """
+    n = len(X)
+    rows = min(n, ROW_BLOCK)
+    queries = np.tile(x, (rows, 1))
+    deltas = np.empty((rows, len(x)))
+    distances = np.empty(n)
+    for start in range(0, n, rows):
+        block = X[start : start + rows]
+        sq = np.subtract(block, queries[: len(block)], out=deltas[: len(block)])
+        np.sum(np.multiply(sq, sq, out=sq), axis=1, out=distances[start : start + len(block)])
+    return np.sqrt(distances, out=distances)
+
+
 def knn_ite(
     train: ObservationalDataset, x: np.ndarray, config: KnnConfig = KnnConfig()
 ) -> float:
@@ -52,16 +83,8 @@ def knn_ite(
         raise ValueError(f"x must be a length-{train.d} feature vector")
     if not np.isfinite(x).all():
         raise ValueError("x contains NaN or infinite values")
-    treated = np.flatnonzero(train.W == 1)
-    control = np.flatnonzero(train.W == 0)
-    if len(treated) < config.k or len(control) < config.k:
-        raise ValueError(
-            f"both groups need at least k={config.k} members "
-            f"(treated {len(treated)}, control {len(control)})"
-        )
-    # C order sums each row's squares as a copy of its group's rows would
-    deltas = np.subtract(train.X, x, order="C")
-    distances = np.sqrt(np.sum(np.multiply(deltas, deltas, out=deltas), axis=1))
+    treated, control = knn_arms(train.W, config.k)
+    distances = _distances(train.X, x)
     return _group_mean_outcome(distances, train.Y, treated, config.k) - _group_mean_outcome(
         distances, train.Y, control, config.k
     )

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import DEFAULT_DIRECT_ARCH, KnnConfig, knn_ite, train_direct_nn
+from .baselines import DEFAULT_DIRECT_ARCH, KnnConfig, knn_arms, knn_ite, train_direct_nn
 from .data import (
     ObservationalDataset,
     Standardization,
@@ -327,10 +327,17 @@ class _DirectNet:
 
 @dataclass
 class _Matching:
-    """k-NN matching against the training rows, which the bundle embeds."""
+    """k-NN matching against the training rows, which the bundle embeds.
+
+    Both arms must hold at least k rows, checked when the model is built, so
+    neither `fit` nor `from_dict` returns a model that cannot answer a query.
+    """
 
     train_set: ObservationalDataset
     knn: KnnConfig
+
+    def __post_init__(self):
+        knn_arms(self.train_set.W, self.knn.k)
 
     @property
     def width(self) -> int:

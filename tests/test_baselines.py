@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from dcnpd import baselines
 from dcnpd.baselines import KnnConfig, knn_ite, train_direct_nn
-from dcnpd.data import ObservationalDataset
+from dcnpd.data import ROW_BLOCK, ObservationalDataset
 from dcnpd.experiment import _DirectNet
 from dcnpd.nn import DenseLayer, MLPParams, mask_widths, mlp_forward
 from dcnpd.training import TrainConfig
@@ -129,6 +130,60 @@ class TestKnn:
         preds = np.array([knn_ite(ds, x, KnnConfig(k=3)) for x in X])
         mae = np.abs(preds - ds.true_ite).mean()
         assert mae < ds.true_ite.max() - ds.true_ite.min()
+
+
+def one_block_distances(X, x):
+    """The distances of a single C-order pass over all of X."""
+    deltas = np.subtract(X, x, order="C")
+    return np.sqrt(np.sum(np.multiply(deltas, deltas, out=deltas), axis=1))
+
+
+class TestKnnRowBlocks:
+    """`knn_ite` computes its distances ROW_BLOCK rows at a time."""
+
+    def test_ties_across_block_boundaries_match_brute_force_oracle(self):
+        rng = np.random.default_rng(20)
+        n = 3 * ROW_BLOCK + 7
+        # the bulk sits on a far grid; next to each block boundary, rows of both
+        # arms sit at distance 1 from the origin, so every k-th distance is tied
+        X = rng.integers(3, 6, size=(n, 2)).astype(np.float64)
+        W = rng.integers(0, 2, size=n)
+        near = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
+        for boundary in (ROW_BLOCK, 2 * ROW_BLOCK, 3 * ROW_BLOCK):
+            rows = np.arange(boundary - 2, boundary + 2)
+            X[rows] = near
+            W[rows] = [1, 0, 0, 1]
+        Y = rng.normal(size=n)
+        ds = ObservationalDataset(X, W, Y)
+        for x in ([0.0, 0.0], [4.0, 4.0], [1.0, 0.0]):
+            x = np.array(x)
+            for k in range(1, 6):
+                assert knn_ite(ds, x, KnnConfig(k=k)) == brute_force_knn(ds, x, k)
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_distances_have_the_bits_of_one_block(self, n, layout):
+        rng = np.random.default_rng(n)
+        X = layout(rng.normal(size=(n, 25)) * rng.uniform(0.1, 10.0, size=25))
+        x = rng.normal(size=25)
+        got = baselines._distances(X, x)
+        assert got.tobytes() == one_block_distances(X, x).tobytes()
+        for i in (0, ROW_BLOCK - 2, n - 1):
+            assert got[i] == np.sqrt(np.sum((X[i] - x) ** 2))
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_features_and_query_are_not_written(self, layout):
+        rng = np.random.default_rng(4)
+        n = ROW_BLOCK + 3
+        X = layout(rng.normal(size=(n, 3)))
+        x = rng.normal(size=3)
+        X.setflags(write=False)
+        x.setflags(write=False)
+        before = X.tobytes(), x.tobytes()
+        ds = ObservationalDataset(X, np.arange(n) % 2, rng.normal(size=n))
+        assert ds.X is X
+        knn_ite(ds, x, KnnConfig(k=3))
+        assert (X.tobytes(), x.tobytes()) == before
 
 
 def direct_model(*args, **kwargs) -> _DirectNet:

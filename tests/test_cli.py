@@ -185,6 +185,14 @@ class TestTrainAndEvaluate:
         assert "pass --model once" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    def test_train_knn_with_an_arm_smaller_than_k_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, synthetic={"n": 40, "d": 3})
+        out = tmp_path / "bundles" / "knn_30.json"
+        assert main(["train", "--config", str(config), "--model", "knn:30",
+                     "--out", str(out)]) == 1
+        assert "both groups need at least k=30 members" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_directory_source_is_config_error(self, tmp_path, capsys, command):
         config = write_config(tmp_path, csv_path=str(tmp_path), synthetic=None)

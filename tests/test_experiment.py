@@ -858,6 +858,20 @@ class TestModelBundles:
         with pytest.raises(ConfigError, match=f"{kind} bundle"):
             predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))
 
+    def test_knn_with_an_arm_smaller_than_k_is_not_trained(self):
+        with pytest.raises(ValueError, match=r"both groups need at least k=30 members \(treated"):
+            train_model_bundle(tiny_bundle_config("knn:30"))
+
+    def test_knn_bundle_with_an_arm_smaller_than_k_rejected(self, tiny_bundles):
+        bundle = tiny_bundles["knn"]
+        arm = min(sum(bundle["w"]), len(bundle["w"]) - sum(bundle["w"]))
+        edits = [{"k": arm + 1}, {"w": [1] * len(bundle["w"])}]
+        for edit in edits:
+            with pytest.raises(ConfigError, match=f"knn bundle .*at least k={edit.get('k', 3)}"):
+                predict_from_bundle({**bundle, **edit}, np.zeros((1, 2)), np.random.default_rng(0))
+        # the largest k both arms can serve still answers
+        predict_from_bundle({**bundle, "k": arm}, np.zeros((1, 2)), np.random.default_rng(0))
+
     def test_bundle_width_mismatch_names_both_widths(self, tiny_bundles):
         rng = np.random.default_rng(0)
         for kind in BUNDLE_KEYS:

@@ -172,20 +172,16 @@ def _checked_keep(keep) -> np.ndarray:
     return keep
 
 
-def _threshold(uniform: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    # the one place a mask is divided by its keep; callers pass a `_checked_keep` result
-    np.less(uniform, keep, out=uniform)
-    return np.divide(uniform, keep, out=uniform)
-
-
 def bernoulli_mask(uniform: np.ndarray, keep) -> np.ndarray:
     """Turn uniform [0, 1) draws into an inverted-dropout mask, in place.
 
     An entry below ``keep`` becomes ``1/keep``, any other ``0.0``. ``keep``
     is a scalar or an array that broadcasts against ``uniform``, and must
-    lie in (0, 1].
+    lie in (0, 1]. No other code divides a mask by its keep probability.
     """
-    return _threshold(uniform, _checked_keep(keep))
+    keep = _checked_keep(keep)
+    np.less(uniform, keep, out=uniform)
+    return np.divide(uniform, keep, out=uniform)
 
 
 def mask_widths(chain: Sequence[MLPParams]) -> list[list[int]]:
@@ -211,10 +207,9 @@ def draw_masks(
     whose row ``m`` holds, net by net and width by width, the ``(rows,
     width)`` masks of draw ``m`` row by row: the stream and the values of
     one ``(rng.random((rows, width)) < keep[:, None]) / keep[:, None]`` per
-    width and draw, in that order. `bernoulli_mask`'s arithmetic turns each
-    width's view of the block into its mask in place, with ``keep`` checked
-    once for every width, so each mask is that view, ``(draws, rows,
-    width)``, or ``(rows, width)`` when ``draws`` is None.
+    width and draw, in that order. `bernoulli_mask` turns each width's view
+    of the block into its mask in place, so each mask is that view,
+    ``(draws, rows, width)``, or ``(rows, width)`` when ``draws`` is None.
     ``out``, a float64 block of that shape, receives the draw instead of a
     new block, so a caller can reuse one block for every draw.
     """
@@ -233,7 +228,7 @@ def draw_masks(
         masks.append([])
         for w in widths:
             view = out[:, start : start + rows * w].reshape(c, rows, w)
-            mask = _threshold(view, keep[:, None])
+            mask = bernoulli_mask(view, keep[:, None])
             masks[-1].append(mask[0] if draws is None else mask)
             start += rows * w
     return masks

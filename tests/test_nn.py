@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcnpd import nn
 from dcnpd.nn import (
     ACTIVATIONS,
     AdamState,
@@ -204,26 +203,6 @@ class TestDropoutMasking:
         inverse = 1.0 / keep[:, None]  # row i: 1/keep[i]
         for mask in draw_masks([widths], keep, np.random.default_rng(seed), draws)[0]:
             assert ((mask == 0.0) | (mask == inverse)).all()
-
-    @pytest.mark.parametrize(
-        "groups", [[[200, 200], [100], [100]], [[200, 200, 200]], [[5]], [[3, 4], [2], []]]
-    )
-    def test_draw_masks_checks_keep_once(self, monkeypatch, groups):
-        calls = []
-        checked_keep = nn._checked_keep
-
-        def spy(keep):
-            calls.append(keep)
-            return checked_keep(keep)
-
-        monkeypatch.setattr(nn, "_checked_keep", spy)
-        for draws in (None, 2):
-            calls.clear()
-            draw_masks(groups, np.full(4, 0.6), np.random.default_rng(0), draws)
-            assert len(calls) == 1
-        calls.clear()
-        bernoulli_mask(np.zeros((4, 3)), 0.6)
-        assert len(calls) == 1
 
 
 def assert_same_cache(a, b):

@@ -221,6 +221,7 @@ class _PropensityDropoutDCN:
 
     propensity: PropensityModel
     dcn: DCNParams
+    schedule: DropoutSchedule
     n_samples: int
 
     def __post_init__(self):
@@ -235,20 +236,18 @@ class _PropensityDropoutDCN:
 
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
-        schedule = DropoutSchedule(config.train.gamma)
         arch, epochs = config.propensity_arch, config.propensity_epochs
-        prop = train_propensity(train_set, arch, epochs, rng=rng, schedule=schedule)
-        return cls(prop, train_dcn(train_set, prop, config.train, rng), config.n_samples)
+        prop = train_propensity(train_set, arch, epochs, rng=rng)
+        dcn = train_dcn(train_set, prop, config.train, rng)
+        return cls(prop, dcn, DropoutSchedule(config.train.gamma), config.n_samples)
 
     def predict_ite(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        prop = self.propensity
-        samples = mc_ite_matrix(self.dcn, prop, prop.schedule, X, self.n_samples, rng)
+        samples = mc_ite_matrix(self.dcn, self.propensity, self.schedule, X, self.n_samples, rng)
         return samples.mean(axis=1)
 
     def to_dict(self) -> dict:
-        # the top-level gamma repeats propensity.gamma; from_dict requires both to agree
         return {
-            "gamma": self.propensity.schedule.gamma,
+            "gamma": self.schedule.gamma,
             "n_samples": self.n_samples,
             "propensity": self.propensity.to_dict(),
             "dcn": self.dcn.to_dict(),
@@ -256,12 +255,12 @@ class _PropensityDropoutDCN:
 
     @classmethod
     def from_dict(cls, bundle: dict):
+        schedule = DropoutSchedule(bundle["gamma"])
+        # bundles written before the schedule moved here repeat it as propensity.gamma
+        if bundle["propensity"].get("gamma", schedule.gamma) != schedule.gamma:
+            raise ConfigError(f"gamma {schedule.gamma!r} differs from propensity.gamma")
         prop = PropensityModel.from_dict(bundle["propensity"])
-        if bundle["gamma"] != prop.schedule.gamma:
-            raise ConfigError(
-                f"gamma {bundle['gamma']!r} differs from propensity.gamma {prop.schedule.gamma!r}"
-            )
-        return cls(prop, DCNParams.from_dict(bundle["dcn"]), bundle.get("n_samples", 100))
+        return cls(prop, DCNParams.from_dict(bundle["dcn"]), schedule, bundle.get("n_samples", 100))
 
 
 @dataclass

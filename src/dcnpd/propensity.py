@@ -70,13 +70,11 @@ def keep_probability(p_tilde, schedule: DropoutSchedule = DropoutSchedule()):
 class PropensityModel:
     """Sigmoid-output scorer plus the feature scaling it was fitted with.
 
-    The dropout schedule travels with the model so a saved file pins down
-    the entire keep-probability computation.
+    It holds no gamma: the fitted dcn-pd model owns the dropout schedule.
     """
 
     net: MLPParams
     standardization: Standardization
-    schedule: DropoutSchedule = DropoutSchedule()
 
     def __post_init__(self):
         if self.net.output_dim != 1:
@@ -93,7 +91,6 @@ class PropensityModel:
         return {
             "net": self.net.to_dict(),
             "standardization": self.standardization.to_dict(),
-            "gamma": self.schedule.gamma,
         }
 
     @classmethod
@@ -104,7 +101,6 @@ class PropensityModel:
         return cls(
             MLPParams.from_dict(payload["net"]),
             Standardization.from_dict(payload["standardization"]),
-            DropoutSchedule(payload["gamma"]),
         )
 
 
@@ -133,7 +129,6 @@ def train_propensity(
     epochs: int = DEFAULT_EPOCHS,
     *,
     rng: np.random.Generator,
-    schedule: DropoutSchedule = DropoutSchedule(),
     learning_rate: float = 0.001,
 ) -> PropensityModel:
     """Fit the scorer by full-batch Adam on binary cross-entropy of W given X.
@@ -162,4 +157,4 @@ def train_propensity(
             train_step([logit_view], [state], scaled.X, [None], lambda z: _bce_grad(z, w), caches)
         except FloatingPointError as e:
             raise FloatingPointError(f"propensity training, epoch {epoch}: {e}") from None
-    return PropensityModel(net, transform, schedule)
+    return PropensityModel(net, transform)

@@ -50,8 +50,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_count("epochs", self.epochs, error=ValueError)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        DropoutSchedule(self.gamma)  # raises unless gamma lies in [0, 1]
         for name in ("learning_rate", "epsilon"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -99,12 +99,10 @@ def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
     return y0, y1
 
 
-def stub_propensity(logit, d=3, gamma=1.0):
+def stub_propensity(logit, d=3):
     """Constant-score model: every subject gets sigmoid(logit)."""
     net = MLPParams([DenseLayer(np.zeros((d, 1)), np.array([logit]), "sigmoid")])
-    return PropensityModel(
-        net, Standardization(np.zeros(d), np.ones(d)), DropoutSchedule(gamma)
-    )
+    return PropensityModel(net, Standardization(np.zeros(d), np.ones(d)))
 
 
 class TestParams:
@@ -409,9 +407,7 @@ class TestMcMatrix:
         rng = np.random.default_rng(40)
         params = build_dcn(25, rng)
         net = MLPParams([DenseLayer(0.3 * rng.normal(size=(25, 1)), np.zeros(1), "sigmoid")])
-        prop = PropensityModel(
-            net, Standardization(np.zeros(25), np.ones(25)), DropoutSchedule(0.5)
-        )
+        prop = PropensityModel(net, Standardization(np.zeros(25), np.ones(25)))
         sched = DropoutSchedule(0.5)
         X = rng.normal(size=(2000, 25))
         samples = mc_ite_matrix(params, prop, sched, X, 3, np.random.default_rng(41))

@@ -726,6 +726,7 @@ class TestEmitReport:
 
 
 HEADER_KEYS = {"schema_version", "kind", "standardization"}
+LEGACY_BUNDLE = Path(__file__).parent / "data" / "legacy_dcn_pd_bundle.json"
 WIDE = {"mean": [0.0, 0.0, 0.0], "std": [1.0, 1.0, 1.0]}
 BUNDLE_KEYS = {
     "dcn-pd": HEADER_KEYS | {"gamma", "n_samples", "propensity", "dcn"},
@@ -848,7 +849,6 @@ class TestModelBundles:
         "kind, key, value",
         [("knn", "k", 0), ("knn", "k", None), ("dcn-pd", "gamma", 1.5), ("knn", "k", 2.7),
          ("dcn-pd", "n_samples", 2.5), ("dcn-pd", "n_samples", True),
-         ("dcn-pd", "gamma", 0.5),  # in range, but not the propensity model's gamma
          ("knn", "standardization", {"mean": [0.0, 0.0], "std": [1.0, math.inf]})]
         # a standardization 3 wide on models fitted to 2 features
         + [(kind, "standardization", WIDE) for kind in BUNDLE_KEYS],
@@ -857,6 +857,26 @@ class TestModelBundles:
         bundle = {**tiny_bundles[kind], key: value}
         with pytest.raises(ConfigError, match=f"{kind} bundle"):
             predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))
+
+    def test_dcn_pd_bundle_writes_gamma_once(self, tiny_bundles):
+        bundle = tiny_bundles["dcn-pd"]
+        assert set(bundle) == BUNDLE_KEYS["dcn-pd"]
+        assert set(bundle["propensity"]) == {"net", "standardization"}
+
+    def test_legacy_dcn_pd_bundle_predicts_its_recorded_bits(self):
+        # written before gamma left the propensity block, which repeats it
+        saved = json.loads(LEGACY_BUNDLE.read_text())
+        bundle = saved["bundle"]
+        assert bundle["propensity"]["gamma"] == bundle["gamma"] == 0.7
+        rng = np.random.default_rng(saved["seed"])
+        predictions = predict_from_bundle(bundle, np.array(saved["X"]), rng)
+        assert predictions.tobytes() == np.array(saved["predictions"]).tobytes()
+
+    def test_legacy_dcn_pd_bundle_with_two_gammas_rejected(self):
+        bundle = json.loads(LEGACY_BUNDLE.read_text())["bundle"]
+        for edit in [{"gamma": 0.5}, {"propensity": {**bundle["propensity"], "gamma": 0.5}}]:
+            with pytest.raises(ConfigError, match="dcn-pd bundle .*differs from propensity.gamma"):
+                predict_from_bundle({**bundle, **edit}, np.zeros((1, 2)), np.random.default_rng(0))
 
     def test_knn_with_an_arm_smaller_than_k_is_not_trained(self):
         with pytest.raises(ValueError, match=r"both groups need at least k=30 members \(treated"):

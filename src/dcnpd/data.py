@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -51,6 +51,12 @@ def check_count(name: str, value, least: int = 1, error: type = ValidationError)
         raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def check_widths(name: str, widths, error: type = ValidationError) -> None:
+    """Raise ``error`` unless every entry of ``widths`` is a layer width (`check_count`)."""
+    for width in widths:
+        check_count(f"each {name} entry", width, error=error)
+
+
 def _require_finite(**arrays: np.ndarray) -> None:
     for name, values in arrays.items():
         if not np.isfinite(values).all():
@@ -62,7 +68,7 @@ class ObservationalDataset:
     """n subjects: features X (n x d), treatment W in {0,1}, factual outcome Y.
 
     ``mu0``/``mu1`` are optional noiseless potential-outcome means; when both
-    are present ``true_ite`` is their elementwise difference.
+    are present ``true_ite`` is derived as their elementwise difference.
     """
 
     X: np.ndarray
@@ -70,7 +76,7 @@ class ObservationalDataset:
     Y: np.ndarray
     mu0: np.ndarray | None = None
     mu1: np.ndarray | None = None
-    true_ite: np.ndarray | None = None
+    true_ite: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -97,17 +103,9 @@ class ObservationalDataset:
                 raise ValidationError("mu0/mu1 lengths do not match X rows")
             _require_finite(mu0=self.mu0, mu1=self.mu1)
             with np.errstate(over="ignore"):
-                derived = self.mu1 - self.mu0
-            if not np.isfinite(derived).all():
+                self.true_ite = self.mu1 - self.mu0
+            if not np.isfinite(self.true_ite).all():
                 raise ValidationError("mu1 - mu0 overflows: true_ite would not be finite")
-            if self.true_ite is None:
-                self.true_ite = derived
-            else:
-                self.true_ite = np.asarray(self.true_ite, dtype=np.float64)
-                if not np.array_equal(self.true_ite, derived):
-                    raise ValidationError("true_ite must equal mu1 - mu0")
-        elif self.true_ite is not None:
-            raise ValidationError("true_ite requires mu0 and mu1")
 
     @property
     def n(self) -> int:

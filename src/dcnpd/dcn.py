@@ -82,8 +82,6 @@ def build_dcn(
     head_widths: Sequence[int] = DEFAULT_HEAD_WIDTHS,
 ) -> DCNParams:
     """Xavier-initialized network; draw order is shared, head0, head1."""
-    if not shared_widths:
-        raise ValueError("at least one shared layer is required")
     shared = build_mlp(
         (input_dim, *shared_widths), rng, hidden_activation="relu", output_activation="relu"
     )

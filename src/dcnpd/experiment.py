@@ -37,6 +37,7 @@ from .data import (
     Standardization,
     SyntheticConfig,
     check_count,
+    check_widths,
     generate_synthetic,
     load_csv,
     standardize,
@@ -141,6 +142,10 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         check_count("n_samples", self.n_samples, error=ConfigError)
         check_count("propensity_epochs", self.propensity_epochs, error=ConfigError)
+        check_widths("propensity_arch", self.propensity_arch, error=ConfigError)
+        for name in ("csv_path", "out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a string or null, got {getattr(self, name)!r}")
         if self.fixed_covariates and self.synthetic is None:
             raise ConfigError("fixed_covariates requires a synthetic source")
 
@@ -260,7 +265,7 @@ class _PropensityDropoutDCN:
         if bundle["propensity"].get("gamma", schedule.gamma) != schedule.gamma:
             raise ConfigError(f"gamma {schedule.gamma!r} differs from propensity.gamma")
         prop = PropensityModel.from_dict(bundle["propensity"])
-        return cls(prop, DCNParams.from_dict(bundle["dcn"]), schedule, bundle.get("n_samples", 100))
+        return cls(prop, DCNParams.from_dict(bundle["dcn"]), schedule, bundle["n_samples"])
 
 
 @dataclass

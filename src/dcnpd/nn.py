@@ -86,6 +86,8 @@ class DenseLayer:
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
+            raise ValueError("layer weights must be finite")
 
     @property
     def fan_in(self) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ObservationalDataset, check_count
+from .data import ObservationalDataset, check_count, check_widths
 from .dcn import DCNParams, build_dcn
 from .nn import AdamState, MLPParams, draw_masks, mask_widths, minibatches, mlp_forward, train_step
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
@@ -58,6 +58,10 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
         check_count("batch_size", self.batch_size, error=ValueError)
+        check_widths("shared_widths", self.shared_widths, error=ValueError)
+        check_widths("head_widths", self.head_widths, error=ValueError)
+        if not self.shared_widths:
+            raise ValueError("at least one shared layer is required")
 
     def adam_state(self, arrays) -> AdamState:
         """Fresh Adam moments for ``arrays`` with this config's optimizer settings."""

@@ -321,15 +321,22 @@ class TestBenchmark:
          {"train": {"beta1": 1.0}}, {"train": {"beta2": -0.5}},
          {"train": {"learning_rate": float("nan")}}, {"train": {"epsilon": -1}},
          {"synthetic": {"n": 40, "d": 3, "bias_strength": float("inf")}},
-         {"synthetic": {"n": 40, "d": 3, "noise_std": float("nan")}}],
+         {"synthetic": {"n": 40, "d": 3, "noise_std": float("nan")}},
+         {"propensity_arch": [0]}, {"propensity_arch": [2.5]},
+         {"train": {"shared_widths": [0]}}, {"train": {"shared_widths": []}},
+         {"train": {"shared_widths": [True]}}, {"train": {"head_widths": [1.5]}},
+         {"csv_path": 5, "synthetic": None}, {"out": 5}],
         ids=["seed-negative", "seed-float", "seed-str", "reps-float", "arch-int",
              "widths-int", "train-str", "synthetic-seed", "train-seed", "beta1-one",
-             "beta2-negative", "lr-nan", "epsilon-negative", "bias-inf", "noise-nan"],
+             "beta2-negative", "lr-nan", "epsilon-negative", "bias-inf", "noise-nan",
+             "arch-zero", "arch-float", "widths-zero", "widths-empty", "widths-bool",
+             "head-widths-float", "csv-path-int", "out-int"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, fields):
         config = write_config(tmp_path, **fields)
-        code = main(["benchmark", "--config", str(config),
-                     "--out", str(tmp_path / "r.json")])
+        # an --out flag would replace the config's out
+        out = [] if "out" in fields else ["--out", str(tmp_path / "r.json")]
+        code = main(["benchmark", "--config", str(config), *out])
         assert code == 2
         assert "config error" in capsys.readouterr().err
 

@@ -52,17 +52,8 @@ class TestDatasetInvariants:
             mu1=np.array([4.0, 2.5]),
         )
         np.testing.assert_array_equal(ds.true_ite, [3.0, 0.5])
-
-    def test_conflicting_true_ite_rejected(self):
-        with pytest.raises(ValidationError):
-            ObservationalDataset(
-                np.ones((2, 1)),
-                np.array([0, 1]),
-                np.zeros(2),
-                mu0=np.zeros(2),
-                mu1=np.ones(2),
-                true_ite=np.array([1.0, 2.0]),
-            )
+        with pytest.raises(TypeError, match="true_ite"):  # derived only, never passed
+            ObservationalDataset(ds.X, ds.W, ds.Y, ds.mu0, ds.mu1, true_ite=ds.true_ite)
 
     @pytest.mark.parametrize(
         "cells, name",

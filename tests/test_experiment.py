@@ -837,7 +837,7 @@ class TestModelBundles:
     @pytest.mark.parametrize(
         "kind, key",
         [(kind, key) for kind, keys in BUNDLE_KEYS.items()
-         for key in sorted(keys - {"schema_version", "kind", "n_samples"})],
+         for key in sorted(keys - {"schema_version", "kind"})],
     )
     def test_bundle_missing_field_rejected(self, tiny_bundles, kind, key):
         bundle = dict(tiny_bundles[kind])
@@ -877,6 +877,26 @@ class TestModelBundles:
         for edit in [{"gamma": 0.5}, {"propensity": {**bundle["propensity"], "gamma": 0.5}}]:
             with pytest.raises(ConfigError, match="dcn-pd bundle .*differs from propensity.gamma"):
                 predict_from_bundle({**bundle, **edit}, np.zeros((1, 2)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("key, bad", [("weights", math.nan), ("bias", -math.inf)])
+    @pytest.mark.parametrize(
+        "kind, net",
+        [("dcn-pd", "dcn.shared"), ("dcn-pd", "propensity.net"), ("dcn-fixed", "dcn.head1"),
+         ("nn4", "net")],
+    )
+    def test_bundle_with_a_nonfinite_weight_rejected(self, tiny_bundles, kind, net, key, bad):
+        bundle = json.loads(json.dumps(tiny_bundles[kind]))  # a deep copy
+        layer = bundle
+        for name in net.split("."):
+            layer = layer[name]
+        layer = layer["layers"][0]
+        if key == "weights":
+            layer[key][0][0] = bad
+        else:
+            layer[key][0] = bad
+        bundle = json.loads(json.dumps(bundle))  # json writes and reads NaN and Infinity
+        with pytest.raises(ConfigError, match=f"{kind} bundle .*weights must be finite"):
+            predict_from_bundle(bundle, np.zeros((1, 2)), rng=np.random.default_rng(0))
 
     def test_knn_with_an_arm_smaller_than_k_is_not_trained(self):
         with pytest.raises(ValueError, match=r"both groups need at least k=30 members \(treated"):

@@ -408,6 +408,39 @@ class TestSubprocessEntryPoints:
         assert out.exists()
         assert "mean_ite_mse=" in result.stdout
 
+    def test_bad_bundle_config_or_width_exits_2_and_a_failed_train_writes_nothing(self, tmp_path):
+        def dcnpd(*argv):
+            # file arguments name files in tmp_path
+            argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+            command = [sys.executable, "-m", "dcnpd", *argv]
+            return subprocess.run(command, capture_output=True, text=True, check=False)
+
+        small = {"synthetic": {"n": 40, "d": 3}, "train": {"epochs": 2}, "propensity_epochs": 2,
+                 "n_samples": 3}
+        configs = {"bundle": small, "bogus": {"bogus": 1}, "d4": {"synthetic": {"n": 40, "d": 4}}}
+        for name, payload in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+        trained = dcnpd("train", "--config", "bundle.json", "--model", "nn4", "--seed", "1",
+                        "--out", "nn4.json")
+        assert trained.returncode == 0, trained.stderr
+        bundle = json.loads((tmp_path / "nn4.json").read_text())
+        bundle["standardization"] = {"mean": [0.0] * 4, "std": [1.0] * 4}
+        (tmp_path / "wide.json").write_text(json.dumps(bundle), encoding="utf-8")
+        for argv in [
+            ["evaluate", "--config", "bundle.json", "--seed", "2", "--model-file", "wide.json"],
+            ["generate", "--config", "bogus.json", "--seed", "1", "--out", "bogus.csv"],
+            ["evaluate", "--config", "bogus.json", "--seed", "2", "--model-file", "nn4.json"],
+            ["evaluate", "--config", "d4.json", "--seed", "2", "--model-file", "nn4.json"],
+        ]:
+            result = dcnpd(*argv)
+            assert result.returncode == 2, (argv, result.stderr)
+            assert "config error" in result.stderr
+        # an arm of the 40 rows holds fewer than 30: training fails and writes nothing
+        result = dcnpd("train", "--config", "bundle.json", "--model", "knn:30", "--seed", "1",
+                       "--out", "knn_30.json")
+        assert result.returncode != 0
+        assert not (tmp_path / "knn_30.json").exists()
+
     def test_module_invocation_config_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "dcnpd", "benchmark", "--model", "bogus",

@@ -261,10 +261,11 @@ class _PropensityDropoutDCN:
     @classmethod
     def from_dict(cls, bundle: dict):
         schedule = DropoutSchedule(bundle["gamma"])
+        # read first: it rejects a block that is not an object, which has no .get
+        prop = PropensityModel.from_dict(bundle["propensity"])
         # bundles written before the schedule moved here repeat it as propensity.gamma
         if bundle["propensity"].get("gamma", schedule.gamma) != schedule.gamma:
             raise ConfigError(f"gamma {schedule.gamma!r} differs from propensity.gamma")
-        prop = PropensityModel.from_dict(bundle["propensity"])
         return cls(prop, DCNParams.from_dict(bundle["dcn"]), schedule, bundle["n_samples"])
 
 

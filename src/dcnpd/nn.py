@@ -17,29 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
-
-
-def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow for large |z|, optionally into ``out``."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z) if out is None else out
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
-
-
-def _activate(z: np.ndarray, name: str, out: np.ndarray | None = None) -> np.ndarray:
-    # identity returns z itself, so ``out`` is then z or unused
-    if name == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if name == "sigmoid":
-        return stable_sigmoid(z, out)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+ACTIVATIONS = ("relu", "identity")
 
 
 def aligned(a) -> np.ndarray:
@@ -253,11 +231,11 @@ class ForwardCache:
     buffers, None until the first backward on this cache: the parameter
     gradients ``[dW1, db1, dW2, db2, ...]`` in `MLPParams.parameter_arrays`
     order, the gradient at each layer's input plus one at the output, and
-    each layer's activation derivative (None for identity).
+    each ReLU layer's ``acts > 0`` (None for identity). ``acts[i]`` is layer
+    ``i``'s unmasked activation, written over its ``h @ W + b``.
     """
 
     inputs: list[np.ndarray]
-    pre_acts: list[np.ndarray]
     acts: list[np.ndarray]
     masks: list[np.ndarray | None]
     output: np.ndarray | None = None
@@ -285,6 +263,9 @@ def mlp_forward(
     end (typically the output layer) stay unmasked, and a ``None`` entry
     skips a layer. An all-ones mask reproduces the maskless output exactly.
 
+    Layers are ReLU or identity. Each layer's ``h @ W + b`` lands in one
+    buffer, ``cache.acts[i]``, which ReLU then overwrites in place.
+
     With ``out``, the cache of an earlier call on the same network, an
     input of the same shape and masks on the same layers, every
     intermediate and the output are written into its arrays and ``out`` is
@@ -307,19 +288,19 @@ def mlp_forward(
         shape = (*x.shape[:-1], layer.fan_out)
         if m is not None and m.shape != shape[len(shape) - m.ndim :]:
             raise ValueError(f"mask of shape {m.shape} does not fit layer {i} output {shape}")
-    reuse = out is not None
-    if not reuse:
-        out = ForwardCache(*([None] * n_layers for _ in range(4)))
-    elif len(out.pre_acts) != n_layers or out.inputs[0].shape != x.shape:
+    if out is None:
+        out = ForwardCache(*([None] * n_layers for _ in range(3)))
+    elif len(out.acts) != n_layers or out.inputs[0].shape != x.shape:
         raise ValueError("cache was filled by a call of another shape")
     elif [m is None for m in masks] != [m is None for m in out.masks]:
         raise ValueError("cache was filled with masks on other layers")
     h = x
     for i, (layer, m) in enumerate(zip(params.layers, masks)):
         out.inputs[i] = h
-        z = np.add(np.matmul(h, layer.W, out=out.pre_acts[i]), layer.b, out=out.pre_acts[i])
-        a = _activate(z, layer.activation, out.acts[i])
-        out.pre_acts[i], out.acts[i] = z, a
+        a = np.add(np.matmul(h, layer.W, out=out.acts[i]), layer.b, out=out.acts[i])
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        out.acts[i] = a
         if m is None:
             h = a
         else:
@@ -340,7 +321,8 @@ def mlp_backward(
     ``grad_input`` is None with ``input_grad=False``, which skips layer 0's
     ``gz @ W.T``. Gradients are sums over the batch; any averaging lives in
     the loss gradient the caller supplies. Units masked out in the forward
-    pass propagate exactly zero gradient.
+    pass propagate exactly zero gradient. A ReLU layer passes gradient where
+    its cached activation is positive, the entries where its input was.
 
     Every returned array is a buffer of ``cache``: the first backward on a
     cache allocates them, and each later one, after `mlp_forward` has
@@ -360,25 +342,20 @@ def mlp_backward(
         cache.grads = [np.empty(a.shape) for a in params.parameter_arrays()]
         widths = [params.input_dim, *(layer.fan_out for layer in params.layers)]
         cache.grad_bufs = [np.empty((rows, w)) for w in widths]
-        kinds = {"relu": bool, "sigmoid": np.float64}
         cache.act_grads = [
-            np.empty((rows, layer.fan_out), kinds[layer.activation])
-            if layer.activation in kinds
-            else None
+            np.empty((rows, layer.fan_out), bool) if layer.activation == "relu" else None
             for layer in params.layers
         ]
     g = grad_output
     for i in reversed(range(len(params.layers))):
-        layer, z, a, m = params.layers[i], cache.pre_acts[i], cache.acts[i], cache.masks[i]
+        layer, a, m = params.layers[i], cache.acts[i], cache.masks[i]
         # below the top layer g is grad_bufs[i + 1] itself, so gz overwrites it
         gz, act_grad = cache.grad_bufs[i + 1], cache.act_grads[i]
         if m is not None:
             g = np.multiply(g, m, out=gz)
         # dloss/dz; ReLU takes the 0 subgradient at 0, identity leaves g as it is
         if layer.activation == "relu":
-            g = np.multiply(g, np.greater(z, 0.0, out=act_grad), out=gz)
-        elif layer.activation == "sigmoid":
-            g = np.multiply(g, np.multiply(a, np.subtract(1.0, a, out=act_grad), out=act_grad), out=gz)
+            g = np.multiply(g, np.greater(a, 0.0, out=act_grad), out=gz)
         np.matmul(cache.inputs[i].T, g, out=cache.grads[2 * i])
         np.sum(g, axis=0, out=cache.grads[2 * i + 1])
         g = np.matmul(g, layer.W.T, out=cache.grad_bufs[i]) if i or input_grad else None

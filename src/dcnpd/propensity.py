@@ -10,26 +10,29 @@ subjects (p = 1/2) see no dropout at all when gamma = 1.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import ObservationalDataset, Standardization, check_count, standardize
-from .nn import (
-    AdamState,
-    MLPParams,
-    build_mlp,
-    mlp_forward,
-    stable_sigmoid,
-    train_step,
-)
+from .nn import AdamState, MLPParams, build_mlp, mlp_forward, train_step
 
 PROB_CLAMP = 1e-12
 
 DEFAULT_ARCH = (25, 25)
 DEFAULT_EPOCHS = 300
+
+
+def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large |z|."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,10 @@ def keep_probability(p_tilde, schedule: DropoutSchedule = DropoutSchedule()):
 
 @dataclass
 class PropensityModel:
-    """Sigmoid-output scorer plus the feature scaling it was fitted with.
+    """Logit-output scorer plus the feature scaling it was fitted with.
 
-    It holds no gamma: the fitted dcn-pd model owns the dropout schedule.
+    Its net ends in one identity unit; `predict_propensity` applies the
+    sigmoid. It holds no gamma: the fitted dcn-pd model owns the schedule.
     """
 
     net: MLPParams
@@ -79,8 +83,8 @@ class PropensityModel:
     def __post_init__(self):
         if self.net.output_dim != 1:
             raise ValueError("propensity net must have a single output unit")
-        if self.net.layers[-1].activation != "sigmoid":
-            raise ValueError("propensity net must end in a sigmoid output")
+        if self.net.layers[-1].activation != "identity":
+            raise ValueError("propensity net must end in an identity (logit) output")
         if len(self.standardization.mean) != self.net.input_dim:
             raise ValueError(
                 f"standardization width {len(self.standardization.mean)} "
@@ -95,13 +99,17 @@ class PropensityModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PropensityModel":
+        if not isinstance(payload, dict):
+            raise TypeError(f"the propensity block must be an object, got {payload!r}")
         # older bundles record the entropy base, which has only ever been 2
         if payload.get("entropy_base", 2) != 2:
             raise ValueError("entropy base is fixed at 2")
-        return cls(
-            MLPParams.from_dict(payload["net"]),
-            Standardization.from_dict(payload["standardization"]),
-        )
+        net = payload["net"]
+        # older nets end in "sigmoid" over the same logits; MLPParams rejects no layers
+        last = net["layers"][-1:]
+        if last and last[0]["activation"] == "sigmoid":
+            net = {"layers": [*net["layers"][:-1], {**last[0], "activation": "identity"}]}
+        return cls(MLPParams.from_dict(net), Standardization.from_dict(payload["standardization"]))
 
 
 def predict_propensity(model: PropensityModel, x: np.ndarray):
@@ -113,8 +121,8 @@ def predict_propensity(model: PropensityModel, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
-    scores = mlp_forward(model.net, model.standardization.transform(rows))[0][:, 0]
-    scores = np.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    logits = mlp_forward(model.net, model.standardization.transform(rows))[0][:, 0]
+    scores = np.clip(stable_sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(scores[0]) if single else scores
 
 
@@ -141,20 +149,14 @@ def train_propensity(
     if treated == 0 or treated == dataset.n:
         raise ValueError("propensity training needs both treated and control subjects")
     scaled, transform = standardize(dataset)
-    net = build_mlp(
-        (dataset.d, *arch, 1), rng, hidden_activation="relu", output_activation="sigmoid"
-    )
-    # train through an identity-output view sharing the sigmoid net's arrays
-    # (a shallow copy), so the loss works on logits and never saturates
-    logit_head = copy.copy(net.layers[-1])
-    logit_head.activation = "identity"
-    logit_view = MLPParams(net.layers[:-1] + [logit_head])
+    # the net ends in logits, so the loss never saturates
+    net = build_mlp((dataset.d, *arch, 1), rng)
     w = scaled.W.astype(np.float64)
-    state = AdamState.for_params(logit_view.parameter_arrays(), lr=learning_rate)
+    state = AdamState.for_params(net.parameter_arrays(), lr=learning_rate)
     caches = [None]
     for epoch in range(1, epochs + 1):
         try:
-            train_step([logit_view], [state], scaled.X, [None], lambda z: _bce_grad(z, w), caches)
+            train_step([net], [state], scaled.X, [None], lambda z: _bce_grad(z, w), caches)
         except FloatingPointError as e:
             raise FloatingPointError(f"propensity training, epoch {epoch}: {e}") from None
     return PropensityModel(net, transform)

@@ -168,7 +168,7 @@ def stacks_equal(a, b) -> bool:
 
 def constant_score_model(d: int, score: float) -> PropensityModel:
     """A propensity model whose prediction is `score` for every subject."""
-    net = build_mlp((d, 1), np.random.default_rng(0), output_activation="sigmoid")
+    net = build_mlp((d, 1), np.random.default_rng(0))
     net.layers[0].W[:] = 0.0
     net.layers[0].b[:] = np.log(score / (1.0 - score)) if score != 0.5 else 0.0
     return PropensityModel(net, Standardization(np.zeros(d), np.ones(d)))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, exit codes, file outputs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -156,6 +157,34 @@ class TestGenerate:
         assert not out.exists()
 
 
+# object-valued fields of each bundle kind, and the nets whose layer lists they hold
+BUNDLE_BLOCKS = {
+    "dcn-pd": ["propensity", "propensity.net", "propensity.standardization", "dcn",
+               "standardization"],
+    "dcn-fixed": ["dcn", "standardization"],
+    "nn4": ["net", "standardization"],
+    "knn": ["standardization"],
+}
+BUNDLE_NETS = {
+    "dcn-pd": ["propensity.net", "dcn.shared", "dcn.head1"],
+    "dcn-fixed": ["dcn.head0"],
+    "nn4": ["net"],
+}
+
+
+@pytest.fixture(scope="module")
+def trained_bundles(tmp_path_factory):
+    """The config that trained them and one tiny bundle per kind, through ``main``."""
+    root = tmp_path_factory.mktemp("bundles")
+    config = write_config(root, train={"epochs": 2}, propensity_epochs=2, n_samples=3)
+    bundles = {}
+    for model in ("dcn-pd", "dcn-fixed:0.2", "nn4", "knn:3"):
+        out = root / f"{model.replace(':', '_')}.json"
+        assert main(["train", "--config", str(config), "--model", model, "--out", str(out)]) == 0
+        bundles[model.split(":")[0]] = json.loads(out.read_text())
+    return config, bundles
+
+
 class TestTrainAndEvaluate:
     def test_train_then_evaluate_round_trip(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -259,6 +288,29 @@ class TestTrainAndEvaluate:
         kind = model.split(":")[0]
         assert f"the data have 4 features; the {kind} bundle takes 3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [(kind, field, value) for kind, fields in BUNDLE_BLOCKS.items() for field in fields
+         for value in (5, [])]
+        + [(kind, f"{net}.layers", []) for kind, nets in BUNDLE_NETS.items() for net in nets],
+        ids=str,
+    )
+    def test_evaluate_with_a_malformed_bundle_block_exits_2(
+        self, trained_bundles, tmp_path, capsys, kind, field, value
+    ):
+        config, bundles = trained_bundles
+        bundle = json.loads(json.dumps(bundles[kind]))  # a deep copy
+        *parents, key = field.split(".")
+        block = bundle
+        for name in parents:
+            block = block[name]
+        block[key] = value
+        model_file = tmp_path / "bad.json"
+        model_file.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_evaluate_reads_out_from_the_config(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
@@ -440,6 +492,47 @@ class TestSubprocessEntryPoints:
                        "--out", "knn_30.json")
         assert result.returncode != 0
         assert not (tmp_path / "knn_30.json").exists()
+
+    def test_pooled_benchmark_gives_the_same_results_on_one_cpu(self, tmp_path):
+        # 128 training rows in minibatches of 32 for 250 epochs: 1,000 steps per
+        # repetition, so both repetitions run in worker processes; one CPU must
+        # give the same per-repetition results as all of them
+        config = write_config(
+            tmp_path, model="dcn-pd", repetitions=2, synthetic={"n": 160, "d": 5},
+            train={"epochs": 250, "shared_widths": [16]}, propensity_epochs=20, n_samples=10,
+        )
+        cpu = min(os.sched_getaffinity(0))
+        mse = []
+        for name, pin in [("all", None), ("one", lambda: os.sched_setaffinity(0, {cpu}))]:
+            out = tmp_path / f"{name}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "dcnpd", "benchmark", "--config", str(config),
+                 "--seed", "1", "--out", str(out)],
+                capture_output=True, text=True, check=False, preexec_fn=pin, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            mse.append(json.loads(out.read_text())["per_rep_mse"])
+        assert len(mse[0]) == 2 and mse[0] == mse[1]
+
+    def test_benchmark_from_a_generated_csv(self, tmp_path):
+        # the CSV reader's one-pass path depends on np.loadtxt, so read a file on every leg
+        def dcnpd(*argv):
+            command = [sys.executable, "-m", "dcnpd", *argv]
+            return subprocess.run(command, capture_output=True, text=True, check=False, timeout=300)
+
+        csv_path = tmp_path / "data.csv"
+        result = dcnpd("generate", "--seed", "1", "--out", str(csv_path))
+        assert result.returncode == 0, result.stderr
+        config = tmp_path / "csv.json"
+        config.write_text(json.dumps(
+            {"csv_path": str(csv_path), "train": {"epochs": 2}, "propensity_epochs": 2}
+        ))
+        result = dcnpd("benchmark", "--config", str(config), "--model", "dcn-pd",
+                       "--model", "knn:3", "--seed", "1", "--reps", "1",
+                       "--out", str(tmp_path / "csv-report.json"))
+        assert result.returncode == 0, result.stderr
+        for tag in ("dcn-pd", "knn_3"):
+            assert (tmp_path / f"csv-report-{tag}.csv").exists()
 
     def test_module_invocation_config_error(self):
         result = subprocess.run(

@@ -101,7 +101,7 @@ def reference_mc_outcomes(params, prop, schedule, X, n_samples, rng):
 
 def stub_propensity(logit, d=3):
     """Constant-score model: every subject gets sigmoid(logit)."""
-    net = MLPParams([DenseLayer(np.zeros((d, 1)), np.array([logit]), "sigmoid")])
+    net = MLPParams([DenseLayer(np.zeros((d, 1)), np.array([logit]), "identity")])
     return PropensityModel(net, Standardization(np.zeros(d), np.ones(d)))
 
 
@@ -406,7 +406,7 @@ class TestMcMatrix:
         # the default architecture at a cohort's size, where BLAS may thread
         rng = np.random.default_rng(40)
         params = build_dcn(25, rng)
-        net = MLPParams([DenseLayer(0.3 * rng.normal(size=(25, 1)), np.zeros(1), "sigmoid")])
+        net = MLPParams([DenseLayer(0.3 * rng.normal(size=(25, 1)), np.zeros(1), "identity")])
         prop = PropensityModel(net, Standardization(np.zeros(25), np.ones(25)))
         sched = DropoutSchedule(0.5)
         X = rng.normal(size=(2000, 25))
@@ -431,7 +431,7 @@ class TestMcMatrix:
                 [
                     a
                     for c in caches
-                    for a in (c.output, *c.inputs[1:], *c.pre_acts, *c.acts)
+                    for a in (c.output, *c.inputs[1:], *c.acts)
                     if a is not None
                 ]
             )

@@ -872,6 +872,20 @@ class TestModelBundles:
         predictions = predict_from_bundle(bundle, np.array(saved["X"]), rng)
         assert predictions.tobytes() == np.array(saved["predictions"]).tobytes()
 
+    def test_dcn_pd_bundle_propensity_net_ends_in_logits(self, tiny_bundles):
+        layers = tiny_bundles["dcn-pd"]["propensity"]["net"]["layers"]
+        assert [layer["activation"] for layer in layers] == ["relu", "identity"]
+
+    def test_parent_layout_dcn_pd_bundle_predicts_its_recorded_bits(self):
+        # gamma only at the top level, and a propensity net that ends in "sigmoid"
+        saved = json.loads(LEGACY_BUNDLE.read_text())
+        bundle = saved["bundle"]
+        del bundle["propensity"]["gamma"]
+        assert bundle["propensity"]["net"]["layers"][-1]["activation"] == "sigmoid"
+        rng = np.random.default_rng(saved["seed"])
+        predictions = predict_from_bundle(bundle, np.array(saved["X"]), rng)
+        assert predictions.tobytes() == np.array(saved["predictions"]).tobytes()
+
     def test_legacy_dcn_pd_bundle_with_two_gammas_rejected(self):
         bundle = json.loads(LEGACY_BUNDLE.read_text())["bundle"]
         for edit in [{"gamma": 0.5}, {"propensity": {**bundle["propensity"], "gamma": 0.5}}]:
@@ -926,7 +940,7 @@ class TestModelBundles:
         with pytest.raises(ConfigError, match="standardization width 3 .* width 2"):
             predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)), rng)
         # a propensity model of its own width 3 against the 2-wide network
-        net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "sigmoid")])
+        net = MLPParams([DenseLayer(np.zeros((3, 1)), np.zeros(1), "identity")])
         prop = {**bundle["propensity"], "net": net.to_dict(), "standardization": WIDE}
         with pytest.raises(ConfigError, match="propensity width 3 .* width 2"):
             predict_from_bundle({**bundle, "propensity": prop}, np.zeros((1, 2)), rng)

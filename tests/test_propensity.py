@@ -17,6 +17,7 @@ from dcnpd.propensity import (
     dropout_probability,
     keep_probability,
     predict_propensity,
+    stable_sigmoid,
     train_propensity,
 )
 
@@ -34,7 +35,7 @@ def separable_toy(n, seed, margin=0.0):
 
 
 def constant_net(logit_bias):
-    return MLPParams([DenseLayer(np.zeros((2, 1)), np.array([logit_bias]), "sigmoid")])
+    return MLPParams([DenseLayer(np.zeros((2, 1)), np.array([logit_bias]), "identity")])
 
 
 def identity_scaling(d):
@@ -144,10 +145,16 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_propensity(model, np.zeros(3))
 
-    def test_sigmoid_output_required(self):
-        net = MLPParams([DenseLayer(np.zeros((2, 1)), np.zeros(1), "identity")])
-        with pytest.raises(ValueError):
+    def test_identity_output_required(self):
+        net = MLPParams([DenseLayer(np.zeros((2, 1)), np.zeros(1), "relu")])
+        with pytest.raises(ValueError, match="identity"):
             PropensityModel(net, identity_scaling(2))
+
+    def test_stable_sigmoid_extremes(self):
+        z = np.array([-1000.0, 0.0, 1000.0])
+        out = stable_sigmoid(z)
+        np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-300)
+        assert np.all(np.isfinite(out))
 
 
 class TestTraining:
@@ -191,11 +198,10 @@ class TestTraining:
         assert bce(late) <= bce(early)
 
     def test_every_layer_of_the_returned_net_is_trained(self):
-        # the trainer steps a logit view of the net; it must share every array
         init = build_mlp((2, *DEFAULT_ARCH, 1), np.random.default_rng(16))
         ds = separable_toy(50, seed=15)
         model = train_propensity(ds, epochs=3, rng=np.random.default_rng(16))
-        assert model.net.layers[-1].activation == "sigmoid"
+        assert model.net.layers[-1].activation == "identity"
         for trained, start in zip(model.net.layers, init.layers, strict=True):
             assert not np.array_equal(trained.W, start.W)
             assert not np.array_equal(trained.b, start.b)
@@ -232,3 +238,16 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_propensity(clone, X), predict_propensity(model, X)
         )
+
+    def test_a_net_ending_in_sigmoid_reads_as_the_same_logit_net(self):
+        # bundles written before the sigmoid left the layer stack end in it
+        ds = separable_toy(60, seed=17)
+        model = train_propensity(ds, epochs=5, rng=np.random.default_rng(18))
+        payload = model.to_dict()
+        assert payload["net"]["layers"][-1]["activation"] == "identity"
+        payload["net"]["layers"][-1]["activation"] = "sigmoid"
+        older = PropensityModel.from_dict(payload)
+        assert older.net.layers[-1].activation == "identity"
+        assert payload["net"]["layers"][-1]["activation"] == "sigmoid"  # not edited in place
+        X = np.random.default_rng(19).normal(size=(7, 2))
+        assert predict_propensity(older, X).tobytes() == predict_propensity(model, X).tobytes()

@@ -42,7 +42,7 @@ def biased_toy(n=60, d=3, seed=0, noise=0.5):
 
 
 def stub_propensity(logit, d=3):
-    net = MLPParams([DenseLayer(np.zeros((d, 1)), np.array([logit]), "sigmoid")])
+    net = MLPParams([DenseLayer(np.zeros((d, 1)), np.array([logit]), "identity")])
     return PropensityModel(net, Standardization(np.zeros(d), np.ones(d)))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ROW_BLOCK, ObservationalDataset, check_count
-from .nn import MLPParams, build_mlp
+from .nn import AdamState, MLPParams, build_mlp
 from .training import TrainConfig, fit_phases
 
 DEFAULT_DIRECT_ARCH = (200, 200, 200)  # hidden widths; output layer is the 4th
@@ -109,6 +109,7 @@ def train_direct_nn(
         raise ValueError("dropout_prob must lie in [0, 1)")
     net = build_mlp((dataset.d + 1, *arch, 1), rng, output_activation="identity")
     inputs = np.column_stack([dataset.X, dataset.W.astype(np.float64)])
-    phase = ("direct", [net], [config.adam_state(net.parameter_arrays())], np.arange(dataset.n))
+    state = AdamState.for_params(net.parameter_arrays(), config.learning_rate)
+    phase = ("direct", [net], [state], np.arange(dataset.n))
     fit_phases([phase], inputs, dataset.Y, np.full(dataset.n, 1.0 - dropout_prob), config, rng)
     return net

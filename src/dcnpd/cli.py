@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +127,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "seed": config.seed,
-                "synthetic": asdict(config.synthetic),
+                "synthetic": config.to_dict()["synthetic"],
             },
             indent=2,
             sort_keys=True,

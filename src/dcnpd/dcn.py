@@ -16,11 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from .data import check_count
-from .nn import ForwardCache, MLPParams, build_mlp, draw_masks, mask_widths, mlp_forward
+from .nn import (
+    ForwardCache,
+    MLPParams,
+    build_mlp,
+    draw_masks,
+    json_object,
+    mask_widths,
+    mlp_forward,
+)
 from .propensity import DropoutSchedule, PropensityModel, keep_probability, predict_propensity
-
-DEFAULT_SHARED_WIDTHS = (200, 200)
-DEFAULT_HEAD_WIDTHS: tuple[int, ...] = ()
 
 # Rows per stacked Monte Carlo pass: `_mc_outcomes` runs an n-row input
 # in chunks of ROWS // n draws (at least one), each one (draws, n, d) stack.
@@ -68,18 +73,15 @@ class DCNParams:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DCNParams":
-        return cls(
-            MLPParams.from_dict(payload["shared"]),
-            MLPParams.from_dict(payload["head0"]),
-            MLPParams.from_dict(payload["head1"]),
-        )
+        nets = (json_object(payload[k], f"dcn.{k}") for k in ("shared", "head0", "head1"))
+        return cls(*map(MLPParams.from_dict, nets))
 
 
 def build_dcn(
     input_dim: int,
     rng: np.random.Generator,
-    shared_widths: Sequence[int] = DEFAULT_SHARED_WIDTHS,
-    head_widths: Sequence[int] = DEFAULT_HEAD_WIDTHS,
+    shared_widths: Sequence[int],
+    head_widths: Sequence[int],
 ) -> DCNParams:
     """Xavier-initialized network; draw order is shared, head0, head1."""
     shared = build_mlp(

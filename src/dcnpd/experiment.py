@@ -44,8 +44,8 @@ from .data import (
     train_test_split,
 )
 from .dcn import DCNParams, dcn_forward, mc_ite_matrix
-from .nn import MLPParams, mlp_forward
-from .propensity import DropoutSchedule, PropensityModel, train_propensity
+from .nn import MLPParams, json_object, mlp_forward
+from .propensity import DEFAULT_ARCH, DropoutSchedule, PropensityModel, train_propensity
 from .training import TrainConfig, train_dcn, train_dcn_fixed_dropout
 
 SCHEMA_VERSION = 1
@@ -123,7 +123,7 @@ class ExperimentConfig:
     repetitions: int = 1
     train_fraction: float = 0.8
     n_samples: int = 100
-    propensity_arch: tuple[int, ...] = (25, 25)
+    propensity_arch: tuple[int, ...] = DEFAULT_ARCH
     propensity_epochs: int = 1000
     fixed_split: bool = False
     fixed_covariates: bool = False
@@ -242,7 +242,7 @@ class _PropensityDropoutDCN:
     @classmethod
     def fit(cls, train_set, config: ExperimentConfig, value, rng):
         arch, epochs = config.propensity_arch, config.propensity_epochs
-        prop = train_propensity(train_set, arch, epochs, rng=rng)
+        prop = train_propensity(train_set, arch, epochs=epochs, rng=rng)
         dcn = train_dcn(train_set, prop, config.train, rng)
         return cls(prop, dcn, DropoutSchedule(config.train.gamma), config.n_samples)
 
@@ -261,12 +261,13 @@ class _PropensityDropoutDCN:
     @classmethod
     def from_dict(cls, bundle: dict):
         schedule = DropoutSchedule(bundle["gamma"])
-        # read first: it rejects a block that is not an object, which has no .get
-        prop = PropensityModel.from_dict(bundle["propensity"])
+        block = json_object(bundle["propensity"], "propensity")
+        prop = PropensityModel.from_dict(block)
         # bundles written before the schedule moved here repeat it as propensity.gamma
-        if bundle["propensity"].get("gamma", schedule.gamma) != schedule.gamma:
+        if block.get("gamma", schedule.gamma) != schedule.gamma:
             raise ConfigError(f"gamma {schedule.gamma!r} differs from propensity.gamma")
-        return cls(prop, DCNParams.from_dict(bundle["dcn"]), schedule, bundle["n_samples"])
+        dcn = DCNParams.from_dict(json_object(bundle["dcn"], "dcn"))
+        return cls(prop, dcn, schedule, bundle["n_samples"])
 
 
 @dataclass
@@ -293,7 +294,7 @@ class _FixedDropoutDCN:
 
     @classmethod
     def from_dict(cls, bundle: dict):
-        return cls(bundle["dropout_prob"], DCNParams.from_dict(bundle["dcn"]))
+        return cls(bundle["dropout_prob"], DCNParams.from_dict(json_object(bundle["dcn"], "dcn")))
 
 
 @dataclass
@@ -327,7 +328,7 @@ class _DirectNet:
 
     @classmethod
     def from_dict(cls, bundle: dict):
-        return cls(MLPParams.from_dict(bundle["net"]))
+        return cls(MLPParams.from_dict(json_object(bundle["net"], "net")))
 
 
 @dataclass
@@ -697,7 +698,8 @@ def predict_from_bundle(bundle: dict, X: np.ndarray, rng: np.random.Generator) -
     if kind not in MODELS:
         raise ConfigError(f"unknown bundle kind {kind!r}")
     try:
-        transform = Standardization.from_dict(bundle["standardization"])
+        scaling = json_object(bundle["standardization"], "standardization")
+        transform = Standardization.from_dict(scaling)
         model = MODELS[kind].from_dict(bundle)
     except KeyError as e:
         raise ConfigError(f"{kind} bundle is missing the field {e}") from None

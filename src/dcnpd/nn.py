@@ -19,6 +19,12 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
 
+# Adam's moment decay rates and denominator offset, Kingma & Ba's defaults
+# (arXiv 1412.6980); the learning rate is the only optimizer setting
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 def aligned(a) -> np.ndarray:
     """``a`` as float64 starting on a 64-byte boundary (``a`` itself if it does).
@@ -76,6 +82,13 @@ class DenseLayer:
         return self.W.shape[1]
 
 
+def json_object(value, name: str) -> dict:
+    """``value``, a block read from JSON; a TypeError naming ``name`` unless it is an object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass
 class MLPParams:
     """An ordered stack of dense layers with compatible dimensions."""
@@ -84,7 +97,7 @@ class MLPParams:
 
     def __post_init__(self):
         if not self.layers:
-            raise ValueError("an MLP needs at least one layer")
+            raise ValueError("layers is empty: an MLP needs at least one layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.fan_out != nxt.fan_in:
                 raise ValueError(
@@ -117,13 +130,14 @@ class MLPParams:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MLPParams":
+        entries = [json_object(entry, f"layer {i}") for i, entry in enumerate(payload["layers"])]
         layers = [
             DenseLayer(
                 np.asarray(entry["weights"], dtype=np.float64),
                 np.asarray(entry["bias"], dtype=np.float64),
                 entry["activation"],
             )
-            for entry in payload["layers"]
+            for entry in entries
         ]
         return cls(layers)
 
@@ -372,47 +386,37 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     scratch: list[tuple[np.ndarray, np.ndarray]]
+    lr: float
     t: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_params(
-        cls,
-        params: Sequence[np.ndarray],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AdamState":
+    def for_params(cls, params: Sequence[np.ndarray], lr: float) -> "AdamState":
         m, v = ([np.zeros_like(p) for p in params] for _ in range(2))
         scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-        return cls(m, v, scratch, 0, lr, beta1, beta2, epsilon)
+        return cls(m, v, scratch, lr)
 
 
 def adam_step(
     params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
 ) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update with `BETA1`, `BETA2` and `EPSILON`, applied in place."""
     if not len(params) == len(grads) == len(state.m) == len(state.scratch):
         raise ValueError("params, grads, and state must have matching lengths")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
         # lr * (m/bc1) / (sqrt(v/bc2) + eps), operation for operation, in the
         # state's two scratch arrays instead of a temporary per operation
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=step)
-        v *= state.beta2
-        v += np.multiply(np.multiply(g, g, out=denom), 1.0 - state.beta2, out=denom)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=step)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, g, out=denom), 1.0 - BETA2, out=denom)
         np.multiply(np.divide(m, bc1, out=step), state.lr, out=step)
-        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.epsilon, out=denom)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), EPSILON, out=denom)
         p -= np.divide(step, denom, out=step)
 
 

@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .data import ObservationalDataset, Standardization, check_count, standardize
-from .nn import AdamState, MLPParams, build_mlp, mlp_forward, train_step
+from .nn import AdamState, MLPParams, build_mlp, json_object, mlp_forward, train_step
 
 PROB_CLAMP = 1e-12
 
 DEFAULT_ARCH = (25, 25)
-DEFAULT_EPOCHS = 300
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -99,17 +98,17 @@ class PropensityModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PropensityModel":
-        if not isinstance(payload, dict):
-            raise TypeError(f"the propensity block must be an object, got {payload!r}")
         # older bundles record the entropy base, which has only ever been 2
         if payload.get("entropy_base", 2) != 2:
             raise ValueError("entropy base is fixed at 2")
-        net = payload["net"]
+        net = json_object(payload["net"], "propensity.net")
+        layers = net["layers"]
         # older nets end in "sigmoid" over the same logits; MLPParams rejects no layers
-        last = net["layers"][-1:]
-        if last and last[0]["activation"] == "sigmoid":
-            net = {"layers": [*net["layers"][:-1], {**last[0], "activation": "identity"}]}
-        return cls(MLPParams.from_dict(net), Standardization.from_dict(payload["standardization"]))
+        last = json_object(layers[-1], f"layer {len(layers) - 1}") if layers else {}
+        if last.get("activation") == "sigmoid":
+            net = {"layers": [*layers[:-1], {**last, "activation": "identity"}]}
+        scaling = json_object(payload["standardization"], "propensity.standardization")
+        return cls(MLPParams.from_dict(net), Standardization.from_dict(scaling))
 
 
 def predict_propensity(model: PropensityModel, x: np.ndarray):
@@ -134,8 +133,8 @@ def _bce_grad(logits: np.ndarray, w: np.ndarray) -> np.ndarray:
 def train_propensity(
     dataset: ObservationalDataset,
     arch: Sequence[int] = DEFAULT_ARCH,
-    epochs: int = DEFAULT_EPOCHS,
     *,
+    epochs: int,
     rng: np.random.Generator,
     learning_rate: float = 0.001,
 ) -> PropensityModel:
@@ -152,7 +151,7 @@ def train_propensity(
     # the net ends in logits, so the loss never saturates
     net = build_mlp((dataset.d, *arch, 1), rng)
     w = scaled.W.astype(np.float64)
-    state = AdamState.for_params(net.parameter_arrays(), lr=learning_rate)
+    state = AdamState.for_params(net.parameter_arrays(), learning_rate)
     caches = [None]
     for epoch in range(1, epochs + 1):
         try:

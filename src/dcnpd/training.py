@@ -36,14 +36,13 @@ class TrainConfig:
     """Knobs for the alternating loop; defaults follow the benchmark setup.
 
     There is no seed here: every trainer takes its random stream as ``rng``.
+    Adam's other settings are the constants `nn.BETA1`, `nn.BETA2` and
+    `nn.EPSILON`.
     """
 
     epochs: int = 100
     gamma: float = 1.0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     shared_widths: tuple[int, ...] = (200, 200)
     head_widths: tuple[int, ...] = ()
@@ -51,23 +50,13 @@ class TrainConfig:
     def __post_init__(self):
         check_count("epochs", self.epochs, error=ValueError)
         DropoutSchedule(self.gamma)  # raises unless gamma lies in [0, 1]
-        for name in ("learning_rate", "epsilon"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         check_count("batch_size", self.batch_size, error=ValueError)
         check_widths("shared_widths", self.shared_widths, error=ValueError)
         check_widths("head_widths", self.head_widths, error=ValueError)
         if not self.shared_widths:
             raise ValueError("at least one shared layer is required")
-
-    def adam_state(self, arrays) -> AdamState:
-        """Fresh Adam moments for ``arrays`` with this config's optimizer settings."""
-        return AdamState.for_params(
-            arrays, self.learning_rate, self.beta1, self.beta2, self.epsilon
-        )
 
 
 @dataclass(frozen=True)
@@ -143,11 +132,13 @@ def _train_alternating(
         raise ValueError("training needs both treated and control subjects")
     params = build_dcn(dataset.d, rng, config.shared_widths, config.head_widths)
     # the two phases share the shared stack's Adam state; each head has its own
-    shared = config.adam_state(params.shared.parameter_arrays())
-    arms = (("control", params.head0, control), ("treated", params.head1, treated))
+    shared, head0, head1 = (
+        AdamState.for_params(net.parameter_arrays(), config.learning_rate)
+        for net in (params.shared, params.head0, params.head1)
+    )
     phases = [
-        (name, [params.shared, head], [shared, config.adam_state(head.parameter_arrays())], rows)
-        for name, head, rows in arms
+        ("control", [params.shared, params.head0], [shared, head0], control),
+        ("treated", [params.shared, params.head1], [shared, head1], treated),
     ]
     hook = None if on_epoch is None else lambda record: on_epoch(record, params)
     fit_phases(phases, dataset.X, dataset.Y, keep, config, rng, hook)

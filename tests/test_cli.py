@@ -10,7 +10,7 @@ import pytest
 
 from dcnpd.cli import main
 from dcnpd.data import ObservationalDataset, load_csv, save_csv
-from dcnpd.experiment import load_report
+from dcnpd.experiment import ExperimentConfig, load_report
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -24,6 +24,16 @@ def write_config(tmp_path, name="config.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+# a model token of each kind
+ONE_PER_KIND = ("dcn-pd", "dcn-fixed:0.2", "nn4", "knn:3")
+
+
+def dcnpd(*argv):
+    """``python -m dcnpd`` with ``argv`` in a child process."""
+    command = [sys.executable, "-m", "dcnpd", *argv]
+    return subprocess.run(command, capture_output=True, text=True, check=False, timeout=300)
 
 
 class TestArgumentHandling:
@@ -85,9 +95,13 @@ class TestArgumentHandling:
             ({"train": {"seed": 5}}, "the train block: ['seed']"),
             ({"bogus": 1}, "the config: ['bogus']"),
             ({"train": {"epoch": 2}}, "the train block: ['epoch']"),
+            # Adam's constants, even at the values it runs with
+            ({"train": {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}},
+             "the train block: ['beta1', 'beta2', 'epsilon']"),
             ({"csv_path": "data.csv"}, "exactly one dataset source: synthetic or csv_path"),
         ],
-        ids=["synthetic", "train", "unknown-key", "unknown-block-key", "two-sources"],
+        ids=["synthetic", "train", "unknown-key", "unknown-block-key", "adam-constants",
+             "two-sources"],
     )
     @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "benchmark"])
     def test_seed_inside_a_block_exits_2(self, tmp_path, capsys, command, fields, message):
@@ -113,6 +127,8 @@ class TestGenerate:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["seed"] == 7
         assert sidecar["synthetic"]["n"] == 60
+        written = ExperimentConfig.from_dict(json.loads(config.read_text())).to_dict()
+        assert sidecar["synthetic"] == written["synthetic"]
         assert "seed" not in sidecar["synthetic"]  # the top-level seed is the only one
         assert str(out) in capsys.readouterr().out
 
@@ -178,7 +194,7 @@ def trained_bundles(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
     config = write_config(root, train={"epochs": 2}, propensity_epochs=2, n_samples=3)
     bundles = {}
-    for model in ("dcn-pd", "dcn-fixed:0.2", "nn4", "knn:3"):
+    for model in ONE_PER_KIND:
         out = root / f"{model.replace(':', '_')}.json"
         assert main(["train", "--config", str(config), "--model", model, "--out", str(out)]) == 0
         bundles[model.split(":")[0]] = json.loads(out.read_text())
@@ -310,7 +326,8 @@ class TestTrainAndEvaluate:
         model_file.write_text(json.dumps(bundle))
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_evaluate_reads_out_from_the_config(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
@@ -516,10 +533,6 @@ class TestSubprocessEntryPoints:
 
     def test_benchmark_from_a_generated_csv(self, tmp_path):
         # the CSV reader's one-pass path depends on np.loadtxt, so read a file on every leg
-        def dcnpd(*argv):
-            command = [sys.executable, "-m", "dcnpd", *argv]
-            return subprocess.run(command, capture_output=True, text=True, check=False, timeout=300)
-
         csv_path = tmp_path / "data.csv"
         result = dcnpd("generate", "--seed", "1", "--out", str(csv_path))
         assert result.returncode == 0, result.stderr
@@ -533,6 +546,30 @@ class TestSubprocessEntryPoints:
         assert result.returncode == 0, result.stderr
         for tag in ("dcn-pd", "knn_3"):
             assert (tmp_path / f"csv-report-{tag}.csv").exists()
+
+    def test_four_model_benchmark_writes_each_report(self, tmp_path):
+        config = tmp_path / "smoke.json"
+        config.write_text(json.dumps({"synthetic": {"n": 40, "d": 3}, "train": {"epochs": 2}}))
+        models = [arg for model in ONE_PER_KIND for arg in ("--model", model)]
+        result = dcnpd("benchmark", "--config", str(config), *models, "--seed", "1",
+                       "--reps", "1", "--out", str(tmp_path / "smoke" / "report.json"))
+        assert result.returncode == 0, result.stderr
+        for model in ONE_PER_KIND:
+            assert (tmp_path / "smoke" / f"report-{model.replace(':', '_')}.csv").exists()
+
+    def test_train_and_evaluate_each_model(self, tmp_path):
+        config = tmp_path / "bundle.json"
+        config.write_text(json.dumps({"synthetic": {"n": 40, "d": 3}, "train": {"epochs": 2},
+                                      "propensity_epochs": 2, "n_samples": 3}))
+        for model in ONE_PER_KIND:
+            bundle = tmp_path / "bundles" / f"{model.replace(':', '_')}.json"
+            trained = dcnpd("train", "--config", str(config), "--model", model, "--seed", "1",
+                            "--out", str(bundle))
+            assert trained.returncode == 0, (model, trained.stderr)
+            scored = dcnpd("evaluate", "--config", str(config), "--seed", "2",
+                           "--model-file", str(bundle))
+            assert scored.returncode == 0, (model, scored.stderr)
+            assert json.loads(scored.stdout)["kind"] == model.split(":")[0]
 
     def test_module_invocation_config_error(self):
         result = subprocess.run(

@@ -25,6 +25,9 @@ from dcnpd.propensity import (
     keep_probability,
     predict_propensity,
 )
+from dcnpd.training import TrainConfig
+
+DEFAULT = TrainConfig()
 
 
 def small_dcn(seed=0, d=3, shared=(6, 6), heads=()):
@@ -107,7 +110,7 @@ def stub_propensity(logit, d=3):
 
 class TestParams:
     def test_default_architecture(self):
-        params = build_dcn(25, np.random.default_rng(0))
+        params = build_dcn(25, np.random.default_rng(0), DEFAULT.shared_widths, DEFAULT.head_widths)
         assert [l.fan_out for l in params.shared.layers] == [200, 200]
         assert all(l.activation == "relu" for l in params.shared.layers)
         assert len(params.head0.layers) == 1
@@ -405,7 +408,7 @@ class TestMcMatrix:
     def test_cohort_size_matches_per_draw_reference_bitwise(self):
         # the default architecture at a cohort's size, where BLAS may thread
         rng = np.random.default_rng(40)
-        params = build_dcn(25, rng)
+        params = build_dcn(25, rng, DEFAULT.shared_widths, DEFAULT.head_widths)
         net = MLPParams([DenseLayer(0.3 * rng.normal(size=(25, 1)), np.zeros(1), "identity")])
         prop = PropensityModel(net, Standardization(np.zeros(25), np.ones(25)))
         sched = DropoutSchedule(0.5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcnpd import nn
 from dcnpd.nn import (
     ACTIVATIONS,
     AdamState,
@@ -32,7 +33,7 @@ HAND_DW = 15.0
 HAND_DB = 5.0
 HAND_DX = 10.0
 
-# Adam from zero moments, scalar grad 1.0 at every step, defaults:
+# Adam from zero moments, scalar grad 1.0 at every step, lr 0.001:
 # step 1 gives m=0.1, v=0.001, both bias-correct to 1, so each of the
 # first two steps moves the parameter by exactly lr/(1 + eps).
 ADAM_STEP = 0.001 / (1.0 + 1e-8)
@@ -446,7 +447,7 @@ class TestBackward:
 class TestAdam:
     def test_two_steps_hand_values(self):
         p = np.array([0.0])
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], 0.001)
         adam_step([p], [np.array([1.0])], state)
         np.testing.assert_allclose(p, [-ADAM_STEP], rtol=0, atol=1e-18)
         assert state.t == 1
@@ -459,20 +460,20 @@ class TestAdam:
     def test_update_is_in_place(self):
         p = np.zeros(3)
         alias = p
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], 0.001)
         adam_step([p], [np.ones(3)], state)
         assert alias is p and alias[0] != 0.0
 
     def test_zero_grads_leave_fresh_params_fixed(self):
         p = np.array([1.5, -2.0])
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], 0.001)
         for _ in range(5):
             adam_step([p], [np.zeros(2)], state)
         np.testing.assert_array_equal(p, [1.5, -2.0])
 
     def test_shape_mismatch_raises(self):
         p = np.zeros(3)
-        state = AdamState.for_params([p])
+        state = AdamState.for_params([p], 0.001)
         with pytest.raises(ValueError):
             adam_step([p], [np.zeros(2)], state)
 
@@ -480,8 +481,8 @@ class TestAdam:
         rng = np.random.default_rng(41)
         shapes = [(1,), (3,), (4, 5)]
         params = [rng.normal(size=s) for s in shapes]
-        lr, b1, b2, eps = 0.01, 0.8, 0.99, 1e-6
-        state = AdamState.for_params(params, lr, b1, b2, eps)
+        lr, b1, b2, eps = 0.01, nn.BETA1, nn.BETA2, nn.EPSILON
+        state = AdamState.for_params(params, lr)
         scratch = [a for pair in state.scratch for a in pair]
         want_p = [p.copy() for p in params]
         want_m, want_v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
@@ -509,7 +510,7 @@ class TestAdam:
         rng = np.random.default_rng(seed)
         target = rng.normal(size=4)
         p = np.zeros(4)
-        state = AdamState.for_params([p], lr=0.05)
+        state = AdamState.for_params([p], 0.05)
         first = np.sum((p - target) ** 2)
         for _ in range(400):
             adam_step([p], [2 * (p - target)], state)
@@ -523,7 +524,7 @@ class TestTrainStep:
         x, y = rng.normal(size=(6, 3)), rng.normal(size=6)
         mask = [bernoulli_mask(rng.random((6, 5)), 0.7)]
         expected = copy.deepcopy([first, second])
-        exp_states = [AdamState.for_params(n.parameter_arrays()) for n in expected]
+        exp_states = [AdamState.for_params(n.parameter_arrays(), 0.001) for n in expected]
         rep, cache1 = mlp_forward(expected[0], x, mask)
         out, cache2 = mlp_forward(expected[1], rep)
         grads2, grad_rep = mlp_backward(expected[1], cache2, (out - y[:, None]) / 6)
@@ -531,7 +532,7 @@ class TestTrainStep:
         adam_step(expected[0].parameter_arrays(), grads1, exp_states[0])
         adam_step(expected[1].parameter_arrays(), grads2, exp_states[1])
 
-        states = [AdamState.for_params(n.parameter_arrays()) for n in (first, second)]
+        states = [AdamState.for_params(n.parameter_arrays(), 0.001) for n in (first, second)]
         applied, caches = train_step(
             [first, second], states, x, [mask, None], lambda o: (o - y[:, None]) / 6
         )
@@ -548,7 +549,7 @@ class TestTrainStep:
         net = tiny_net(33)
         net.layers[-1].b[0] = np.inf
         before = [a.copy() for a in net.parameter_arrays()]
-        state = AdamState.for_params(net.parameter_arrays())
+        state = AdamState.for_params(net.parameter_arrays(), 0.001)
         with pytest.raises(FloatingPointError):
             train_step([net], [state], np.ones((2, 3)), [None], lambda o: o)
         for a, b in zip(net.parameter_arrays(), before):

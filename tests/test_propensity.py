@@ -175,7 +175,7 @@ class TestTraining:
         X = np.random.default_rng(0).normal(size=(20, 2))
         ds = ObservationalDataset(X, np.ones(20, dtype=int), np.zeros(20))
         with pytest.raises(ValueError):
-            train_propensity(ds, rng=np.random.default_rng(0))
+            train_propensity(ds, epochs=5, rng=np.random.default_rng(0))
 
     def test_null_model_calibrates_to_base_rate(self):
         rng = np.random.default_rng(6)

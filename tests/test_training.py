@@ -73,10 +73,13 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        for bad in ({"beta1": 1.0}, {"beta2": -0.1}, {"epsilon": 0.0},
-                    {"learning_rate": float("nan")}, {"epsilon": float("inf")}):
-            with pytest.raises(ValueError, match=next(iter(bad))):
-                TrainConfig(**bad)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
+        # Adam's other settings are nn.BETA1, nn.BETA2 and nn.EPSILON, not config fields
+        for name in ("beta1", "beta2", "epsilon"):
+            with pytest.raises(TypeError, match=name):
+                TrainConfig(**{name: 0.5})
 
 
 class TestFactualMse:
@@ -237,7 +240,7 @@ def reference_alternating(ds, keep, config, rng):
         [layer.fan_out for layer in head.layers[:-1]] for head in (params.head0, params.head1)
     )
     shared_state, head0_state, head1_state = (
-        config.adam_state(net.parameter_arrays())
+        AdamState.for_params(net.parameter_arrays(), config.learning_rate)
         for net in (params.shared, params.head0, params.head1)
     )
     arms = [
@@ -263,7 +266,7 @@ def reference_direct(ds, arch, keep, config, rng):
     """The direct net's loop written out: every row each epoch, one mask draw per batch."""
     net = build_mlp((ds.d + 1, *arch, 1), rng, output_activation="identity")
     inputs = np.column_stack([ds.X, ds.W.astype(np.float64)])
-    state = config.adam_state(net.parameter_arrays())
+    state = AdamState.for_params(net.parameter_arrays(), config.learning_rate)
     for _ in range(config.epochs):
         for rows in minibatches(ds.n, config.batch_size, rng):
             widths = [layer.fan_out for layer in net.layers[:-1]]
@@ -316,7 +319,7 @@ class TestStepBuffers:
         nets = [build_mlp((3, 6, 4), rng), build_mlp((4, 5, 1), rng)]
         fresh_nets = copy.deepcopy(nets)
         states, fresh_states = (
-            [AdamState.for_params(net.parameter_arrays()) for net in group]
+            [AdamState.for_params(net.parameter_arrays(), 0.001) for net in group]
             for group in (nets, fresh_nets)
         )
         x, y = rng.normal(size=(7, 3)), rng.normal(size=7)

@@ -10,6 +10,8 @@ estimator. Fitted models and their effect readouts live in `experiment`.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,23 +57,44 @@ def knn_arms(W: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return treated, control
 
 
+def _span_distances(X: np.ndarray, x: np.ndarray, distances: np.ndarray, span: slice) -> None:
+    """Write the distances of rows ``span`` of ``X`` into ``distances[span]``, block by block."""
+    start, stop = span.start, span.stop
+    queries = np.tile(x, (min(stop - start, ROW_BLOCK), 1))
+    deltas = np.empty_like(queries)
+    for lo in range(start, stop, ROW_BLOCK):
+        block = X[lo : min(lo + ROW_BLOCK, stop)]
+        sq = np.subtract(block, queries[: len(block)], out=deltas[: len(block)])
+        np.sum(np.multiply(sq, sq, out=sq), axis=1, out=distances[lo : lo + len(block)])
+    np.sqrt(distances[span], out=distances[span])
+
+
+# numpy's ufuncs release the GIL, so these threads run spans side by side;
+# they start on the first query with more than one span and run only numpy
+_SPAN_POOL = ThreadPoolExecutor(thread_name_prefix="dcnpd-knn-span")
+
+
 def _distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``x`` to each row of ``X``, ROW_BLOCK rows at a time.
 
-    A block's squares are summed while still in cache, and a C-order block
-    sums each row's squares as that row alone would be summed, so every
-    distance has the bits of ``np.sqrt(np.sum((X[i] - x) ** 2))``.
+    The blocks are split into contiguous spans of whole blocks, the last
+    possibly ragged, one per CPU this process may use. The calling thread
+    computes the first span and `_SPAN_POOL` the others, so a query on at
+    most ROW_BLOCK rows, or on one usable CPU, starts no thread. A block's
+    squares are summed while still in cache, and a C-order block sums each
+    row's squares as that row alone would be summed, so every distance has
+    the bits of ``np.sqrt(np.sum((X[i] - x) ** 2))`` at any span count.
     """
     n = len(X)
-    rows = min(n, ROW_BLOCK)
-    queries = np.tile(x, (rows, 1))
-    deltas = np.empty((rows, len(x)))
+    blocks = -(-n // ROW_BLOCK)
+    span_rows = ROW_BLOCK * -(-blocks // len(os.sched_getaffinity(0)))
+    spans = [slice(start, min(start + span_rows, n)) for start in range(0, n, span_rows)]
     distances = np.empty(n)
-    for start in range(0, n, rows):
-        block = X[start : start + rows]
-        sq = np.subtract(block, queries[: len(block)], out=deltas[: len(block)])
-        np.sum(np.multiply(sq, sq, out=sq), axis=1, out=distances[start : start + len(block)])
-    return np.sqrt(distances, out=distances)
+    others = [_SPAN_POOL.submit(_span_distances, X, x, distances, span) for span in spans[1:]]
+    _span_distances(X, x, distances, spans[0])
+    for future in others:
+        future.result()
+    return distances
 
 
 def knn_ite(

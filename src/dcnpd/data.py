@@ -131,7 +131,9 @@ class ObservationalDataset:
         )
 
 
-ROW_BLOCK = 4096  # rows formatted per write, so memory does not grow with n
+# rows per CSV write and per k-NN distance block, so memory does not grow
+# with n; the k-NN spans, one per usable CPU, are whole blocks of it
+ROW_BLOCK = 4096
 # numpy strips these ASCII separators around a number as whitespace; float() rejects them
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
@@ -351,8 +353,19 @@ class Standardization:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "Standardization":
-        return cls(np.asarray(payload["mean"]), np.asarray(payload["std"]))
+    def from_dict(cls, payload: dict, name: str = "standardization") -> "Standardization":
+        """The transform `to_dict` wrote, read from the bundle field ``name``, which errors name."""
+        return cls(*(_json_numbers(payload[key], f"{name}.{key}") for key in ("mean", "std")))
+
+
+def _json_numbers(value, name: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; a TypeError naming ``name`` otherwise."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a JSON list of numbers, got {value!r}")
+    for i, item in enumerate(value):
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise TypeError(f"{name}[{i}] must be a number, got {item!r}")
+    return np.asarray(value, dtype=np.float64)
 
 
 def standardize(

@@ -73,8 +73,8 @@ class DCNParams:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DCNParams":
-        nets = (json_object(payload[k], f"dcn.{k}") for k in ("shared", "head0", "head1"))
-        return cls(*map(MLPParams.from_dict, nets))
+        nets = {k: json_object(payload[k], f"dcn.{k}") for k in ("shared", "head0", "head1")}
+        return cls(*(MLPParams.from_dict(net, f"dcn.{k}") for k, net in nets.items()))
 
 
 def build_dcn(

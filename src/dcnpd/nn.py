@@ -89,6 +89,13 @@ def json_object(value, name: str) -> dict:
     return value
 
 
+def json_list(value, name: str) -> list:
+    """``value``, a list read from JSON; a TypeError naming ``name`` unless it is a list."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a JSON list, got {value!r}")
+    return value
+
+
 @dataclass
 class MLPParams:
     """An ordered stack of dense layers with compatible dimensions."""
@@ -129,8 +136,12 @@ class MLPParams:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "MLPParams":
-        entries = [json_object(entry, f"layer {i}") for i, entry in enumerate(payload["layers"])]
+    def from_dict(cls, payload: dict, name: str = "net") -> "MLPParams":
+        """The net `to_dict` wrote, read from the bundle field ``name``, which errors name."""
+        entries = [
+            json_object(entry, f"{name}.layers[{i}]")
+            for i, entry in enumerate(json_list(payload["layers"], f"{name}.layers"))
+        ]
         layers = [
             DenseLayer(
                 np.asarray(entry["weights"], dtype=np.float64),

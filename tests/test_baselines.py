@@ -1,5 +1,11 @@
 """Baseline estimators against hand oracles and construction properties."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,7 +166,7 @@ class TestKnnRowBlocks:
             for k in range(1, 6):
                 assert knn_ite(ds, x, KnnConfig(k=k)) == brute_force_knn(ds, x, k)
 
-    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7])
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_distances_have_the_bits_of_one_block(self, n, layout):
         rng = np.random.default_rng(n)
@@ -170,6 +176,56 @@ class TestKnnRowBlocks:
         assert got.tobytes() == one_block_distances(X, x).tobytes()
         for i in (0, ROW_BLOCK - 2, n - 1):
             assert got[i] == np.sqrt(np.sum((X[i] - x) ** 2))
+
+    @pytest.mark.parametrize("cpus, starts", [
+        (1, [0]),
+        (2, [0, 2 * ROW_BLOCK]),
+        (3, [0, 2 * ROW_BLOCK]),
+        (8, [0, ROW_BLOCK, 2 * ROW_BLOCK, 3 * ROW_BLOCK]),
+    ])
+    def test_one_span_of_whole_blocks_per_usable_cpu(self, monkeypatch, cpus, starts):
+        n = 3 * ROW_BLOCK + 7
+        rng = np.random.default_rng(cpus)
+        X = rng.normal(size=(n, 25))
+        x = rng.normal(size=25)
+        spans, span_distances = [], baselines._span_distances
+
+        def recorded(X, x, distances, span):
+            spans.append((span.start, span.stop))
+            span_distances(X, x, distances, span)
+
+        monkeypatch.setattr(baselines, "_span_distances", recorded)
+        monkeypatch.setattr(baselines.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        got = baselines._distances(X, x)
+        assert sorted(spans) == list(zip(starts, [*starts[1:], n]))
+        assert got.tobytes() == one_block_distances(X, x).tobytes()
+
+    def test_a_query_on_one_block_starts_no_thread(self):
+        # in a fresh interpreter, so no earlier query has started the span threads
+        script = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dcnpd.baselines import KnnConfig, knn_ite
+from dcnpd.data import ROW_BLOCK, ObservationalDataset
+counts = [threading.active_count()]
+for n in (ROW_BLOCK, ROW_BLOCK + 1):
+    rng = np.random.default_rng(n)
+    ds = ObservationalDataset(rng.normal(size=(n, 3)), np.arange(n) % 2, rng.normal(size=n))
+    knn_ite(ds, np.zeros(3), KnnConfig(k=3))
+    counts.append(threading.active_count())
+print(counts)
+"""
+        src = str(Path(baselines.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, src],
+            capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        before, one_block, two_blocks = json.loads(result.stdout)
+        assert one_block == before
+        # the two-block query, the script's check that it can see a span thread start
+        assert two_blocks == before + min(2, len(os.sched_getaffinity(0))) - 1
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_features_and_query_are_not_written(self, layout):

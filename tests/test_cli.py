@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ BUNDLE_NETS = {
 }
 
 
+def write_edited_bundle(bundle: dict, field: str, value, folder: Path) -> Path:
+    """A copy of ``bundle`` with the dotted ``field`` set to ``value``, written to a file."""
+    bundle = json.loads(json.dumps(bundle))  # a deep copy
+    *parents, key = field.split(".")
+    block = bundle
+    for name in parents:
+        block = block[name]
+    block[key] = value
+    model_file = folder / "bad.json"
+    model_file.write_text(json.dumps(bundle))
+    return model_file
+
+
 @pytest.fixture(scope="module")
 def trained_bundles(tmp_path_factory):
     """The config that trained them and one tiny bundle per kind, through ``main``."""
@@ -316,18 +330,35 @@ class TestTrainAndEvaluate:
         self, trained_bundles, tmp_path, capsys, kind, field, value
     ):
         config, bundles = trained_bundles
-        bundle = json.loads(json.dumps(bundles[kind]))  # a deep copy
-        *parents, key = field.split(".")
-        block = bundle
-        for name in parents:
-            block = block[name]
-        block[key] = value
-        model_file = tmp_path / "bad.json"
-        model_file.write_text(json.dumps(bundle))
+        model_file = write_edited_bundle(bundles[kind], field, value, tmp_path)
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and key in err
+        assert "config error" in err and field.split(".")[-1] in err
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("dcn-pd", "dcn.shared.layers", 5, "dcn.shared.layers must be a JSON list"),
+            ("dcn-pd", "propensity.net.layers", "x", "propensity.net.layers must be a JSON list"),
+            ("dcn-fixed", "dcn.head0.layers", [5], "dcn.head0.layers[0] must be a JSON object"),
+            ("dcn-pd", "standardization.mean", ["a", 0.0, 0.0],
+             "standardization.mean[0] must be a number, got 'a'"),
+            ("knn", "standardization.std", [1.0, True, 1.0],
+             "standardization.std[1] must be a number, got True"),
+            ("dcn-pd", "propensity.standardization.std", "x",
+             "propensity.standardization.std must be a JSON list of numbers"),
+        ],
+        ids=str,
+    )
+    def test_evaluate_with_a_bundle_field_of_the_wrong_type_names_the_field(
+        self, trained_bundles, tmp_path, capsys, kind, field, value, message
+    ):
+        config, bundles = trained_bundles
+        model_file = write_edited_bundle(bundles[kind], field, value, tmp_path)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_evaluate_reads_out_from_the_config(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"

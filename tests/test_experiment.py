@@ -688,6 +688,21 @@ class TestWorkerPool:
         assert type(pooled_error.value.__cause__) is RuntimeWarning
 
 
+def test_pool_and_distance_block_tests_pass_pinned_to_one_cpu():
+    # on one CPU there is one worker, so the loop waits for each reply before the
+    # next send, and one k-NN span, so the calling thread computes every distance
+    tests = Path(__file__).resolve().parent
+    cpu = min(os.sched_getaffinity(0))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_experiment.py"), str(tests / "test_baselines.py"),
+         "-k", "TestWorkerPool or TestKnnRowBlocks"],
+        cwd=tests.parent, env=script_env(), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        capture_output=True, text=True, check=False, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr
+
+
 class TestEmitReport:
     def test_round_trip_recovers_values_exactly(self, tmp_path):
         report = run_experiment(quick_config(repetitions=3))

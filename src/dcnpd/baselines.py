@@ -130,7 +130,7 @@ def train_direct_nn(
     """
     if not 0.0 <= dropout_prob < 1.0:
         raise ValueError("dropout_prob must lie in [0, 1)")
-    net = build_mlp((dataset.d + 1, *arch, 1), rng, output_activation="identity")
+    net = build_mlp((dataset.d + 1, *arch, 1), rng)
     inputs = np.column_stack([dataset.X, dataset.W.astype(np.float64)])
     state = AdamState.for_params(net.parameter_arrays(), config.learning_rate)
     phase = ("direct", [net], [state], np.arange(dataset.n))

@@ -26,6 +26,7 @@ from .experiment import (
     predict_from_bundle,
     run_experiment,
     train_model_bundle,
+    write_json,
 )
 
 
@@ -122,18 +123,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
     sidecar = out.with_suffix(".json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "seed": config.seed,
-                "synthetic": config.to_dict()["synthetic"],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    synthetic = config.to_dict()["synthetic"]
+    write_json(
+        sidecar, {"schema_version": SCHEMA_VERSION, "seed": config.seed, "synthetic": synthetic}
     )
     print(f"wrote {dataset.n} rows x {dataset.d} features to {out} (sidecar {sidecar})")
     return 0
@@ -169,12 +161,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "n": dataset.n,
         "ite_mse": ite_mse(predictions, dataset.true_ite),
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
-    if config.out is not None:
-        out = Path(config.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n", encoding="utf-8")
+    print(write_json(config.out, result), end="")
     return 0
 
 

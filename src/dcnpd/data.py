@@ -115,10 +115,6 @@ class ObservationalDataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def has_ground_truth(self) -> bool:
-        return self.mu0 is not None
-
     def subset(self, indices: np.ndarray) -> "ObservationalDataset":
         """Row selection preserving any ground-truth columns."""
         indices = np.asarray(indices)
@@ -231,7 +227,7 @@ def save_csv(dataset: ObservationalDataset, path) -> None:
     """Write ``x1..xd, w, y[, mu0, mu1]``: each float's repr, CRLF line ends as in `csv`."""
     header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
     tail = [dataset.Y]
-    if dataset.has_ground_truth:
+    if dataset.true_ite is not None:
         header += ["mu0", "mu1"]
         tail += [dataset.mu0, dataset.mu1]
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -84,12 +84,10 @@ def build_dcn(
     head_widths: Sequence[int],
 ) -> DCNParams:
     """Xavier-initialized network; draw order is shared, head0, head1."""
-    shared = build_mlp(
-        (input_dim, *shared_widths), rng, hidden_activation="relu", output_activation="relu"
-    )
+    shared = build_mlp((input_dim, *shared_widths), rng, output_activation="relu")
     rep = shared.output_dim
-    head0 = build_mlp((rep, *head_widths, 1), rng, output_activation="identity")
-    head1 = build_mlp((rep, *head_widths, 1), rng, output_activation="identity")
+    head0 = build_mlp((rep, *head_widths, 1), rng)
+    head1 = build_mlp((rep, *head_widths, 1), rng)
     return DCNParams(shared, head0, head1)
 
 
@@ -101,10 +99,10 @@ def dcn_forward(
 ):
     """Evaluate both heads as a (y0, y1) pair; the shared stack runs exactly once.
 
-    ``x`` may be a single feature vector (scalar results), an (n, d) batch
-    (length-n arrays) or a (c, n, d) stack of batches with masks of the
-    same leading axes ((c, n) arrays). ``masks`` is a (shared, head0, head1)
-    triple of per-layer mask lists, as `mlp_forward` takes them.
+    ``x`` is an (n, d) batch (length-n arrays) or a (c, n, d) stack of
+    batches with masks of the same leading axes ((c, n) arrays). ``masks``
+    is a (shared, head0, head1) triple of per-layer mask lists, as
+    `mlp_forward` takes them.
 
     ``caches`` is an optional three-slot list (shared, head0, head1): each
     pass stores its `mlp_forward` cache in an empty slot and writes into
@@ -112,15 +110,13 @@ def dcn_forward(
     layout reuse their buffers. Results returned for a batch are then views
     of those buffers, overwritten by the next call.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
     slots = [None] * 3 if caches is None else caches
     groups = [None] * 3 if masks is None else masks
-    rep, slots[0] = mlp_forward(params.shared, x[None, :] if single else x, groups[0], slots[0])
+    rep, slots[0] = mlp_forward(params.shared, x, groups[0], slots[0])
     outs = []
     for i, net in ((1, params.head0), (2, params.head1)):
         out, slots[i] = mlp_forward(net, rep, groups[i], slots[i])
-        outs.append(float(out[0, 0]) if single else out[..., 0])
+        outs.append(out[..., 0])
     return tuple(outs)
 
 

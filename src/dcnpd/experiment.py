@@ -639,13 +639,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def write_json(path, payload: dict) -> str:
+    """``payload`` as indented sorted-key JSON text, also written to ``path`` unless None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
 def emit_report(report: ExperimentReport, path) -> None:
     """Write the JSON report and a per-repetition CSV next to it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, report.to_dict())
     csv_path = path.with_suffix(".csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -57,7 +57,7 @@ class DenseLayer:
 
     W: np.ndarray
     b: np.ndarray
-    activation: str = "relu"
+    activation: str
 
     def __post_init__(self):
         self.W = aligned(self.W)
@@ -137,34 +137,28 @@ class MLPParams:
 
     @classmethod
     def from_dict(cls, payload: dict, name: str = "net") -> "MLPParams":
-        """The net `to_dict` wrote, read from the bundle field ``name``, which errors name."""
-        entries = [
-            json_object(entry, f"{name}.layers[{i}]")
-            for i, entry in enumerate(json_list(payload["layers"], f"{name}.layers"))
-        ]
-        layers = [
-            DenseLayer(
-                np.asarray(entry["weights"], dtype=np.float64),
-                np.asarray(entry["bias"], dtype=np.float64),
-                entry["activation"],
-            )
-            for entry in entries
-        ]
+        """The net `to_dict` wrote, read from the bundle field ``name``; errors name the layer."""
+        layers = []
+        for i, entry in enumerate(json_list(payload["layers"], f"{name}.layers")):
+            field = f"{name}.layers[{i}]"
+            entry = json_object(entry, field)
+            try:
+                layers.append(DenseLayer(entry["weights"], entry["bias"], entry["activation"]))
+                cls(layers[-2:])  # the layer takes the previous layer's output
+            except (TypeError, ValueError) as e:
+                raise type(e)(f"{field}: {e}") from None
         return cls(layers)
 
 
 def build_mlp(
-    widths: Sequence[int],
-    rng: np.random.Generator,
-    hidden_activation: str = "relu",
-    output_activation: str = "identity",
+    widths: Sequence[int], rng: np.random.Generator, output_activation: str = "identity"
 ) -> MLPParams:
-    """Xavier-initialized MLP with layer sizes ``widths[0] -> ... -> widths[-1]``."""
+    """Xavier-initialized ReLU MLP with layer sizes ``widths[0] -> ... -> widths[-1]``."""
     if len(widths) < 2:
         raise ValueError("widths must list at least input and output dimensions")
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        act = output_activation if i == len(widths) - 2 else hidden_activation
+        act = output_activation if i == len(widths) - 2 else "relu"
         layers.append(DenseLayer(xavier_init(fan_in, fan_out, rng), np.zeros(fan_out), act))
     return MLPParams(layers)
 

@@ -36,9 +36,9 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DropoutSchedule:
-    """Offset gamma in [0,1]; entropy is always base 2, so H(1/2) = 1."""
+    """Offset gamma in [0,1], whose one default is `TrainConfig.gamma`; H is base 2."""
 
-    gamma: float = 1.0
+    gamma: float
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -58,12 +58,12 @@ def binary_entropy(p):
     return h if h.ndim else float(h)
 
 
-def dropout_probability(p_tilde, schedule: DropoutSchedule = DropoutSchedule()):
+def dropout_probability(p_tilde, schedule: DropoutSchedule):
     """1 - gamma/2 - H(p)/2: maximal at extreme scores, zero at p = 1/2, gamma = 1."""
     return 1.0 - schedule.gamma / 2.0 - binary_entropy(p_tilde) / 2.0
 
 
-def keep_probability(p_tilde, schedule: DropoutSchedule = DropoutSchedule()):
+def keep_probability(p_tilde, schedule: DropoutSchedule):
     """Complementary keep rate, computed directly as gamma/2 + H(p)/2."""
     return schedule.gamma / 2.0 + binary_entropy(p_tilde) / 2.0
 
@@ -114,18 +114,13 @@ class PropensityModel:
         )
 
 
-def predict_propensity(model: PropensityModel, x: np.ndarray):
-    """Deterministic score in [1e-12, 1 - 1e-12]; no dropout in this network.
-
-    Accepts a single feature vector (returns a float) or an (n, d) matrix
-    (returns an (n,) array).
-    """
+def predict_propensity(model: PropensityModel, x: np.ndarray) -> np.ndarray:
+    """Scores in [1e-12, 1 - 1e-12] of an (n, d) matrix's rows; deterministic, no dropout."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    logits = mlp_forward(model.net, model.standardization.transform(rows))[0][:, 0]
-    scores = np.clip(stable_sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(scores[0]) if single else scores
+    if x.ndim != 2:  # a stack would pass the layers and lose all but its first rows
+        raise ValueError("x must be 2-D (subjects x features)")
+    logits = mlp_forward(model.net, model.standardization.transform(x))[0][:, 0]
+    return np.clip(stable_sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def _bce_grad(logits: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ class TestGenerate:
         assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
         dataset = load_csv(out)
         assert dataset.n == 60 and dataset.d == 3
-        assert dataset.has_ground_truth
+        assert dataset.true_ite is not None
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["seed"] == 7
         assert sidecar["synthetic"]["n"] == 60
@@ -190,13 +190,20 @@ BUNDLE_NETS = {
 
 
 def write_edited_bundle(bundle: dict, field: str, value, folder: Path) -> Path:
-    """A copy of ``bundle`` with the dotted ``field`` set to ``value``, written to a file."""
+    """A copy of ``bundle`` with the dotted ``field`` set to ``value``, written to a file.
+
+    A part of ``field`` that follows a list is an index, as in ``dcn.shared.layers.1``.
+    """
     bundle = json.loads(json.dumps(bundle))  # a deep copy
     *parents, key = field.split(".")
     block = bundle
+
+    def part(name):
+        return int(name) if isinstance(block, list) else name
+
     for name in parents:
-        block = block[name]
-    block[key] = value
+        block = block[part(name)]
+    block[part(key)] = value
     model_file = folder / "bad.json"
     model_file.write_text(json.dumps(bundle))
     return model_file
@@ -348,6 +355,13 @@ class TestTrainAndEvaluate:
              "standardization.std[1] must be a number, got True"),
             ("dcn-pd", "propensity.standardization.std", "x",
              "propensity.standardization.std must be a JSON list of numbers"),
+            ("dcn-pd", "dcn.shared.layers.1.weights", "x",
+             "dcn.shared.layers[1]: could not convert string to float: 'x'"),
+            ("nn4", "net.layers.1.bias", [0.0],
+             "net.layers[1]: bias shape (1,) does not match fan_out 200"),
+            ("dcn-pd", "propensity.net.layers.1",
+             {"weights": [[0.0, 0.0]], "bias": [0.0, 0.0], "activation": "relu"},
+             "propensity.net.layers[1]: layer widths incompatible: 25 -> 1"),
         ],
         ids=str,
     )

@@ -217,7 +217,7 @@ class TestCsv:
 def reference_save_csv(dataset, path):
     """The row-at-a-time `csv.writer` loop that `save_csv` must match byte for byte."""
     header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
-    if dataset.has_ground_truth:
+    if dataset.true_ite is not None:
         header += ["mu0", "mu1"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -226,7 +226,7 @@ def reference_save_csv(dataset, path):
             row = [repr(float(v)) for v in dataset.X[i]]
             row.append(str(int(dataset.W[i])))
             row.append(repr(float(dataset.Y[i])))
-            if dataset.has_ground_truth:
+            if dataset.true_ite is not None:
                 row.append(repr(float(dataset.mu0[i])))
                 row.append(repr(float(dataset.mu1[i])))
             writer.writerow(row)

@@ -78,14 +78,15 @@ def reference_estimate_ite(params, prop, schedule, x, n_samples, rng):
     """The per-draw loop that `estimate_ite` ran before it became one-row MC.
 
     Each draw samples flat ``(width,)`` masks at the subject's scalar keep
-    probability (shared stack, head0, head1) and runs one single-vector pass.
+    probability (shared stack, head0, head1) and runs one one-row pass.
     """
-    keep = keep_probability(predict_propensity(prop, x), schedule)
+    row = x[None, :]
+    keep = float(keep_probability(predict_propensity(prop, row), schedule)[0])
     y0 = np.empty(n_samples)
     y1 = np.empty(n_samples)
     for m in range(n_samples):
         groups = [[fresh_mask(w, keep, rng) for w in ws] for ws in dcn_mask_widths(params)]
-        y0[m], y1[m] = dcn_forward(params, x, groups)
+        y0[m], y1[m] = (out[0] for out in dcn_forward(params, row, groups))
     return y1 - y0, y0, y1
 
 
@@ -139,17 +140,17 @@ class TestParams:
 
 class TestForward:
     def test_zero_net_outputs_zero(self):
-        y0, y1 = dcn_forward(zero_dcn(), np.array([1.0, -2.0, 3.0]))
-        assert y0 == 0.0 and y1 == 0.0
+        y0, y1 = dcn_forward(zero_dcn(), np.array([[1.0, -2.0, 3.0]]))
+        assert y0.tolist() == y1.tolist() == [0.0]
 
     def test_identical_heads_agree_for_any_shared_mask(self):
         params = small_dcn(3)
         params.head1 = copy.deepcopy(params.head0)
         rng = np.random.default_rng(4)
         masks = dcn_masks(0.5, dcn_mask_widths(params), 1, rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         y0, y1 = dcn_forward(params, x, masks)
-        assert y0 == y1
+        np.testing.assert_array_equal(y0, y1)
 
     def test_all_ones_masks_equal_maskless(self):
         params = small_dcn(5)
@@ -160,23 +161,20 @@ class TestForward:
         np.testing.assert_array_equal(with_mask[0], bare[0])
         np.testing.assert_array_equal(with_mask[1], bare[1])
 
-    def test_single_vector_matches_batch_row(self):
-        params = small_dcn(10)
-        X = np.random.default_rng(11).normal(size=(3, 3))
-        batch0, batch1 = dcn_forward(params, X)
-        s0, s1 = dcn_forward(params, X[1])
-        assert (s0, s1) == (batch0[1], batch1[1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dcn_forward(small_dcn(), np.zeros(4))
+    @pytest.mark.parametrize(
+        "x, message",
+        [(np.zeros((2, 4)), "input width"), (np.zeros(3), "2-D")],
+        ids=["width", "one-vector"],
+    )
+    def test_dimension_mismatch(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            dcn_forward(small_dcn(), x)
 
 
 class TestPredictDeterministic:
     """The fixed-dropout model's effect: one maskless `dcn_forward`, y1 - y0."""
 
     def test_zero_net(self):
-        assert deterministic_ite(zero_dcn(), np.ones(3)) == 0.0
         np.testing.assert_array_equal(deterministic_ite(zero_dcn(), np.ones((2, 3))), [0.0, 0.0])
 
     def test_bias_offset_between_heads(self):
@@ -256,7 +254,7 @@ class TestEstimateIte:
         assert est.std == 0.0
         assert np.all(est.samples == est.samples[0])
         assert est.quantiles == (est.mean, est.mean)
-        assert est.mean == deterministic_ite(params, np.ones(3))
+        assert est.mean == deterministic_ite(params, np.ones((1, 3)))[0]
 
     def test_single_sample_convention(self):
         params = small_dcn(15)
@@ -270,12 +268,12 @@ class TestEstimateIte:
         params = small_dcn(17, heads=(5,))
         params.head1 = copy.deepcopy(params.head0)
         rng = np.random.default_rng(18)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         for _ in range(20):
             masks = dcn_masks(0.5, dcn_mask_widths(params), 1, rng)
             forced = (masks[0], masks[1], masks[1])  # inject
             y0, y1 = dcn_forward(params, x, forced)
-            assert y1 - y0 == 0.0
+            np.testing.assert_array_equal(y1 - y0, [0.0])
 
     def test_deterministic_given_seed(self):
         params = small_dcn(19)
@@ -292,9 +290,9 @@ class TestEstimateIte:
         from dcnpd.propensity import dropout_probability, predict_propensity
 
         balanced, extreme = stub_propensity(0.0), stub_propensity(4.0)
-        x = np.zeros(3)
-        assert dropout_probability(predict_propensity(extreme, x), sched) > (
-            dropout_probability(predict_propensity(balanced, x), sched)
+        x = np.zeros((1, 3))
+        assert dropout_probability(predict_propensity(extreme, x), sched)[0] > (
+            dropout_probability(predict_propensity(balanced, x), sched)[0]
         )
 
     def test_mc_mean_is_stable_at_large_m(self):

@@ -703,6 +703,22 @@ def test_pool_and_distance_block_tests_pass_pinned_to_one_cpu():
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr
 
 
+def test_mask_monte_carlo_and_training_tests_pass_on_one_blas_thread():
+    # stacked Monte Carlo passes match per-draw passes only if a (c, n, d) matmul
+    # gives each item the bits of a 2-D one at this thread count too; pooled
+    # repetitions train on one BLAS thread, where steps on reused buffers must
+    # still match the written-out reference loops
+    tests = Path(__file__).resolve().parent
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(str(tests / name) for name in ("test_nn.py", "test_dcn.py", "test_training.py"))],
+        cwd=tests.parent, env={**script_env(), **one_thread},
+        capture_output=True, text=True, check=False, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr
+
+
 class TestEmitReport:
     def test_round_trip_recovers_values_exactly(self, tmp_path):
         report = run_experiment(quick_config(repetitions=3))

@@ -43,6 +43,17 @@ def tiny_net(seed=0, widths=(3, 5, 1)):
     return build_mlp(widths, np.random.default_rng(seed))
 
 
+def mlp_with(widths, rng, hidden, output="identity"):
+    """`build_mlp`'s net and draws with ``hidden`` on its hidden layers.
+
+    `build_mlp` builds ReLU hidden layers only, but a bundle may hold any
+    activation of `ACTIVATIONS` on any layer.
+    """
+    net = build_mlp(widths, rng, output)
+    acts = [hidden] * (len(net.layers) - 1) + [output]
+    return MLPParams([DenseLayer(l.W, l.b, act) for l, act in zip(net.layers, acts)])
+
+
 class TestForward:
     def test_hand_single_unit(self):
         params = MLPParams([DenseLayer(np.array([[2.0]]), np.array([0.0]), "identity")])
@@ -63,7 +74,7 @@ class TestForward:
         start = 1 if (raw.ctypes.data + 8) % 64 else 2
         W = raw[start : start + 35].reshape(7, 5)
         assert W.ctypes.data % 64
-        layer = DenseLayer(W, np.zeros(5))
+        layer = DenseLayer(W, np.zeros(5), "relu")
         assert layer.W.ctypes.data % 64 == 0 and layer.W.tobytes() == W.tobytes()
         assert aligned(layer.W) is layer.W  # an aligned array is shared, not copied
         net = MLPParams.from_dict(tiny_net(3, widths=(3, 6, 5, 1)).to_dict())
@@ -216,7 +227,7 @@ class TestReusedBuffers:
     @settings(max_examples=40, deadline=None)
     def test_mlp_forward_out_matches_fresh(self, seed, rows, hidden, masked):
         rng = np.random.default_rng(seed)
-        params = build_mlp((4, 6, 5, 2), rng, hidden_activation=hidden)
+        params = mlp_with((4, 6, 5, 2), rng, hidden)
 
         def draw():
             keep = rng.uniform(0.2, 1.0, rows)
@@ -294,7 +305,7 @@ class TestStackedBatches:
     @settings(max_examples=40, deadline=None)
     def test_mlp_forward_stack_matches_per_item(self, seed, c, rows, hidden, masked):
         rng = np.random.default_rng(seed)
-        params = build_mlp((4, 6, 5, 2), rng, hidden_activation=hidden)
+        params = mlp_with((4, 6, 5, 2), rng, hidden)
         keep = rng.uniform(0.2, 1.0, rows)
         x = rng.normal(size=(c, rows, 4))
         stacked = draw_masks([[6, 5, 2]], keep, rng, draws=c)[0]
@@ -398,7 +409,7 @@ class TestBackward:
     def test_matches_written_out_formulas_bitwise(self, activation, masked, rows):
         rng = np.random.default_rng(12)
         widths = (4, 6, 5, 3)
-        params = build_mlp(widths, rng, activation, activation)
+        params = mlp_with(widths, rng, activation, activation)
 
         def masks():
             # a mask on every layer, the output too, when masked
@@ -588,8 +599,8 @@ class TestParamsPlumbing:
         with pytest.raises(ValueError):
             MLPParams(
                 [
-                    DenseLayer(np.ones((2, 3)), np.zeros(3)),
-                    DenseLayer(np.ones((4, 1)), np.zeros(1)),
+                    DenseLayer(np.ones((2, 3)), np.zeros(3), "relu"),
+                    DenseLayer(np.ones((4, 1)), np.zeros(1), "identity"),
                 ]
             )
 

@@ -94,6 +94,8 @@ class TestDropoutSchedule:
         for bad in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 DropoutSchedule(bad)
+        with pytest.raises(TypeError):  # gamma's one default is TrainConfig.gamma
+            DropoutSchedule()
 
     def test_entropy_base_pinned(self):
         # the schedule has no base option; saved models may still record base 2
@@ -118,32 +120,37 @@ class TestDropoutSchedule:
 class TestPredict:
     def test_zero_net_scores_half(self):
         model = PropensityModel(constant_net(0.0), identity_scaling(2))
-        assert predict_propensity(model, np.array([3.0, -4.0])) == 0.5
+        assert predict_propensity(model, np.array([[3.0, -4.0]])).tolist() == [0.5]
 
     def test_clamped_at_extremes(self):
         high = PropensityModel(constant_net(1e4), identity_scaling(2))
         low = PropensityModel(constant_net(-1e4), identity_scaling(2))
-        x = np.zeros(2)
-        assert predict_propensity(high, x) == 1.0 - 1e-12
-        assert predict_propensity(low, x) == 1e-12
+        x = np.zeros((1, 2))
+        assert predict_propensity(high, x).tolist() == [1.0 - 1e-12]
+        assert predict_propensity(low, x).tolist() == [1e-12]
 
     def test_batch_and_single_agree(self):
         model = PropensityModel(constant_net(0.3), identity_scaling(2))
         X = np.random.default_rng(0).normal(size=(4, 2))
         batch = predict_propensity(model, X)
-        singles = [predict_propensity(model, row) for row in X]
+        singles = [predict_propensity(model, X[i : i + 1])[0] for i in range(len(X))]
         np.testing.assert_array_equal(batch, singles)
 
     def test_deterministic(self):
         ds = separable_toy(80, seed=1)
         model = train_propensity(ds, epochs=50, rng=np.random.default_rng(2))
-        x = np.array([0.7, -0.1])
-        assert predict_propensity(model, x) == predict_propensity(model, x)
+        X = np.array([[0.7, -0.1], [-1.2, 0.4]])
+        np.testing.assert_array_equal(predict_propensity(model, X), predict_propensity(model, X))
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize(
+        "x, message",
+        [(np.zeros((1, 3)), "feature width"), (np.zeros(2), "2-D"), (np.zeros((2, 3, 2)), "2-D")],
+        ids=["width", "one-vector", "stack"],
+    )
+    def test_dimension_mismatch(self, x, message):
         model = PropensityModel(constant_net(0.0), identity_scaling(2))
-        with pytest.raises(ValueError):
-            predict_propensity(model, np.zeros(3))
+        with pytest.raises(ValueError, match=message):
+            predict_propensity(model, x)
 
     def test_identity_output_required(self):
         net = MLPParams([DenseLayer(np.zeros((2, 1)), np.zeros(1), "relu")])
@@ -169,7 +176,7 @@ class TestTraining:
     def test_deep_in_class_point_confident(self):
         train = separable_toy(200, seed=3, margin=0.1)
         model = train_propensity(train, epochs=1500, rng=np.random.default_rng(5))
-        assert predict_propensity(model, np.array([3.0, 0.0])) > 0.9
+        assert predict_propensity(model, np.array([[3.0, 0.0]]))[0] > 0.9
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(20, 2))

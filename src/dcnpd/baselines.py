@@ -29,7 +29,7 @@ DIRECT_DROPOUT = 0.2
 class KnnConfig:
     """Matching estimator knobs; distances are Euclidean on the features as given."""
 
-    k: int = 5
+    k: int
 
     def __post_init__(self):
         check_count("k", self.k, error=ValueError)
@@ -97,9 +97,7 @@ def _distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     return distances
 
 
-def knn_ite(
-    train: ObservationalDataset, x: np.ndarray, config: KnnConfig = KnnConfig()
-) -> float:
+def knn_ite(train: ObservationalDataset, x: np.ndarray, config: KnnConfig) -> float:
     """Mean outcome of the k nearest treated minus the k nearest control."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (train.d,):
@@ -115,8 +113,8 @@ def knn_ite(
 
 def train_direct_nn(
     dataset: ObservationalDataset,
-    arch: Sequence[int] = DEFAULT_DIRECT_ARCH,
-    config: TrainConfig = TrainConfig(),
+    arch: Sequence[int],
+    config: TrainConfig,
     *,
     rng: np.random.Generator,
     dropout_prob: float = DIRECT_DROPOUT,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -155,11 +156,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "evaluation needs ground truth: the dataset must carry mu0 and mu1"
         )
     predictions = predict_from_bundle(bundle, dataset.X, rng)
+    with np.errstate(over="ignore"):  # finite effects far from the truth square to infinity
+        mse = ite_mse(predictions, dataset.true_ite)
+    if not math.isfinite(mse):
+        raise ConfigError(f"ite_mse overflows: the {bundle['kind']} bundle's effects are too large")
     result = {
         "schema_version": SCHEMA_VERSION,
         "kind": bundle["kind"],
         "n": dataset.n,
-        "ite_mse": ite_mse(predictions, dataset.true_ite),
+        "ite_mse": mse,
     }
     print(write_json(config.out, result), end="")
     return 0

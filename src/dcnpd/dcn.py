@@ -128,11 +128,9 @@ class ITEEstimate:
     mean: float
     std: float
     quantiles: tuple[float, float]
-    y0_mean: float
-    y1_mean: float
 
 
-def _summarize(t_samples: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> ITEEstimate:
+def _summarize(t_samples: np.ndarray) -> ITEEstimate:
     # single-draw std is 0 by convention; a constant vector short-circuits so
     # pairwise-summation noise cannot produce a spurious nonzero spread
     constant = bool(np.all(t_samples == t_samples[0]))
@@ -146,8 +144,6 @@ def _summarize(t_samples: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> ITEEsti
         mean=float(t_samples[0]) if constant else float(np.mean(t_samples)),
         std=std,
         quantiles=(float(lo), float(hi)),
-        y0_mean=float(np.mean(y0)),
-        y1_mean=float(np.mean(y1)),
     )
 
 
@@ -214,7 +210,7 @@ def estimate_ite(
     if x.ndim != 1:
         raise ValueError("estimate_ite takes a single feature vector")
     y0, y1 = _mc_outcomes(params, prop, schedule, x[None, :], n_samples, rng)
-    return _summarize(y1[0] - y0[0], y0[0], y1[0])
+    return _summarize(y1[0] - y0[0])
 
 
 def mc_ite_matrix(

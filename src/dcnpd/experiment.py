@@ -44,11 +44,12 @@ from .data import (
     train_test_split,
 )
 from .dcn import DCNParams, dcn_forward, mc_ite_matrix
-from .nn import MLPParams, json_object, mlp_forward
+from .nn import MLPParams, json_list, json_object, mlp_forward
 from .propensity import DEFAULT_ARCH, DropoutSchedule, PropensityModel, train_propensity
 from .training import TrainConfig, train_dcn, train_dcn_fixed_dropout
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # reports, sidecars and evaluate results
+BUNDLE_VERSION = 2  # the model bundle's layout; `_upgrade` reads version 1
 
 MODEL_TOKENS = "dcn-pd | dcn-fixed:<p> | nn4 | knn:<k>"
 
@@ -261,11 +262,7 @@ class _PropensityDropoutDCN:
     @classmethod
     def from_dict(cls, bundle: dict):
         schedule = DropoutSchedule(bundle["gamma"])
-        block = json_object(bundle["propensity"], "propensity")
-        prop = PropensityModel.from_dict(block)
-        # bundles written before the schedule moved here repeat it as propensity.gamma
-        if block.get("gamma", schedule.gamma) != schedule.gamma:
-            raise ConfigError(f"gamma {schedule.gamma!r} differs from propensity.gamma")
+        prop = PropensityModel.from_dict(json_object(bundle["propensity"], "propensity"))
         dcn = DCNParams.from_dict(json_object(bundle["dcn"], "dcn"))
         return cls(prop, dcn, schedule, bundle["n_samples"])
 
@@ -686,24 +683,53 @@ def train_model_bundle(config: ExperimentConfig) -> dict:
     kind, value = parse_model(config.model)
     model = MODELS[kind].fit(scaled, config, value, _stream(config.seed, 1, 0, _TRAIN))
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": BUNDLE_VERSION,
         "kind": kind,
         "standardization": transform.to_dict(),
         **model.to_dict(),
     }
 
 
+def _upgrade(bundle: dict) -> dict:
+    """A copy of a version-1 bundle in the version-2 layout; the input is not edited.
+
+    A version-1 dcn-pd bundle may repeat its gamma as ``propensity.gamma``,
+    record ``propensity.entropy_base``, which has only ever been 2, and end
+    its propensity net in a ``"sigmoid"`` layer over the same logits that a
+    version-2 net ends in ``"identity"``. The first two are checked and
+    dropped, and the last layer is renamed.
+    """
+    upgraded = {**bundle, "schema_version": BUNDLE_VERSION}
+    if bundle["kind"] != "dcn-pd":
+        return upgraded
+    upgraded["propensity"] = prop = dict(json_object(bundle["propensity"], "propensity"))
+    if prop.pop("gamma", bundle["gamma"]) != bundle["gamma"]:
+        raise ConfigError(f"gamma {bundle['gamma']!r} differs from propensity.gamma")
+    if prop.pop("entropy_base", 2) != 2:
+        raise ConfigError("propensity.entropy_base must be 2, the only base ever written")
+    net = json_object(prop["net"], "propensity.net")
+    layers = json_list(net["layers"], "propensity.net.layers")
+    if layers:
+        *hidden, last = layers
+        last = json_object(last, f"propensity.net.layers[{len(hidden)}]")
+        if last.get("activation") == "sigmoid":
+            prop["net"] = {**net, "layers": [*hidden, {**last, "activation": "identity"}]}
+    return upgraded
+
+
 def predict_from_bundle(bundle: dict, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Predicted effects for raw (unstandardized) feature rows; draws, if any, from ``rng``."""
     version = bundle.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in (1, BUNDLE_VERSION):
         raise ConfigError(
-            f"unsupported bundle schema_version {version!r}; expected {SCHEMA_VERSION}"
+            f"unsupported bundle schema_version {version!r}; expected 1 or {BUNDLE_VERSION}"
         )
     kind = bundle.get("kind")
-    if kind not in MODELS:
+    if not isinstance(kind, str) or kind not in MODELS:
         raise ConfigError(f"unknown bundle kind {kind!r}")
     try:
+        if version == 1:
+            bundle = _upgrade(bundle)
         scaling = json_object(bundle["standardization"], "standardization")
         transform = Standardization.from_dict(scaling)
         model = MODELS[kind].from_dict(bundle)
@@ -719,4 +745,11 @@ def predict_from_bundle(bundle: dict, X: np.ndarray, rng: np.random.Generator) -
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != width:
         raise ConfigError(f"the data have {X.shape[-1]} features; the {kind} bundle takes {width}")
-    return model.predict_ite(transform.transform(X), rng)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite effect, rejected below
+        predictions = model.predict_ite(transform.transform(X), rng)
+    finite = np.isfinite(predictions)
+    if not finite.all():
+        raise ConfigError(
+            f"the {kind} bundle predicts a non-finite effect for row {int(np.argmin(finite))}"
+        )
+    return predictions

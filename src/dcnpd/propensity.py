@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ObservationalDataset, Standardization, check_count, standardize
-from .nn import AdamState, MLPParams, build_mlp, json_list, json_object, mlp_forward, train_step
+from .nn import AdamState, MLPParams, build_mlp, json_object, mlp_forward, train_step
 
 PROB_CLAMP = 1e-12
 
@@ -98,15 +98,7 @@ class PropensityModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PropensityModel":
-        # older bundles record the entropy base, which has only ever been 2
-        if payload.get("entropy_base", 2) != 2:
-            raise ValueError("entropy base is fixed at 2")
         net = json_object(payload["net"], "propensity.net")
-        layers = json_list(net["layers"], "propensity.net.layers")
-        # older nets end in "sigmoid" over the same logits; MLPParams checks every layer
-        last = layers[-1] if layers else None
-        if isinstance(last, dict) and last.get("activation") == "sigmoid":
-            net = {"layers": [*layers[:-1], {**last, "activation": "identity"}]}
         scaling = json_object(payload["standardization"], "propensity.standardization")
         return cls(
             MLPParams.from_dict(net, "propensity.net"),

@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as npst
 
 from dcnpd import baselines
 from dcnpd.baselines import KnnConfig, knn_ite, train_direct_nn
-from dcnpd.data import ROW_BLOCK, ObservationalDataset
-from dcnpd.experiment import _DirectNet
+from dcnpd.data import ROW_BLOCK, ObservationalDataset, SyntheticConfig
+from dcnpd.experiment import MODELS, ExperimentConfig, _DirectNet
 from dcnpd.nn import DenseLayer, MLPParams, mask_widths, mlp_forward
 from dcnpd.training import TrainConfig
 
@@ -278,9 +278,10 @@ class TestDirectModel:
 
     def test_default_architecture_is_four_layers(self):
         ds = _linear_toy(40, seed=5)
-        net = train_direct_nn(
-            ds, config=TrainConfig(epochs=1, batch_size=16), rng=np.random.default_rng(6)
+        config = ExperimentConfig(
+            seed=0, synthetic=SyntheticConfig(), train=TrainConfig(epochs=1, batch_size=16)
         )
+        net = MODELS["nn4"].fit(ds, config, None, np.random.default_rng(6)).net
         assert len(net.layers) == 4
         assert mask_widths([net]) == [[200, 200, 200]]
         assert net.input_dim == ds.d + 1

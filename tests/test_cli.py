@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, exit codes, file outputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,8 @@ def write_config(tmp_path, name="config.json", **fields):
 
 # a model token of each kind
 ONE_PER_KIND = ("dcn-pd", "dcn-fixed:0.2", "nn4", "knn:3")
+# a version-1 dcn-pd bundle, the rows it was queried with and the effects it predicted
+LEGACY_BUNDLE = Path(__file__).parent / "data" / "legacy_dcn_pd_bundle.json"
 
 
 def dcnpd(*argv):
@@ -229,7 +232,7 @@ class TestTrainAndEvaluate:
         assert main(["train", "--config", str(config), "--out", str(model_file)]) == 0
         bundle = json.loads(model_file.read_text())
         assert bundle["kind"] == "knn"
-        assert bundle["schema_version"] == 1
+        assert bundle["schema_version"] == 2
         capsys.readouterr()
 
         result_file = tmp_path / "eval.json"
@@ -373,6 +376,29 @@ class TestTrainAndEvaluate:
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("dcn.shared.layers.0.weights.0.0",
+             "ite_mse overflows: the dcn-pd bundle's effects are too large"),
+            ("standardization.mean.0", "the dcn-pd bundle predicts a non-finite effect for row 1"),
+        ],
+    )
+    def test_evaluate_of_a_bundle_that_overflows_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, field, message
+    ):
+        # a finite value whose products overflow: a huge effect, or none at all;
+        # pyproject.toml makes a RuntimeWarning an error
+        bundle = json.loads(LEGACY_BUNDLE.read_text())["bundle"]
+        model_file = write_edited_bundle(bundle, field, 1e308, tmp_path)
+        config = write_config(tmp_path, synthetic={"n": 20, "d": 2})
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--model-file", str(model_file),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_reads_out_from_the_config(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"
@@ -521,6 +547,18 @@ class TestSubprocessEntryPoints:
         assert result.returncode == 0, result.stderr
         assert out.exists()
         assert "mean_ite_mse=" in result.stdout
+
+    def test_evaluate_of_a_version_1_bundle_prints_the_in_process_result(self, tmp_path, capsys):
+        model_file = tmp_path / "legacy.json"
+        model_file.write_text(json.dumps(json.loads(LEGACY_BUNDLE.read_text())["bundle"]))
+        config = write_config(tmp_path, synthetic={"n": 20, "d": 2})
+        argv = ["evaluate", "--config", str(config), "--model-file", str(model_file)]
+        result = dcnpd(*argv)
+        assert result.returncode == 0, result.stderr
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert result.stdout == capsys.readouterr().out
+        assert math.isfinite(json.loads(result.stdout)["ite_mse"])
 
     def test_bad_bundle_config_or_width_exits_2_and_a_failed_train_writes_nothing(self, tmp_path):
         def dcnpd(*argv):

@@ -767,6 +767,33 @@ BUNDLE_KEYS = {
 }
 
 
+# what `test_every_field_replaced_predicts_finite_effects_or_exits_2` puts in each field
+FIELD_VALUES = (5, "x", None, [], {}, math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 1e308)
+
+
+def field_paths(value, path=()):
+    """The path of every field under ``value``, into the first two entries of each list."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value[:2])
+    else:
+        return
+    for key, child in children:
+        yield (*path, key)
+        yield from field_paths(child, (*path, key))
+
+
+def with_field(value, path, new):
+    """A copy of ``value`` with the field at ``path`` set to ``new``; ``value`` is not edited."""
+    if not path:
+        return new
+    head, *rest = path
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[head] = with_field(value[head], rest, new)
+    return copy
+
+
 def tiny_bundle_config(model: str) -> ExperimentConfig:
     return quick_config(
         model=model,
@@ -839,7 +866,7 @@ class TestModelBundles:
         for model in ("dcn-pd", "dcn-fixed:0.3", "nn4"):
             config = tiny_bundle_config(model)
             bundle = json.loads(json.dumps(train_model_bundle(config)))
-            assert bundle["schema_version"] == 1
+            assert bundle["schema_version"] == 2
             assert set(bundle) == BUNDLE_KEYS[parse_model(model)[0]]
             rng = np.random.default_rng(5)
             predictions = predict_from_bundle(bundle, X_new, rng=rng)
@@ -853,12 +880,13 @@ class TestModelBundles:
                 np.testing.assert_array_equal(predictions, repeat)
             assert_bundle_matches_fitted_model(config, bundle, X_new)
 
-    def test_unknown_bundle_kind_rejected(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kind", ["oracle", [], {}], ids=repr)
+    def test_unknown_bundle_kind_rejected(self, kind):
+        with pytest.raises(ConfigError, match="unknown bundle kind"):
             predict_from_bundle(
                 {
                     "schema_version": 1,
-                    "kind": "oracle",
+                    "kind": kind,
                     "standardization": {"mean": [0.0], "std": [1.0]},
                 },
                 np.zeros((1, 1)),
@@ -902,6 +930,67 @@ class TestModelBundles:
         rng = np.random.default_rng(saved["seed"])
         predictions = predict_from_bundle(bundle, np.array(saved["X"]), rng)
         assert predictions.tobytes() == np.array(saved["predictions"]).tobytes()
+
+    def test_upgrade_gives_a_version_1_bundle_the_version_2_layout(self, tiny_bundles):
+        bundle = json.loads(LEGACY_BUNDLE.read_text())["bundle"]
+        before = json.dumps(bundle)
+        upgraded = experiment._upgrade(bundle)
+        assert json.dumps(bundle) == before  # a copy: the input is not edited
+        assert upgraded["schema_version"] == 2
+        assert set(upgraded) == BUNDLE_KEYS["dcn-pd"]
+        assert set(upgraded["propensity"]) == set(tiny_bundles["dcn-pd"]["propensity"])
+        layers = upgraded["propensity"]["net"]["layers"]
+        assert [layer["activation"] for layer in layers] == ["relu", "identity"]
+
+    def test_version_1_bundle_records_entropy_base_2_only(self):
+        # a version-1 propensity block may record the entropy base, which was only ever 2
+        saved = json.loads(LEGACY_BUNDLE.read_text())
+        bundle, X = saved["bundle"], np.array(saved["X"])
+        for base in (2, 10):
+            edited = {**bundle, "propensity": {**bundle["propensity"], "entropy_base": base}}
+            rng = np.random.default_rng(saved["seed"])
+            if base == 2:
+                predictions = predict_from_bundle(edited, X, rng)
+                assert predictions.tobytes() == np.array(saved["predictions"]).tobytes()
+            else:
+                with pytest.raises(ConfigError, match="dcn-pd bundle .*entropy_base must be 2"):
+                    predict_from_bundle(edited, X, rng)
+
+    def test_version_1_net_ending_in_sigmoid_reads_as_the_same_logit_net(self, tiny_bundles):
+        # version-1 propensity nets end in "sigmoid" over the logits that version 2 ends in
+        bundle = tiny_bundles["dcn-pd"]
+        older = json.loads(json.dumps(bundle))  # a deep copy
+        older["schema_version"] = 1
+        older["propensity"]["net"]["layers"][-1]["activation"] = "sigmoid"
+        before = json.dumps(older)
+        X = np.random.default_rng(19).normal(size=(7, 2))
+        predictions = predict_from_bundle(older, X, np.random.default_rng(5))
+        assert json.dumps(older) == before  # not edited in place
+        expected = predict_from_bundle(bundle, X, np.random.default_rng(5))
+        assert predictions.tobytes() == expected.tobytes()
+        # version 2 knows the logit net only
+        with pytest.raises(ConfigError, match="unknown activation 'sigmoid'"):
+            predict_from_bundle({**older, "schema_version": 2}, X, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_every_field_replaced_predicts_finite_effects_or_exits_2(self, tiny_bundles, version):
+        # the legacy fixture (version 1), or a new bundle; any other outcome,
+        # a RuntimeWarning included, fails the test
+        if version == 1:
+            saved = json.loads(LEGACY_BUNDLE.read_text())
+            bundle, X = saved["bundle"], np.array(saved["X"])
+        else:
+            bundle, X = tiny_bundles["dcn-pd"], np.random.default_rng(8).normal(size=(4, 2))
+        for path in field_paths(bundle):
+            for value in FIELD_VALUES:
+                try:
+                    edited = with_field(bundle, path, value)
+                    predictions = predict_from_bundle(edited, X, np.random.default_rng(0))
+                except ConfigError:
+                    continue
+                except Exception as e:
+                    pytest.fail(f"{path} = {value!r}: {type(e).__name__}: {e}")
+                assert np.isfinite(predictions).all(), (path, value)
 
     def test_dcn_pd_bundle_propensity_net_ends_in_logits(self, tiny_bundles):
         layers = tiny_bundles["dcn-pd"]["propensity"]["net"]["layers"]

@@ -97,14 +97,6 @@ class TestDropoutSchedule:
         with pytest.raises(TypeError):  # gamma's one default is TrainConfig.gamma
             DropoutSchedule()
 
-    def test_entropy_base_pinned(self):
-        # the schedule has no base option; saved models may still record base 2
-        payload = PropensityModel(constant_net(0.3), identity_scaling(2)).to_dict()
-        assert "entropy_base" not in payload
-        assert PropensityModel.from_dict({**payload, "entropy_base": 2}).to_dict() == payload
-        with pytest.raises(ValueError):
-            PropensityModel.from_dict({**payload, "entropy_base": 10})
-
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_range(self, p, gamma):
@@ -245,16 +237,3 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_propensity(clone, X), predict_propensity(model, X)
         )
-
-    def test_a_net_ending_in_sigmoid_reads_as_the_same_logit_net(self):
-        # bundles written before the sigmoid left the layer stack end in it
-        ds = separable_toy(60, seed=17)
-        model = train_propensity(ds, epochs=5, rng=np.random.default_rng(18))
-        payload = model.to_dict()
-        assert payload["net"]["layers"][-1]["activation"] == "identity"
-        payload["net"]["layers"][-1]["activation"] = "sigmoid"
-        older = PropensityModel.from_dict(payload)
-        assert older.net.layers[-1].activation == "identity"
-        assert payload["net"]["layers"][-1]["activation"] == "sigmoid"  # not edited in place
-        X = np.random.default_rng(19).normal(size=(7, 2))
-        assert predict_propensity(older, X).tobytes() == predict_propensity(model, X).tobytes()

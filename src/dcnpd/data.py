@@ -12,10 +12,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+
+from . import pool
 
 SURFACES = ("LinearOffset", "ExpSurface")
 
@@ -127,8 +130,9 @@ class ObservationalDataset:
         )
 
 
-# rows per CSV write and per k-NN distance block, so memory does not grow
-# with n; the k-NN spans, one per usable CPU, are whole blocks of it
+# rows per CSV block, formatted here or by a `pool` worker, and per k-NN
+# distance block, so memory does not grow with n; the k-NN spans, one per
+# usable CPU, are whole blocks of it
 ROW_BLOCK = 4096
 # numpy strips these ASCII separators around a number as whitespace; float() rejects them
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
@@ -223,22 +227,51 @@ def load_csv(path) -> ObservationalDataset:
     return ObservationalDataset(values[:, :d].copy(), *columns)
 
 
+def _format_rows(X: np.ndarray, W: np.ndarray, tail: np.ndarray) -> str:
+    """The CSV lines of a block of rows: each float's repr, CRLF line ends as in `csv`."""
+    return "".join(
+        f"{','.join(map(repr, x))},{w},{','.join(map(repr, rest))}\r\n"
+        for x, w, rest in zip(X.tolist(), W.tolist(), tail.tolist())
+    )
+
+
 def save_csv(dataset: ObservationalDataset, path) -> None:
-    """Write ``x1..xd, w, y[, mu0, mu1]``: each float's repr, CRLF line ends as in `csv`."""
+    """Write ``x1..xd, w, y[, mu0, mu1]``, `ROW_BLOCK` rows at a time, in order.
+
+    With k usable CPUs this process formats every k-th block and up to k - 1 `pool`
+    workers one other block each (two in flight could fill both pipes), so the bytes
+    do not depend on k; a file of one block, or one CPU, starts no worker.
+    """
     header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
     tail = [dataset.Y]
     if dataset.true_ite is not None:
         header += ["mu0", "mu1"]
         tail += [dataset.mu0, dataset.mu1]
+    starts = range(0, dataset.n, ROW_BLOCK)
+
+    def rows(i: int) -> tuple:
+        block = slice(starts[i], starts[i] + ROW_BLOCK)
+        return dataset.X[block], dataset.W[block], np.column_stack([c[block] for c in tail])
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, dataset.n, ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
-            tails = np.column_stack([column[block] for column in tail]).tolist()
-            fh.writelines(
-                f"{','.join(map(repr, x))},{w},{','.join(map(repr, rest))}\r\n"
-                for x, w, rest in zip(dataset.X[block].tolist(), dataset.W[block].tolist(), tails)
-            )
+        try:  # taken before block 0 is formatted, so that a new worker starts meanwhile
+            cpus = len(os.sched_getaffinity(0))
+            workers = [pool._take() for _ in range(min(len(starts), cpus) - 1)]
+            waiting = []  # the workers formatting the blocks before this process's next one
+            for i in range(0, len(starts), len(workers) + 1):
+                text = _format_rows(*rows(i))
+                for worker in waiting:
+                    fh.write(worker.result())
+                waiting = workers[: len(starts) - i - 1]
+                for j, worker in enumerate(waiting, start=i + 1):
+                    worker.start("dcnpd.data", "_format_rows", *rows(j))
+                fh.write(text)
+            for worker in waiting:
+                fh.write(worker.result())
+        except BaseException:  # a worker holding a block must not go back to the idle ones
+            pool._kill_busy()
+            raise
 
 
 @dataclass(frozen=True)

@@ -13,24 +13,17 @@ realizations and splits repetition by repetition (paired comparisons).
 
 from __future__ import annotations
 
-import atexit
 import csv
 import json
 import math
 import os
-import pickle
-import select
-import signal
-import subprocess
-import sys
 import time
-import traceback
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .baselines import DEFAULT_DIRECT_ARCH, KnnConfig, knn_arms, knn_ite, train_direct_nn
 from .data import (
     ObservationalDataset,
@@ -415,7 +408,7 @@ def _run_repetition(
 # --- repetitions in worker processes ---
 #
 # A repetition that trains for at least POOL_MIN_STEPS minibatch steps runs in
-# a persistent child interpreter with single-threaded BLAS, one per usable CPU.
+# a `pool` worker, a child interpreter with single-threaded BLAS, one per usable CPU.
 # It draws only from its own (seed, 1, r, .) streams, so its result does not
 # depend on the worker or the CPU count, and at the benchmark's shapes (600
 # training rows) a product has the same bits on one BLAS thread as on several,
@@ -426,9 +419,6 @@ def _run_repetition(
 # enough that two of them side by side repay a worker's start-up even on the
 # first call, while the benchmark's 4-step warm-ups stay in-process.
 POOL_MIN_STEPS = 1_000
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_idle: list["_Worker"] = []  # started, healthy and free for the next call
-_live: set = set()  # every worker not yet reaped; those not idle are running a job
 
 
 def _train_steps(config: ExperimentConfig, n: int) -> int:
@@ -437,83 +427,6 @@ def _train_steps(config: ExperimentConfig, n: int) -> int:
         return 0
     rows = math.ceil(config.train_fraction * n)
     return config.train.epochs * math.ceil(rows / config.train.batch_size)
-
-
-class _Worker:
-    """A child interpreter with single-threaded BLAS that runs repetitions for `_serve`."""
-
-    def __init__(self):
-        paths = (str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
-        env = {**os.environ, **dict.fromkeys(_BLAS_THREADS, "1")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", "from dcnpd.experiment import _serve; _serve()"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=env,
-        )
-        _live.add(self)
-
-    def fileno(self) -> int:  # select waits on the reply pipe
-        return self.proc.stdout.fileno()
-
-    def send(self, job: tuple) -> None:
-        pickle.dump(job, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
-        self.proc.stdin.flush()
-
-    def reply(self) -> tuple:
-        """The job's ``(warnings, value, error)``; an error's cause is the worker's traceback."""
-        warned, value, error, trace = pickle.load(self.proc.stdout)
-        if trace is not None:
-            error.__cause__ = _RemoteTraceback(trace)
-        return warned, value, error
-
-    def close(self, kill: bool = False) -> int:
-        """Reap the worker: killed, or ended by closing its input; returns its exit code."""
-        _live.discard(self)
-        if kill:
-            self.proc.kill()
-        try:
-            self.proc.stdin.close()
-        except OSError:  # the pipe broke: the worker is gone already
-            pass
-        code = self.proc.wait()
-        self.proc.stdout.close()
-        return code
-
-
-@atexit.register
-def _close_workers() -> None:
-    for worker in list(_live):
-        worker.close(kill=worker not in _idle)
-
-
-def _serve() -> None:
-    """A worker's loop: read a pickled job, write ``(warnings, value, error, traceback)``."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller kills busy workers on a Ctrl-C
-    jobs, replies = sys.stdin.buffer, sys.stdout.buffer
-    sys.stdout = sys.stderr  # a stray print must not corrupt the reply stream
-    while True:
-        try:
-            job = pickle.load(jobs)
-        except EOFError:
-            return
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                reply = (_run_repetition(*job), None, None)
-            except Exception as e:
-                try:
-                    pickle.loads(pickle.dumps(e))
-                except Exception:  # an exception that cannot cross travels as its text
-                    e = Exception(str(e))
-                reply = (None, e, traceback.format_exc())
-        pickle.dump(([(str(w.message), w.category) for w in caught], *reply), replies)
-        replies.flush()
-
-
-class _RemoteTraceback(Exception):
-    """A worker's traceback text, chained as the cause of the error it raised."""
 
 
 def _failure(r: int, e: Exception) -> Exception:
@@ -525,31 +438,12 @@ def _failure(r: int, e: Exception) -> Exception:
     return error
 
 
-def _lost(worker: _Worker | None, r: int, e: Exception) -> Exception:
-    """Kill a worker that did not start, take or answer job r, and the idle ones; r's error."""
-    code = worker and worker.close(kill=True)
-    while _idle:  # idle workers may be gone too: later calls start afresh
-        _idle.pop().close(kill=True)
-    lost = RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
-    return _failure(r, lost)
-
-
 def _collect(running: dict, values: dict, errors: dict, timeout: float | None = None) -> None:
     """Record the replies of the running workers ready within ``timeout`` s (None: one at least)."""
-    for worker in select.select(list(running), [], [], timeout)[0]:
+    for worker in pool._ready(running, timeout):
         r = running.pop(worker)
         try:
-            warned, value, error = worker.reply()
-        except Exception as e:  # the worker died
-            errors[r] = _lost(worker, r, e)
-            continue
-        _idle.append(worker)
-        try:  # a worker's warnings meet this process's filters, which may raise them
-            for message, category in warned:
-                warnings.warn(message, category)
-            if error is not None:
-                raise error
-            values[r] = value
+            values[r] = worker.result()
         except Exception as e:
             errors[r] = _failure(r, e)
 
@@ -587,21 +481,19 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
                 while len(running) == most:  # the first worker to reply takes this job
                     _collect(running, values, errors)
                 if not errors:
-                    worker = None
                     try:
-                        worker = _idle.pop() if _idle else _Worker()
-                        worker.send(job)
+                        worker = pool._take()
+                        worker.start("dcnpd.experiment", "_run_repetition", *job)
                         running[worker] = r
                     except Exception as e:  # no worker started, it died, or a job did not pickle
-                        errors[r] = _lost(worker, r, e)
+                        errors[r] = _failure(r, e)
             _collect(running, values, errors, timeout=0)
             if errors:  # no repetition starts after a failure; the running ones finish
                 break
         while running:
             _collect(running, values, errors)
     except BaseException:  # an interrupt: kill the running workers, do not wait for them
-        for worker in _live.difference(_idle):
-            worker.close(kill=True)
+        pool._kill_busy()
         raise
     if errors:
         raise errors[min(errors)]
@@ -720,7 +612,7 @@ def _upgrade(bundle: dict) -> dict:
 def predict_from_bundle(bundle: dict, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Predicted effects for raw (unstandardized) feature rows; draws, if any, from ``rng``."""
     version = bundle.get("schema_version")
-    if version not in (1, BUNDLE_VERSION):
+    if type(version) is not int or version not in (1, BUNDLE_VERSION):  # not True, nor 1.0
         raise ConfigError(
             f"unsupported bundle schema_version {version!r}; expected 1 or {BUNDLE_VERSION}"
         )

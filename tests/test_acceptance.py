@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dcnpd.baselines import KnnConfig, knn_ite
-from dcnpd.data import ObservationalDataset, Standardization, SyntheticConfig, load_csv
+from dcnpd.data import ObservationalDataset, Standardization, SyntheticConfig
 from dcnpd.dcn import build_dcn, estimate_ite
 from dcnpd.experiment import (
     POOL_MIN_STEPS,

@@ -410,17 +410,19 @@ class TestTrainAndEvaluate:
         assert main(["evaluate", "--config", str(config), "--model-file", str(model_file)]) == 0
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
-    def test_evaluate_rejects_unknown_bundle_version(self, tmp_path, capsys):
+    # a version is a JSON integer: true, 1.0 and 2.0 equal 1, 1 and 2 in Python
+    @pytest.mark.parametrize("version", [99, True, 1.0, 2.0])
+    def test_evaluate_rejects_unknown_bundle_version(self, tmp_path, capsys, version):
         config = write_config(tmp_path)
         model_file = tmp_path / "model.json"
         assert main(["train", "--config", str(config), "--out", str(model_file)]) == 0
         bundle = json.loads(model_file.read_text())
-        bundle["schema_version"] = 99
+        bundle["schema_version"] = version
         model_file.write_text(json.dumps(bundle))
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config),
                      "--model-file", str(model_file)]) == 2
-        assert "schema_version 99" in capsys.readouterr().err
+        assert f"unsupported bundle schema_version {version!r}" in capsys.readouterr().err
 
 
 class TestBenchmark:

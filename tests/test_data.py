@@ -1,10 +1,16 @@
 """Dataset plumbing: CSV round-trips, the generator's ground truth, splits."""
 
 import csv
+import json
 import math
+import os
 import pickle
 import re
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from dcnpd import data, pool
 from dcnpd.data import (
     ROW_BLOCK,
     ObservationalDataset,
@@ -430,6 +437,97 @@ class TestCsvAgainstReference:
         reference_save_csv(ds, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert read_outcome(load_csv, tmp_path / "new.csv") == read_outcome(lambda _: ds, None)
+
+
+def record_own_blocks(monkeypatch, ds, fail_at=None, error=ValueError) -> tuple[list, list]:
+    """The first rows of the blocks formatted here, and the busy workers when block ``fail_at``
+    raises ``error``."""
+    starts, busy, format_rows = [], [], data._format_rows
+
+    def recorded(X, W, tail):
+        starts.append(int(np.flatnonzero(ds.X[:, 0] == X[0, 0])[0]))
+        if starts[-1] == fail_at:
+            busy.extend(set(pool._live).difference(pool._idle))
+            raise error("formatting failed")
+        return format_rows(X, W, tail)
+
+    monkeypatch.setattr(data, "_format_rows", recorded)
+    return starts, busy
+
+
+def fake_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestCsvRowBlocks:
+    """`save_csv` formats every k-th block here and the others in `pool` workers."""
+
+    @pytest.mark.parametrize("n", [2 * ROW_BLOCK + 3, ROW_BLOCK + 1])
+    @pytest.mark.parametrize("cpus", [None, 3])  # None: the CPUs this process may use
+    def test_pooled_blocks_match_reference(self, tmp_path, monkeypatch, n, cpus):
+        ds = generate_synthetic(SyntheticConfig(n=n, d=2), np.random.default_rng(n))
+        if cpus is None:
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            fake_cpus(monkeypatch, cpus)
+        own, _ = record_own_blocks(monkeypatch, ds)
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        blocks = math.ceil(n / ROW_BLOCK)
+        assert own == list(range(0, n, ROW_BLOCK))[:: min(blocks, cpus)]
+        assert not set(pool._live).difference(pool._idle)
+
+    def test_one_block_starts_no_worker(self, tmp_path):
+        # in a fresh interpreter, so no earlier write has started a worker
+        script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dcnpd import pool
+from dcnpd.data import ROW_BLOCK, SyntheticConfig, generate_synthetic, save_csv
+counts = []
+for n in (ROW_BLOCK, ROW_BLOCK + 1):
+    save_csv(generate_synthetic(SyntheticConfig(n=n, d=2), np.random.default_rng(n)), sys.argv[2])
+    counts.append(len(pool._live))
+print(json.dumps(counts))
+"""
+        src = str(Path(data.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, src, str(tmp_path / "d.csv")],
+            capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        one_block, two_blocks = json.loads(result.stdout)
+        assert one_block == 0
+        # the two-block write, the script's check that it can see a worker start
+        assert two_blocks == min(2, len(os.sched_getaffinity(0))) - 1
+
+    def test_a_killed_worker_fails_one_write_then_is_replaced(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(5))
+        reference_save_csv(ds, tmp_path / "old.csv")
+        fake_cpus(monkeypatch, 2)
+        save_csv(ds, tmp_path / "new.csv")
+        killed = list(pool._idle)
+        assert killed
+        for worker in killed:
+            os.kill(worker.proc.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=r"worker process lost \(\w+Error"):
+            save_csv(ds, tmp_path / "new.csv")
+        assert not set(killed) & pool._live
+        save_csv(ds, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_failure_here_kills_the_worker_holding_a_block(self, tmp_path, monkeypatch, error):
+        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(6))
+        fake_cpus(monkeypatch, 2)
+        own, busy = record_own_blocks(monkeypatch, ds, fail_at=2 * ROW_BLOCK, error=error)
+        with pytest.raises(error, match="formatting failed"):
+            save_csv(ds, tmp_path / "new.csv")
+        assert own == [0, 2 * ROW_BLOCK] and len(busy) == 1  # block 1 was in flight
+        assert busy[0].proc.returncode is not None
+        assert busy[0] not in pool._live and busy[0] not in pool._idle
 
 
 class TestGenerator:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcnpd import experiment
+from dcnpd import experiment, pool
 from dcnpd.baselines import KnnConfig, knn_ite
 from dcnpd.data import (
     ObservationalDataset,
@@ -413,14 +413,14 @@ def write_realizations(folder: Path, count: int) -> list[Path]:
 
 POOL_SCRIPT = """
 import json, os, sys
-from dcnpd import experiment
+from dcnpd import experiment, pool
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 report = experiment.run_experiment(experiment.ExperimentConfig.from_dict(json.loads(sys.argv[2])))
 print(json.dumps({
     "per_rep_mse": report.per_rep_mse,
     "cpus": len(os.sched_getaffinity(0)),
-    "workers": [worker.proc.pid for worker in experiment._live],
+    "workers": [worker.proc.pid for worker in pool._live],
 }))
 """
 
@@ -444,15 +444,15 @@ def run_pool_script(config: ExperimentConfig, mode: str) -> dict:
 # prints the worker PIDs once every worker is busy, then waits to be interrupted
 INTERRUPT_SCRIPT = """
 import json, os, signal, sys, threading, time
-from dcnpd import experiment
+from dcnpd import experiment, pool
 signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started with it ignored
 config = experiment.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 def report():
     deadline = time.monotonic() + 60
     busy = min(config.repetitions, len(os.sched_getaffinity(0)))
-    while len(experiment._live) - len(experiment._idle) < busy and time.monotonic() < deadline:
+    while len(pool._live) - len(pool._idle) < busy and time.monotonic() < deadline:
         time.sleep(0.01)
-    print(json.dumps([w.proc.pid for w in list(experiment._live)]), flush=True)
+    print(json.dumps([w.proc.pid for w in list(pool._live)]), flush=True)
 threading.Thread(target=report, daemon=True).start()
 experiment.run_experiment(config)
 """
@@ -578,14 +578,14 @@ class TestWorkerPool:
     def test_killed_workers_fail_one_call_then_are_replaced(self):
         config = pooled_config(repetitions=2)
         expected = run_experiment(config).per_rep_mse
-        killed = list(experiment._idle)
+        killed = list(pool._idle)
         assert killed
         for worker in killed:
             os.kill(worker.proc.pid, signal.SIGKILL)
         # one repetition meets one dead worker; the others must not reach the next call
         with pytest.raises(RuntimeError, match=r"repetition 0 failed: worker process lost"):
             run_experiment(replace(config, repetitions=1))
-        assert not set(killed) & experiment._live
+        assert not set(killed) & pool._live
         assert run_experiment(config).per_rep_mse == expected
 
     def test_worker_error_keeps_its_type_and_traceback(self):
@@ -609,12 +609,11 @@ class TestWorkerPool:
             object.__setattr__(config, "model", 5)  # parse_model raises in the worker
         else:
             covariates = np.zeros((1, 1))  # generate_synthetic rejects their shape
-        worker = experiment._Worker()
-        try:
-            worker.send((config, 0, None, covariates))
-            error = experiment._failure(0, worker.reply()[2])
-        finally:
-            worker.close()
+        worker = pool._Worker()
+        worker.start("dcnpd.experiment", "_run_repetition", config, 0, None, covariates)
+        with pytest.raises(Exception) as err:
+            worker.result()
+        error = experiment._failure(0, err.value)
         assert type(error) is raised
         if raised is RuntimeError:
             assert str(error).startswith("repetition 0 failed: covariates must have shape")
@@ -690,13 +689,14 @@ class TestWorkerPool:
 
 def test_pool_and_distance_block_tests_pass_pinned_to_one_cpu():
     # on one CPU there is one worker, so the loop waits for each reply before the
-    # next send, and one k-NN span, so the calling thread computes every distance
+    # next send, one k-NN span, so the calling thread computes every distance, and
+    # no CSV worker, so the calling process formats every block of a write
     tests = Path(__file__).resolve().parent
     cpu = min(os.sched_getaffinity(0))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(tests / "test_experiment.py"), str(tests / "test_baselines.py"),
-         "-k", "TestWorkerPool or TestKnnRowBlocks"],
+         *(str(tests / f"test_{name}.py") for name in ("experiment", "baselines", "data")),
+         "-k", "TestWorkerPool or TestKnnRowBlocks or TestCsvRowBlocks"],
         cwd=tests.parent, env=script_env(), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
         capture_output=True, text=True, check=False, timeout=600,
     )

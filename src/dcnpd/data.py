@@ -134,6 +134,12 @@ class ObservationalDataset:
 # distance block, so memory does not grow with n; the k-NN spans, one per
 # usable CPU, are whole blocks of it
 ROW_BLOCK = 4096
+# a CSV write of fewer values (rows times columns) starts no `pool` worker: the
+# CPU that a worker takes while it starts then costs more than it saves. On a
+# 2-core Xeon, in a fresh process, a write that starts one breaks even near 600k
+# values at d=5, 16 and 25 (it won 7-12 of 16 pairs at 590k-713k, 2-11 of 25
+# at d=16 below 500k, and 17-20 of 25 there at 573k)
+POOL_MIN_VALUES = 600_000
 # numpy strips these ASCII separators around a number as whitespace; float() rejects them
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
@@ -238,40 +244,61 @@ def _format_rows(X: np.ndarray, W: np.ndarray, tail: np.ndarray) -> str:
 def save_csv(dataset: ObservationalDataset, path) -> None:
     """Write ``x1..xd, w, y[, mu0, mu1]``, `ROW_BLOCK` rows at a time, in order.
 
-    With k usable CPUs this process formats every k-th block and up to k - 1 `pool`
-    workers one other block each (two in flight could fill both pipes), so the bytes
-    do not depend on k; a file of one block, or one CPU, starts no worker.
+    With k usable CPUs, up to k - 1 `pool` workers format blocks beside this process.
+    Each block goes to a worker free at its turn, or is formatted here, so a worker
+    still starting delays nothing; a worker holds one block (two in flight could fill
+    both pipes), and the blocks are written in order, so the bytes do not depend on k.
+    A file of one block, or one CPU, takes no worker; one of under `POOL_MIN_VALUES`
+    values starts none.
     """
     header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
     tail = [dataset.Y]
     if dataset.true_ite is not None:
         header += ["mu0", "mu1"]
         tail += [dataset.mu0, dataset.mu1]
-    starts = range(0, dataset.n, ROW_BLOCK)
 
-    def rows(i: int) -> tuple:
-        block = slice(starts[i], starts[i] + ROW_BLOCK)
+    def rows(block: slice) -> tuple:
         return dataset.X[block], dataset.W[block], np.column_stack([c[block] for c in tail])
 
+    starts = range(0, dataset.n, ROW_BLOCK)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        try:  # taken before block 0 is formatted, so that a new worker starts meanwhile
-            cpus = len(os.sched_getaffinity(0))
-            workers = [pool._take() for _ in range(min(len(starts), cpus) - 1)]
-            waiting = []  # the workers formatting the blocks before this process's next one
-            for i in range(0, len(starts), len(workers) + 1):
-                text = _format_rows(*rows(i))
-                for worker in waiting:
-                    fh.write(worker.result())
-                waiting = workers[: len(starts) - i - 1]
-                for j, worker in enumerate(waiting, start=i + 1):
-                    worker.start("dcnpd.data", "_format_rows", *rows(j))
-                fh.write(text)
-            for worker in waiting:
-                fh.write(worker.result())
+        taken, ahead = [], []  # ahead: the blocks not yet written, text or the worker formatting it
+        try:
+            for _ in range(min(len(starts), len(os.sched_getaffinity(0))) - 1):
+                if not pool._idle and dataset.n * len(header) < POOL_MIN_VALUES:
+                    break
+                worker = pool._take()
+                if not worker.owes:  # the reply to an empty block says a new worker has started
+                    worker.start("dcnpd.data", "_format_rows", *rows(slice(0)))
+                    worker.owes = True
+                taken.append(worker)
+            for start in [*starts, None]:  # None: write the blocks still ahead
+                if start is not None:
+                    free = [w for w in taken if not w.owes and w not in ahead]
+                    free = free or pool._ready([w for w in taken if w.owes], 0)
+                    block = rows(slice(start, start + ROW_BLOCK))
+                    if free:
+                        ahead.append(free[0])
+                        free[0].start("dcnpd.data", "_format_rows", *block)
+                    else:
+                        ahead.append(_format_rows(*block))
+                while ahead and (
+                    start is None
+                    or len(ahead) > len(taken)
+                    or isinstance(ahead[0], str)
+                    or pool._ready(ahead[:1], 0)
+                ):
+                    fh.write(ahead[0] if isinstance(ahead[0], str) else ahead[0].result())
+                    ahead.pop(0)
         except BaseException:  # a worker holding a block must not go back to the idle ones
-            pool._kill_busy()
+            for worker in taken:
+                if worker in ahead:
+                    worker.close(kill=True)
             raise
+        finally:
+            for worker in taken:
+                pool._give(worker)
 
 
 @dataclass(frozen=True)

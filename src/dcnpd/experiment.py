@@ -446,6 +446,7 @@ def _collect(running: dict, values: dict, errors: dict, timeout: float | None = 
             values[r] = worker.result()
         except Exception as e:
             errors[r] = _failure(r, e)
+        pool._give(worker)
 
 
 def _repetitions(config: ExperimentConfig) -> list[float]:
@@ -493,7 +494,8 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
         while running:
             _collect(running, values, errors)
     except BaseException:  # an interrupt: kill the running workers, do not wait for them
-        pool._kill_busy()
+        for worker in pool._live.difference(pool._idle):
+            worker.close(kill=True)
         raise
     if errors:
         raise errors[min(errors)]

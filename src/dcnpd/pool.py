@@ -38,22 +38,24 @@ class _Worker:
             env=env,
         )
         _live.add(self)
+        self.owes = False  # set by a caller that does not read its job's reply: `start` does
 
     def fileno(self) -> int:  # select waits on the reply pipe
         return self.proc.stdout.fileno()
 
     def start(self, module: str, name: str, *args) -> None:
-        """Send the job ``module.name(*args)``, so the worker is not idle; it may be lost."""
-        if self in _idle:  # a worker that just replied, kept by its caller for the next job
-            _idle.remove(self)
+        """Send the job ``module.name(*args)``, once any reply it `owes` is read; it may be lost."""
         try:
+            if self.owes:
+                pickle.load(self.proc.stdout)
+                self.owes = False
             pickle.dump((module, name, args), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
         except Exception as e:  # the worker died, or the job did not pickle
             raise _lost(self, e)
 
     def result(self):
-        """The job's value once the worker replies, which makes it idle again.
+        """The job's value once the worker replies; the worker stays its caller's.
 
         The job's warnings are re-issued here, under this process's filters, and
         its error is raised with the worker's traceback as its cause.
@@ -62,7 +64,6 @@ class _Worker:
             warned, value, error, trace = pickle.load(self.proc.stdout)
         except Exception as e:  # the worker died
             raise _lost(self, e)
-        _idle.append(self)
         for message, category in warned:
             warnings.warn(message, category)
         if error is not None:
@@ -85,11 +86,17 @@ class _Worker:
 
 
 def _take() -> _Worker:
-    """An idle worker, or a new one; a worker that does not start is lost."""
+    """An idle worker, or a new one, for the caller until `_give`; one that does not start is lost."""
     try:
         return _idle.pop() if _idle else _Worker()
     except Exception as e:
         raise _lost(None, e)
+
+
+def _give(worker: _Worker) -> None:
+    """Make a taken worker idle again, unless it was lost or killed."""
+    if worker in _live:
+        _idle.append(worker)
 
 
 def _ready(workers, timeout: float | None = None) -> list[_Worker]:
@@ -105,16 +112,10 @@ def _lost(worker: _Worker | None, e: Exception) -> RuntimeError:
     return RuntimeError(f"worker process lost ({type(e).__name__}: {e}), exit code {code}")
 
 
-def _kill_busy() -> None:
-    """Kill every worker not idle, without waiting for its job: on a failure or an interrupt."""
-    for worker in _live.difference(_idle):
-        worker.close(kill=True)
-
-
 @atexit.register
 def _close_workers() -> None:
     for worker in list(_live):
-        worker.close(kill=worker not in _idle)
+        worker.close(kill=worker.owes or worker not in _idle)
 
 
 def _serve() -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -440,55 +441,70 @@ class TestCsvAgainstReference:
 
 
 def record_own_blocks(monkeypatch, ds, fail_at=None, error=ValueError) -> tuple[list, list]:
-    """The first rows of the blocks formatted here, and the busy workers when block ``fail_at``
-    raises ``error``."""
-    starts, busy, format_rows = [], [], data._format_rows
+    """The first rows of the blocks formatted here, and the workers held when block ``fail_at``
+    raises ``error``, once. Before its first block this process waits until every worker held
+    has replied, so that a block goes to a worker however long one takes to start."""
+    starts, held, format_rows = [], [], data._format_rows
 
     def recorded(X, W, tail):
+        if not starts:
+            for worker in set(pool._live).difference(pool._idle):
+                select.select([worker], [], [], 60)
         starts.append(int(np.flatnonzero(ds.X[:, 0] == X[0, 0])[0]))
-        if starts[-1] == fail_at:
-            busy.extend(set(pool._live).difference(pool._idle))
+        if starts[-1] == fail_at and not held:
+            held.extend(set(pool._live).difference(pool._idle))
             raise error("formatting failed")
         return format_rows(X, W, tail)
 
     monkeypatch.setattr(data, "_format_rows", recorded)
-    return starts, busy
+    return starts, held
 
 
-def fake_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+def pooled(monkeypatch, cpus: int | None = None) -> None:
+    """Any multi-block write takes workers, on ``cpus`` usable CPUs if given."""
+    monkeypatch.setattr(data, "POOL_MIN_VALUES", 0)
+    if cpus is not None:
+        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def killed(workers) -> None:
+    """SIGKILL the workers and wait until each has died, without reaping it."""
+    for worker in workers:
+        os.kill(worker.proc.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.proc.pid, os.WEXITED | os.WNOWAIT)
 
 
 class TestCsvRowBlocks:
-    """`save_csv` formats every k-th block here and the others in `pool` workers."""
+    """`save_csv` hands each block to a free `pool` worker, or formats it here."""
 
     @pytest.mark.parametrize("n", [2 * ROW_BLOCK + 3, ROW_BLOCK + 1])
     @pytest.mark.parametrize("cpus", [None, 3])  # None: the CPUs this process may use
     def test_pooled_blocks_match_reference(self, tmp_path, monkeypatch, n, cpus):
         ds = generate_synthetic(SyntheticConfig(n=n, d=2), np.random.default_rng(n))
-        if cpus is None:
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            fake_cpus(monkeypatch, cpus)
+        pooled(monkeypatch, cpus)
         own, _ = record_own_blocks(monkeypatch, ds)
         save_csv(ds, tmp_path / "new.csv")
         reference_save_csv(ds, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        blocks = math.ceil(n / ROW_BLOCK)
-        assert own == list(range(0, n, ROW_BLOCK))[:: min(blocks, cpus)]
+        blocks = list(range(0, n, ROW_BLOCK))
+        if min(len(blocks), cpus or len(os.sched_getaffinity(0))) > 1:
+            assert set(own) < set(blocks)  # a worker formatted one at least
+        else:
+            assert own == blocks
         assert not set(pool._live).difference(pool._idle)
 
-    def test_one_block_starts_no_worker(self, tmp_path):
+    def test_small_and_one_block_writes_start_no_worker(self, tmp_path):
         # in a fresh interpreter, so no earlier write has started a worker
         script = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from dcnpd import pool
-from dcnpd.data import ROW_BLOCK, SyntheticConfig, generate_synthetic, save_csv
+from dcnpd.data import POOL_MIN_VALUES, ROW_BLOCK, SyntheticConfig, generate_synthetic, save_csv
+wide = POOL_MIN_VALUES // ROW_BLOCK  # ROW_BLOCK rows of it are POOL_MIN_VALUES values at least
 counts = []
-for n in (ROW_BLOCK, ROW_BLOCK + 1):
-    save_csv(generate_synthetic(SyntheticConfig(n=n, d=2), np.random.default_rng(n)), sys.argv[2])
+for n, d in ((ROW_BLOCK, wide), (ROW_BLOCK + 1, 2), (ROW_BLOCK + 1, wide)):
+    save_csv(generate_synthetic(SyntheticConfig(n=n, d=d), np.random.default_rng(n)), sys.argv[2])
     counts.append(len(pool._live))
 print(json.dumps(counts))
 """
@@ -498,36 +514,48 @@ print(json.dumps(counts))
             capture_output=True, text=True, check=False, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        one_block, two_blocks = json.loads(result.stdout)
-        assert one_block == 0
-        # the two-block write, the script's check that it can see a worker start
-        assert two_blocks == min(2, len(os.sched_getaffinity(0))) - 1
+        one_block, small, large = json.loads(result.stdout)
+        assert one_block == small == 0
+        # the large two-block write, the script's check that it can see a worker start
+        assert large == min(2, len(os.sched_getaffinity(0))) - 1
 
     def test_a_killed_worker_fails_one_write_then_is_replaced(self, tmp_path, monkeypatch):
         ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(5))
         reference_save_csv(ds, tmp_path / "old.csv")
-        fake_cpus(monkeypatch, 2)
+        pooled(monkeypatch, 2)
         save_csv(ds, tmp_path / "new.csv")
-        killed = list(pool._idle)
-        assert killed
-        for worker in killed:
-            os.kill(worker.proc.pid, signal.SIGKILL)
+        idle = list(pool._idle)
+        assert idle
+        killed(idle)
         with pytest.raises(RuntimeError, match=r"worker process lost \(\w+Error"):
             save_csv(ds, tmp_path / "new.csv")
-        assert not set(killed) & pool._live
+        assert not set(idle) & pool._live
         save_csv(ds, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_a_failure_here_kills_the_worker_holding_a_block(self, tmp_path, monkeypatch, error):
         ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(6))
-        fake_cpus(monkeypatch, 2)
-        own, busy = record_own_blocks(monkeypatch, ds, fail_at=2 * ROW_BLOCK, error=error)
+        pooled(monkeypatch, 2)
+        own, held = record_own_blocks(monkeypatch, ds, fail_at=2 * ROW_BLOCK, error=error)
         with pytest.raises(error, match="formatting failed"):
             save_csv(ds, tmp_path / "new.csv")
-        assert own == [0, 2 * ROW_BLOCK] and len(busy) == 1  # block 1 was in flight
-        assert busy[0].proc.returncode is not None
-        assert busy[0] not in pool._live and busy[0] not in pool._idle
+        assert own == [0, 2 * ROW_BLOCK] and len(held) == 1  # block 1 was in flight
+        assert held[0].proc.returncode is not None
+        assert held[0] not in pool._live and held[0] not in pool._idle
+
+    def test_a_failure_before_any_block_is_sent_keeps_the_worker(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(7))
+        reference_save_csv(ds, tmp_path / "old.csv")
+        pooled(monkeypatch, 2)
+        own, held = record_own_blocks(monkeypatch, ds, fail_at=0)
+        with pytest.raises(ValueError, match="formatting failed"):
+            save_csv(ds, tmp_path / "new.csv")
+        assert own == [0] and len(held) == 1
+        assert held[0] in pool._idle and held[0].proc.poll() is None
+        save_csv(ds, tmp_path / "new.csv")  # takes that worker again, owing an empty block
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(own[1:]) < 3 and held[0] in pool._idle and not held[0].owes  # it took a block
 
 
 class TestGenerator:

@@ -610,9 +610,12 @@ class TestWorkerPool:
         else:
             covariates = np.zeros((1, 1))  # generate_synthetic rejects their shape
         worker = pool._Worker()
-        worker.start("dcnpd.experiment", "_run_repetition", config, 0, None, covariates)
-        with pytest.raises(Exception) as err:
-            worker.result()
+        try:
+            worker.start("dcnpd.experiment", "_run_repetition", config, 0, None, covariates)
+            with pytest.raises(Exception) as err:
+                worker.result()
+        finally:
+            worker.close()
         error = experiment._failure(0, err.value)
         assert type(error) is raised
         if raised is RuntimeError:

@@ -273,24 +273,24 @@ def save_csv(dataset: ObservationalDataset, path) -> None:
                     worker.start("dcnpd.data", "_format_rows", *rows(slice(0)))
                     worker.owes = True
                 taken.append(worker)
-            for start in [*starts, None]:  # None: write the blocks still ahead
-                if start is not None:
-                    free = [w for w in taken if not w.owes and w not in ahead]
-                    free = free or pool._ready([w for w in taken if w.owes], 0)
-                    block = rows(slice(start, start + ROW_BLOCK))
-                    if free:
-                        ahead.append(free[0])
-                        free[0].start("dcnpd.data", "_format_rows", *block)
-                    else:
-                        ahead.append(_format_rows(*block))
+            for start in starts:
+                free = [w for w in taken if not w.owes and w not in ahead]
+                free = free or pool._ready([w for w in taken if w.owes], 0)
+                block = rows(slice(start, start + ROW_BLOCK))
+                if free:
+                    ahead.append(free[0])
+                    free[0].start("dcnpd.data", "_format_rows", *block)
+                else:
+                    ahead.append(_format_rows(*block))
                 while ahead and (
-                    start is None
-                    or len(ahead) > len(taken)
+                    len(ahead) > len(taken)
                     or isinstance(ahead[0], str)
                     or pool._ready(ahead[:1], 0)
                 ):
                     fh.write(ahead[0] if isinstance(ahead[0], str) else ahead[0].result())
                     ahead.pop(0)
+            for block in ahead:
+                fh.write(block if isinstance(block, str) else block.result())
         except BaseException:  # a worker holding a block must not go back to the idle ones
             for worker in taken:
                 if worker in ahead:

@@ -136,9 +136,9 @@ class ObservationalDataset:
 ROW_BLOCK = 4096
 # a CSV write of fewer values (rows times columns) starts no `pool` worker: the
 # CPU that a worker takes while it starts then costs more than it saves. On a
-# 2-core Xeon, in a fresh process, a write that starts one breaks even near 600k
-# values at d=5, 16 and 25 (it won 7-12 of 16 pairs at 590k-713k, 2-11 of 25
-# at d=16 below 500k, and 17-20 of 25 there at 573k)
+# 2-core Xeon, timed in fresh processes in alternated pairs with this check off,
+# a write that started one was mostly no faster below 500k values and mostly
+# faster from about 600k, at d=5, 16 and 25
 POOL_MIN_VALUES = 600_000
 # numpy strips these ASCII separators around a number as whitespace; float() rejects them
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"

@@ -10,13 +10,13 @@ estimator. Fitted models and their effect readouts live in `experiment`.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import pool
 from .data import ROW_BLOCK, ObservationalDataset, check_count
 from .nn import AdamState, MLPParams, build_mlp
 from .training import TrainConfig, fit_phases
@@ -87,7 +87,7 @@ def _distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     n = len(X)
     blocks = -(-n // ROW_BLOCK)
-    span_rows = ROW_BLOCK * -(-blocks // len(os.sched_getaffinity(0)))
+    span_rows = ROW_BLOCK * -(-blocks // pool.cpus())
     spans = [slice(start, min(start + span_rows, n)) for start in range(0, n, span_rows)]
     distances = np.empty(n)
     others = [_SPAN_POOL.submit(_span_distances, X, x, distances, span) for span in spans[1:]]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -265,7 +264,7 @@ def save_csv(dataset: ObservationalDataset, path) -> None:
         fh.write(",".join(header) + "\r\n")
         taken, ahead = [], []  # ahead: the blocks not yet written, text or the worker formatting it
         try:
-            for _ in range(min(len(starts), len(os.sched_getaffinity(0))) - 1):
+            for _ in range(min(len(starts), pool.cpus()) - 1):
                 if not pool._idle and dataset.n * len(header) < POOL_MIN_VALUES:
                     break
                 worker = pool._take()

@@ -5,7 +5,8 @@ treatment arm, each ending in a scalar identity output. At inference time the
 propensity score of a subject sets a per-subject keep probability; repeated
 stochastic forward passes under that schedule yield a distribution of effect
 draws whose spread reflects how trustworthy the counterfactual is for that
-subject.
+subject. A call of at least `POOL_MIN_DRAWS` rows times draws runs its
+draws on the `pool` workers, with the bits of the in-process loop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pool
 from .data import check_count
 from .nn import (
     ForwardCache,
@@ -33,6 +35,15 @@ from .propensity import DropoutSchedule, PropensityModel, keep_probability, pred
 # 256 were within run-to-run noise of each other, 512 and more ran up to 2x
 # slower at n >= 16, and 64 lost at n = 16 to 32.
 ROWS = 256
+
+# Rows times draws from which `_mc_outcomes` runs its spans on `pool`
+# workers, whose start costs a fresh process about 0.25 s. Fresh-process
+# `dcnpd evaluate` (default widths, 100 draws, 2-core Xeon), spans pooled at
+# any size against in-process draws, alternated pairs faster: 1,000 rows
+# 3/8, 1,250 6/16, 1,500 28/52, 1,750 13/32 (medians -4% to +9%), 2,000
+# 33/52 (-6% to +1%), 2,500 9/12, 3,000 12/12, 4,000 7/8 (-12%). Warm, a
+# 2,000-row call took 0.50-0.73 s pooled and 0.76-0.87 s in-process.
+POOL_MIN_DRAWS = 200_000
 
 
 @dataclass
@@ -154,18 +165,24 @@ def _mc_outcomes(
     X: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(y0, y1) draws, each (n, n_samples), in chunks of c = max(1, ROWS // n) draws.
+) -> np.ndarray:
+    """(y0, y1) draws as one (2, n, n_samples) array, in chunks of c = max(1, ROWS // n) draws.
 
     Row i keeps units with its scheduled `keep_probability`, as in
     training; each draw takes fresh masks for the shared stack, then head0,
     then head1: every shared output and each head's hidden outputs, the
     `mask_widths` of the chains (shared, head0) and (head1). ``X`` is
-    checked once, and `draw_masks` checks the keep vector. A chunk of c
-    draws is one stacked (c, n, d) pass whose masks come from one random
-    block, in the order that c single draws take them: the bits of one
-    fresh (n, d) pass per draw. The first chunk allocates the block and the
-    forward caches; every later chunk of its size writes into them.
+    checked once, and `draw_masks` checks the keep vector. `_mc_span` runs
+    the chunks: here, or, for a call of at least `POOL_MIN_DRAWS` rows times
+    draws with a PCG64 ``rng`` and k > 1 usable CPUs, in k `pool` workers,
+    one span of whole chunks each, while this process waits (its BLAS
+    threads would slow a span run here). Span j draws from a copy of ``rng``
+    advanced past the spans before it, each draw taking n times the total
+    mask width in 64-bit outputs, and ``rng`` moves past them all once every
+    span is back: the bits of the in-process loop at any CPU count. Every worker is
+    taken before any span is sent, so they boot side by side. A span runs
+    under this process's `np.geterr`, its error is raised here with the
+    worker's traceback, and a failure kills the workers yet to answer.
     """
     check_count("n_samples", n_samples, error=ValueError)
     n = X.shape[0]
@@ -175,19 +192,65 @@ def _mc_outcomes(
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} of X contains NaN or infinite values")
     keep = keep_probability(predict_propensity(prop, X), schedule)
-    y0, y1 = np.empty((2, n, n_samples))
     widths = mask_widths([params.shared, params.head0]) + mask_widths([params.head1])
     chunk = max(1, min(n_samples, ROWS // n))
+    span = n_samples  # draws per span
+    if n * n_samples >= POOL_MIN_DRAWS and type(rng.bit_generator) is np.random.PCG64:
+        span = chunk * -(-n_samples // (chunk * pool.cpus()))
+    if span >= n_samples:
+        return _mc_span(params, X, keep, widths, chunk, n_samples, rng)
+    outputs, state = n * sum(map(sum, widths)), rng.bit_generator.state  # outputs per draw
+    starts = range(0, n_samples, span)
+    taken, spans = [], []
+    try:
+        for _ in starts:
+            taken.append(pool._take())
+        for worker, start in zip(taken, starts):
+            job = (np.geterr(), state, start * outputs, params, X, keep, widths, chunk)
+            worker.start("dcnpd.dcn", "_worker_span", *job, min(span, n_samples - start))
+        for worker in taken:
+            spans.append(worker.result())
+    except BaseException:  # the workers yet to answer hold a span, or may be gone
+        for worker in taken[len(spans) :]:
+            worker.close(kill=True)
+        raise
+    finally:
+        for worker in taken:
+            pool._give(worker)
+    # `advance` clears the buffered half of a 32-bit draw, which doubles leave alone
+    buffered = {k: state[k] for k in ("has_uint32", "uinteger")}
+    rng.bit_generator.state = {**rng.bit_generator.advance(n_samples * outputs).state, **buffered}
+    return np.concatenate(spans, axis=2)
+
+
+def _mc_span(params, X, keep, widths, chunk: int, draws: int, rng) -> np.ndarray:
+    """(y0, y1) for ``draws`` draws, as one (2, n, draws) array, in chunks of ``chunk`` draws.
+
+    A chunk of c draws is one stacked (c, n, d) pass whose masks come from
+    one random block, in the order that c single draws take them: the bits
+    of one fresh (n, d) pass per draw. The first chunk allocates the block
+    and the forward caches; every later chunk of its size writes into them.
+    """
+    y = np.empty((2, len(X), draws))
     block = None
-    for start in range(0, n_samples, chunk):
-        c = min(chunk, n_samples - start)
+    for start in range(0, draws, chunk):
+        c = min(chunk, draws - start)
         if block is None or len(block) != c:
-            block, caches = np.empty((c, n * sum(map(sum, widths)))), [None] * 3
+            block, caches = np.empty((c, len(X) * sum(map(sum, widths)))), [None] * 3
             stack = np.broadcast_to(X, (c, *X.shape))
         masks = draw_masks(widths, keep, rng, draws=c, out=block)
         out0, out1 = dcn_forward(params, stack, masks, caches=caches)
-        y0[:, start : start + c], y1[:, start : start + c] = out0.T, out1.T
-    return y0, y1
+        y[0, :, start : start + c], y[1, :, start : start + c] = out0.T, out1.T
+    return y
+
+
+def _worker_span(errors: dict, state: dict, outputs: int, *args) -> np.ndarray:
+    """`_mc_span` in a worker, under the caller's ``np.geterr()``, its draws from a
+    PCG64 with the caller's ``state`` advanced by ``outputs`` 64-bit outputs."""
+    bits = np.random.PCG64()
+    bits.state = state
+    with np.errstate(**errors):
+        return _mc_span(*args, np.random.Generator(bits.advance(outputs)))
 
 
 def estimate_ite(

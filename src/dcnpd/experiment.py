@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -457,7 +456,7 @@ def _repetitions(config: ExperimentConfig) -> list[float]:
         covariates = _stream(config.seed, 0, 0).standard_normal(
             (config.synthetic.n, config.synthetic.d)
         )
-    most = min(config.repetitions, len(os.sched_getaffinity(0)))  # workers running at once
+    most = min(config.repetitions, pool.cpus())  # workers running at once
     values, errors, running = {}, {}, {}  # running maps a worker to its repetition
     try:
         for r in range(config.repetitions):

@@ -22,6 +22,12 @@ from pathlib import Path
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _idle: list["_Worker"] = []  # started, healthy and free for the next call
 _live: set = set()  # every worker not yet reaped; those not idle are running a job
+_in_worker = False  # set by `_serve`: this process is a worker
+
+
+def cpus() -> int:
+    """CPUs this process may use, read at each call; 1 in a worker: its siblings use the rest."""
+    return 1 if _in_worker else len(os.sched_getaffinity(0))
 
 
 class _Worker:
@@ -120,6 +126,8 @@ def _close_workers() -> None:
 
 def _serve() -> None:
     """A worker's loop: read a pickled job, write ``(warnings, value, error, traceback)``."""
+    global _in_worker
+    _in_worker = True
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller kills busy workers on a Ctrl-C
     jobs, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # a stray print must not corrupt the reply stream

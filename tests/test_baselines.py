@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from dcnpd import baselines
+from dcnpd import baselines, pool
 from dcnpd.baselines import KnnConfig, knn_ite, train_direct_nn
 from dcnpd.data import ROW_BLOCK, ObservationalDataset, SyntheticConfig
 from dcnpd.experiment import MODELS, ExperimentConfig, _DirectNet
@@ -195,7 +195,7 @@ class TestKnnRowBlocks:
             span_distances(X, x, distances, span)
 
         monkeypatch.setattr(baselines, "_span_distances", recorded)
-        monkeypatch.setattr(baselines.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(pool, "cpus", lambda: cpus)
         got = baselines._distances(X, x)
         assert sorted(spans) == list(zip(starts, [*starts[1:], n]))
         assert got.tobytes() == one_block_distances(X, x).tobytes()

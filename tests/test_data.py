@@ -464,7 +464,7 @@ def pooled(monkeypatch, cpus: int | None = None) -> None:
     """Any multi-block write takes workers, on ``cpus`` usable CPUs if given."""
     monkeypatch.setattr(data, "POOL_MIN_VALUES", 0)
     if cpus is not None:
-        monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(pool, "cpus", lambda: cpus)
 
 
 def killed(workers) -> None:

@@ -1,13 +1,21 @@
 """Multitask network: forward consistency, mask sampling, MC inference."""
 
 import copy
+import json
+import os
+import signal
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcnpd import dcn
+from dcnpd import dcn, pool
+from dcnpd.cli import main
 from dcnpd.data import Standardization
 from dcnpd.dcn import (
     DCNParams,
@@ -493,3 +501,149 @@ class TestMcMatrix:
                 small_dcn(), stub_propensity(0.0), DropoutSchedule(1.0), np.ones((0, 3)), 5, rng
             )
         assert rng.bit_generator.state == state
+
+
+def pooled_draws(monkeypatch, cpus: int | None = None) -> None:
+    """Any call of more than one chunk runs its spans on workers, on ``cpus`` usable CPUs if given."""
+    monkeypatch.setattr(dcn, "POOL_MIN_DRAWS", 0)
+    if cpus is not None:
+        monkeypatch.setattr(pool, "cpus", lambda: cpus)
+
+
+def refuse_spans_here(monkeypatch) -> None:
+    """Make any span run by this process fail, so a passing call ran its spans on workers."""
+
+    def refuse(*args):
+        raise AssertionError("a span ran in this process")
+
+    monkeypatch.setattr(dcn, "_mc_span", refuse)
+
+
+def pooled_case(rows: int, heads=(4, 3)):
+    """A small net, a propensity, a schedule and ``rows`` rows of features."""
+    X = np.random.default_rng(rows).normal(size=(rows, 3))
+    return small_dcn(rows, heads=heads), stub_propensity(0.3), DropoutSchedule(0.4), X
+
+
+class TestPooledDraws:
+    """Calls of at least POOL_MIN_DRAWS rows x draws run their draw spans on `pool` workers."""
+
+    # chunk 1; chunk 6 with a short last chunk of 5; one row, chunk 256, last chunk 88
+    @pytest.mark.parametrize("rows, n_samples", [(300, 7), (40, 29), (1, 600)])
+    @pytest.mark.parametrize("cpus", [None, 3])  # None: the CPUs this process may use
+    def test_pooled_draws_match_reference_bitwise(self, monkeypatch, rows, n_samples, cpus):
+        params, prop, sched, X = pooled_case(rows)
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for r in (rng, reference):  # a buffered 32-bit half-output, which doubles leave alone
+            r.integers(2**32, dtype=np.uint32)
+        y0, y1 = reference_mc_outcomes(params, prop, sched, X, n_samples, reference)
+        if (cpus or pool.cpus()) > 1:
+            refuse_spans_here(monkeypatch)
+        pooled_draws(monkeypatch, cpus)
+        samples = mc_ite_matrix(params, prop, sched, X, n_samples, rng)
+        assert samples.tobytes() == (y1 - y0).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert not set(pool._live).difference(pool._idle)
+
+    def test_another_bit_generator_draws_here(self, monkeypatch):
+        params, prop, sched, X = pooled_case(300)
+        reference = np.random.Generator(np.random.MT19937(5))
+        y0, y1 = reference_mc_outcomes(params, prop, sched, X, 7, reference)
+        pooled_draws(monkeypatch, 2)
+        monkeypatch.setattr(pool, "_take", lambda: pytest.fail("a worker was taken"))
+        rng = np.random.Generator(np.random.MT19937(5))
+        assert mc_ite_matrix(params, prop, sched, X, 7, rng).tobytes() == (y1 - y0).tobytes()
+        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+
+    def test_calls_below_the_constant_start_no_worker(self):
+        # in a fresh interpreter, so no earlier call has started a worker
+        script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dcnpd import dcn, pool
+from dcnpd.data import Standardization
+from dcnpd.nn import build_mlp
+from dcnpd.propensity import DropoutSchedule, PropensityModel
+pool.cpus = lambda: 2
+rows = -(-dcn.POOL_MIN_DRAWS // 100)  # rows x 100 draws reach the constant, rows - 1 do not
+params = dcn.build_dcn(3, np.random.default_rng(0), (6, 6), ())
+prop = PropensityModel(build_mlp((3, 1), np.random.default_rng(1)), Standardization(np.zeros(3), np.ones(3)))
+counts = []
+for n in (rows - 1, rows):
+    X = np.random.default_rng(n).normal(size=(n, 3))
+    dcn.mc_ite_matrix(params, prop, DropoutSchedule(0.4), X, 100, np.random.default_rng(2))
+    counts.append(len(pool._live))
+print(json.dumps(counts))
+"""
+        src = str(Path(dcn.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, src],
+            capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        # the call at the constant, the script's check that it can see the workers start
+        assert json.loads(result.stdout) == [0, 2]
+
+    def test_a_killed_worker_fails_one_call_then_is_replaced(self, monkeypatch):
+        params, prop, sched, X = pooled_case(300)
+        pooled_draws(monkeypatch, 2)
+        expected = mc_ite_matrix(params, prop, sched, X, 7, np.random.default_rng(3))
+        idle = list(pool._idle)
+        assert idle
+        for worker in idle:  # killed, and waited for until dead, without reaping
+            os.kill(worker.proc.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, worker.proc.pid, os.WEXITED | os.WNOWAIT)
+        rng = np.random.default_rng(3)
+        with pytest.raises(RuntimeError, match=r"worker process lost \(\w+Error"):
+            mc_ite_matrix(params, prop, sched, X, 7, rng)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        assert not set(idle) & pool._live
+        assert mc_ite_matrix(params, prop, sched, X, 7, rng).tobytes() == expected.tobytes()
+
+    def test_a_span_error_keeps_its_type_and_traceback(self, monkeypatch):
+        params, prop, sched, X = pooled_case(300)
+        y0, y1 = reference_mc_outcomes(params, prop, sched, X, 7, np.random.default_rng(3))
+        overflowing = copy.deepcopy(params)
+        overflowing.shared.layers[0].W[:] = 1e308
+        pooled_draws(monkeypatch, 2)
+        rng = np.random.default_rng(3)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError) as err:
+            mc_ite_matrix(overflowing, prop, sched, X, 7, rng)
+        assert "in _mc_span" in str(err.value.__cause__)  # the worker's traceback text
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        assert not set(pool._live).difference(pool._idle)
+        # no worker given back still holds a span's reply
+        assert mc_ite_matrix(params, prop, sched, X, 7, rng).tobytes() == (y1 - y0).tobytes()
+
+    def test_evaluate_of_an_overflowing_bundle_gives_the_in_process_message(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        legacy = Path(__file__).parent / "data" / "legacy_dcn_pd_bundle.json"
+        bundle = json.loads(legacy.read_text())["bundle"]
+        bundle["standardization"]["mean"][0] = 1e308
+        model_file, config = tmp_path / "model.json", tmp_path / "config.json"
+        model_file.write_text(json.dumps(bundle))
+        # 200 rows: one draw per chunk, so the bundle's 3 draws make 3 chunks
+        config.write_text(json.dumps({"seed": 7, "synthetic": {"n": 200, "d": 2}}))
+        argv = ["evaluate", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "eval.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        here = capsys.readouterr().err
+        assert "non-finite effect" in here
+        pooled_draws(monkeypatch, 2)
+        refuse_spans_here(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == here
+        assert not caught  # the spans ran under predict_from_bundle's errstate
+
+    def test_a_worker_counts_one_cpu(self):
+        worker = pool._take()
+        try:
+            worker.start("dcnpd.pool", "cpus")
+            assert worker.result() == 1
+        finally:
+            pool._give(worker)

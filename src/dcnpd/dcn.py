@@ -178,11 +178,12 @@ def _mc_outcomes(
     one span of whole chunks each, while this process waits (its BLAS
     threads would slow a span run here). Span j draws from a copy of ``rng``
     advanced past the spans before it, each draw taking n times the total
-    mask width in 64-bit outputs, and ``rng`` moves past them all once every
-    span is back: the bits of the in-process loop at any CPU count. Every worker is
-    taken before any span is sent, so they boot side by side. A span runs
-    under this process's `np.geterr`, its error is raised here with the
-    worker's traceback, and a failure kills the workers yet to answer.
+    mask width in 64-bit outputs, and ``rng`` moves past them all once
+    every span is back: the bits of the in-process loop at any CPU count.
+    Every worker is taken before any span is sent, so they boot side by
+    side. A span runs under this process's `np.geterr`, its error is raised
+    here with the worker's traceback, and a failure kills the workers yet
+    to answer.
     """
     check_count("n_samples", n_samples, error=ValueError)
     n = X.shape[0]
@@ -199,7 +200,8 @@ def _mc_outcomes(
         span = chunk * -(-n_samples // (chunk * pool.cpus()))
     if span >= n_samples:
         return _mc_span(params, X, keep, widths, chunk, n_samples, rng)
-    outputs, state = n * sum(map(sum, widths)), rng.bit_generator.state  # outputs per draw
+    outputs = n * sum(map(sum, widths))  # 64-bit outputs per draw
+    state = rng.bit_generator.state
     starts = range(0, n_samples, span)
     taken, spans = [], []
     try:

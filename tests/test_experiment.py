@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcnpd import experiment, pool
+from dcnpd import cli, experiment, pool
 from dcnpd.baselines import KnnConfig, knn_ite
 from dcnpd.data import (
     ObservationalDataset,
+    ParseError,
     ValidationError,
     SyntheticConfig,
     generate_synthetic,
@@ -649,6 +650,28 @@ class TestWorkerPool:
         )
         with pytest.raises(raised, match=message):
             run_experiment(config)
+
+    @pytest.mark.parametrize("epochs", [POOL_MIN_STEPS, 2])  # pooled, short
+    def test_a_load_error_is_raised_as_is(self, tmp_path, capsys, epochs):
+        write_arms(tmp_path, [("ok", 40)] * 3)
+        lines = (tmp_path / "r1.csv").read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[3 + 1] = "x"  # data row 2's y: three features, then w and y
+        lines[2] = ",".join(cells)
+        (tmp_path / "r1.csv").write_text("".join(lines))
+        message = "row 2, column 'y': not a number: 'x'"
+        config = ExperimentConfig(
+            model="dcn-fixed:0.2", seed=3, csv_path=str(tmp_path), repetitions=3,
+            train=TrainConfig(epochs=epochs, shared_widths=(8,)),
+        )
+        with pytest.raises(ParseError) as err:
+            run_experiment(config)
+        assert str(err.value) == message
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        capsys.readouterr()
+        assert cli.main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_an_interrupt_stops_a_pooled_run_promptly(self):
         assert "KeyboardInterrupt" in interrupt_pooled_run(group=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -133,7 +134,7 @@ class ObservationalDataset:
 # distance block, so memory does not grow with n; the k-NN spans, one per
 # usable CPU, are whole blocks of it
 ROW_BLOCK = 4096
-# a CSV write of fewer values (rows times columns) starts no `pool` worker: the
+# a CSV write of fewer values (rows times columns) takes no `pool` worker: the
 # CPU that a worker takes while it starts then costs more than it saves. On a
 # 2-core Xeon, timed in fresh processes in alternated pairs with this check off,
 # a write that started one was mostly no faster below 500k values and mostly
@@ -243,12 +244,10 @@ def _format_rows(X: np.ndarray, W: np.ndarray, tail: np.ndarray) -> str:
 def save_csv(dataset: ObservationalDataset, path) -> None:
     """Write ``x1..xd, w, y[, mu0, mu1]``, `ROW_BLOCK` rows at a time, in order.
 
-    With k usable CPUs, up to k - 1 `pool` workers format blocks beside this process.
-    Each block goes to a worker free at its turn, or is formatted here, so a worker
-    still starting delays nothing; a worker holds one block (two in flight could fill
-    both pipes), and the blocks are written in order, so the bytes do not depend on k.
-    A file of one block, or one CPU, takes no worker; one of under `POOL_MIN_VALUES`
-    values starts none.
+    A file of at least `POOL_MIN_VALUES` values, with k usable CPUs, has
+    `pool.ordered` format its blocks on up to k - 1 workers and here, so a worker
+    still starting delays nothing; the blocks are written in order, so the bytes
+    do not depend on k.
     """
     header = [f"x{j + 1}" for j in range(dataset.d)] + ["w", "y"]
     tail = [dataset.Y]
@@ -260,44 +259,12 @@ def save_csv(dataset: ObservationalDataset, path) -> None:
         return dataset.X[block], dataset.W[block], np.column_stack([c[block] for c in tail])
 
     starts = range(0, dataset.n, ROW_BLOCK)
+    jobs = (("dcnpd.data", "_format_rows", rows(slice(s, s + ROW_BLOCK)), True) for s in starts)
+    k = min(len(starts), pool.cpus()) - 1 if dataset.n * len(header) >= POOL_MIN_VALUES else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        taken, ahead = [], []  # ahead: the blocks not yet written, text or the worker formatting it
-        try:
-            for _ in range(min(len(starts), pool.cpus()) - 1):
-                if not pool._idle and dataset.n * len(header) < POOL_MIN_VALUES:
-                    break
-                worker = pool._take()
-                if not worker.owes:  # the reply to an empty block says a new worker has started
-                    worker.start("dcnpd.data", "_format_rows", *rows(slice(0)))
-                    worker.owes = True
-                taken.append(worker)
-            for start in starts:
-                free = [w for w in taken if not w.owes and w not in ahead]
-                free = free or pool._ready([w for w in taken if w.owes], 0)
-                block = rows(slice(start, start + ROW_BLOCK))
-                if free:
-                    ahead.append(free[0])
-                    free[0].start("dcnpd.data", "_format_rows", *block)
-                else:
-                    ahead.append(_format_rows(*block))
-                while ahead and (
-                    len(ahead) > len(taken)
-                    or isinstance(ahead[0], str)
-                    or pool._ready(ahead[:1], 0)
-                ):
-                    fh.write(ahead[0] if isinstance(ahead[0], str) else ahead[0].result())
-                    ahead.pop(0)
-            for block in ahead:
-                fh.write(block if isinstance(block, str) else block.result())
-        except BaseException:  # a worker holding a block must not go back to the idle ones
-            for worker in taken:
-                if worker in ahead:
-                    worker.close(kill=True)
-            raise
-        finally:
-            for worker in taken:
-                pool._give(worker)
+        with closing(pool.ordered(jobs, k, here=True)) as text:
+            fh.writelines(text)
 
 
 @dataclass(frozen=True)

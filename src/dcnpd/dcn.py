@@ -180,10 +180,9 @@ def _mc_outcomes(
     advanced past the spans before it, each draw taking n times the total
     mask width in 64-bit outputs, and ``rng`` moves past them all once
     every span is back: the bits of the in-process loop at any CPU count.
-    Every worker is taken before any span is sent, so they boot side by
-    side. A span runs under this process's `np.geterr`, its error is raised
-    here with the worker's traceback, and a failure kills the workers yet
-    to answer.
+    `pool.ordered` runs the spans, one worker each. A span runs under this
+    process's `np.geterr`, and its error is raised here with the worker's
+    traceback.
     """
     check_count("n_samples", n_samples, error=ValueError)
     n = X.shape[0]
@@ -201,24 +200,10 @@ def _mc_outcomes(
     if span >= n_samples:
         return _mc_span(params, X, keep, widths, chunk, n_samples, rng)
     outputs = n * sum(map(sum, widths))  # 64-bit outputs per draw
-    state = rng.bit_generator.state
-    starts = range(0, n_samples, span)
-    taken, spans = [], []
-    try:
-        for _ in starts:
-            taken.append(pool._take())
-        for worker, start in zip(taken, starts):
-            job = (np.geterr(), state, start * outputs, params, X, keep, widths, chunk)
-            worker.start("dcnpd.dcn", "_worker_span", *job, min(span, n_samples - start))
-        for worker in taken:
-            spans.append(worker.result())
-    except BaseException:  # the workers yet to answer hold a span, or may be gone
-        for worker in taken[len(spans) :]:
-            worker.close(kill=True)
-        raise
-    finally:
-        for worker in taken:
-            pool._give(worker)
+    state, errors, starts = rng.bit_generator.state, np.geterr(), range(0, n_samples, span)
+    jobs = [("dcnpd.dcn", "_worker_span", (errors, state, s * outputs, params, X, keep, widths,
+             chunk, min(span, n_samples - s)), True) for s in starts]
+    spans = list(pool.ordered(jobs, len(jobs)))
     # `advance` clears the buffered half of a 32-bit draw, which doubles leave alone
     buffered = {k: state[k] for k in ("has_uint32", "uinteger")}
     rng.bit_generator.state = {**rng.bit_generator.advance(n_samples * outputs).state, **buffered}

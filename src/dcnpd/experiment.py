@@ -437,68 +437,39 @@ def _failure(r: int, e: Exception) -> Exception:
     return error
 
 
-def _collect(running: dict, values: dict, errors: dict, timeout: float | None = None) -> None:
-    """Record the replies of the running workers ready within ``timeout`` s (None: one at least)."""
-    for worker in pool._ready(running, timeout):
-        r = running.pop(worker)
-        try:
-            values[r] = worker.result()
-        except Exception as e:
-            errors[r] = _failure(r, e)
-        pool._give(worker)
-
-
 def _repetitions(config: ExperimentConfig) -> list[float]:
     """Every repetition's effect MSE in order; the long ones run in worker processes."""
-    base = covariates = None
+    covariates = None
     files = [] if config.csv_path is None else _realization_files(config)
     if config.fixed_covariates:
         covariates = _stream(config.seed, 0, 0).standard_normal(
             (config.synthetic.n, config.synthetic.d)
         )
-    most = min(config.repetitions, pool.cpus())  # workers running at once
-    values, errors, running = {}, {}, {}  # running maps a worker to its repetition
-    try:
+    loading = []  # the error raised loading a realization, raised as is
+
+    def jobs():
+        base = None
         for r in range(config.repetitions):
-            try:
-                if r < len(files):  # a single file loads once and serves every repetition
+            if r < len(files):  # a single file loads once and serves every repetition
+                try:
                     base = load_csv(files[r])
                     if base.true_ite is None:
                         raise ConfigError(
                             f"evaluation needs ground truth: {files[r]} must carry mu0 and mu1 columns"
                         )
-            except Exception as e:  # raised as is, after any lower repetition's failure
-                errors[r] = e
-                break
-            job = (config, r, base, covariates)
-            rows = config.synthetic.n if base is None else base.n
-            if _train_steps(config, rows) < POOL_MIN_STEPS:
-                try:
-                    values[r] = _run_repetition(*job)
                 except Exception as e:
-                    errors[r] = _failure(r, e)
-            else:
-                while len(running) == most:  # the first worker to reply takes this job
-                    _collect(running, values, errors)
-                if not errors:
-                    try:
-                        worker = pool._take()
-                        worker.start("dcnpd.experiment", "_run_repetition", *job)
-                        running[worker] = r
-                    except Exception as e:  # no worker started, it died, or a job did not pickle
-                        errors[r] = _failure(r, e)
-            _collect(running, values, errors, timeout=0)
-            if errors:  # no repetition starts after a failure; the running ones finish
-                break
-        while running:
-            _collect(running, values, errors)
-    except BaseException:  # an interrupt: kill the running workers, do not wait for them
-        for worker in pool._live.difference(pool._idle):
-            worker.close(kill=True)
-        raise
-    if errors:
-        raise errors[min(errors)]
-    return [values[r] for r in range(config.repetitions)]
+                    loading.append(e)
+                    raise
+            rows = config.synthetic.n if base is None else base.n
+            pooled = _train_steps(config, rows) >= POOL_MIN_STEPS
+            yield "dcnpd.experiment", "_run_repetition", (config, r, base, covariates), pooled
+
+    values = []
+    try:
+        values.extend(pool.ordered(jobs(), min(config.repetitions, pool.cpus())))
+    except Exception as e:
+        raise e if e in loading else _failure(len(values), e)
+    return values
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -2,6 +2,7 @@
 
 A job names its function as ``(module, name, args)``: the worker imports the
 module, calls the function and replies ``(warnings, value, error, traceback)``.
+`ordered`, the entry point, yields the values of a sequence of jobs in order.
 This module imports nothing from the package, so any of its modules may use it.
 """
 
@@ -105,9 +106,84 @@ def _give(worker: _Worker) -> None:
         _idle.append(worker)
 
 
-def _ready(workers, timeout: float | None = None) -> list[_Worker]:
-    """Those of ``workers`` whose reply is ready within ``timeout`` s (None: one at least)."""
-    return select.select(list(workers), [], [], timeout)[0]
+def ordered(jobs, k: int, here: bool = False):
+    """Yield the values of ``jobs``, each ``(module, name, args, pooled)``, in order.
+
+    Pooled jobs run on up to k workers, taken together and each sent an empty
+    job first, whose reply says it has started. With no worker free, a job runs
+    here if ``here``, while at most k jobs are unyielded, and otherwise waits; a
+    job not pooled runs here in its turn. A worker's error, or one raised making
+    a job, is raised in its turn, and no job starts after it; an error here, an
+    interrupt or closing the generator ends the call at once. Either way the
+    workers holding a job are killed and the others given back.
+    """
+    jobs, taken, job = iter(jobs), [], None
+    ahead = []  # each unyielded job's worker, its error, or its value as (value,)
+
+    def collect(workers: list, timeout: float | None = None) -> None:
+        """Read the replies ready within ``timeout`` s (None: one at least); keep a job's error."""
+        for worker in select.select(workers, [], [], timeout)[0]:
+            if worker.owes:  # an empty job's reply: it raises only if the worker was lost
+                worker.result()
+                worker.owes = False
+                continue
+            i = ahead.index(worker)
+            try:
+                ahead[i] = (worker.result(),)
+            except Exception as e:
+                ahead[i] = e
+
+    try:
+        while True:
+            try:  # after a failure no job is made, and none started
+                failed = any(isinstance(a, Exception) for a in ahead)
+                job = None if failed else job or next(jobs, None)
+            except Exception as e:  # raised in its turn
+                ahead.append(e)
+            while ahead and not isinstance(ahead[0], _Worker):  # the values done, up to an error
+                if isinstance(ahead[0], Exception):
+                    raise ahead[0]
+                yield ahead.pop(0)[0]
+            held = [a for a in ahead if isinstance(a, _Worker)]
+            if job is not None:
+                module, name, args, pooled = job
+                wait = not (pooled and k) or here and len(ahead) > k  # for the held jobs
+            if job is None or held and wait:  # at the end, after a failure, or waiting
+                if not ahead:
+                    return
+                collect(held)
+                continue
+            free = [w for w in taken if not w.owes and w not in held]
+            turn = len(ahead)
+            try:
+                if not (wait or free):
+                    for _ in range(k - len(taken)):  # all before any poll: they start side by side
+                        taken.append(_take())
+                        if not taken[-1].owes:
+                            taken[-1].start("dcnpd.pool", "cpus")
+                            taken[-1].owes = True
+                    owing = [w for w in taken if w.owes]
+                    if not here:  # wait for a reply, then place the job again
+                        collect(owing + held)
+                        continue
+                    collect(owing, 0)
+                    free = [w for w in owing if not w.owes]
+                if free and not wait:
+                    ahead.append(free[0])  # held before the send: an interrupt in it kills it
+                    free[0].start(module, name, *args)
+            except Exception as e:  # no worker started, one was lost, or the job did not pickle
+                ahead[turn:] = [e]
+                continue
+            if wait or not free:
+                while wait and taken:  # code run here may take workers of its own
+                    _give(taken.pop())
+                ahead.append((getattr(importlib.import_module(module), name)(*args),))
+            job = None
+    finally:
+        for worker in taken:
+            if worker in ahead:  # it holds a job
+                worker.close(kill=True)
+            _give(worker)
 
 
 def _lost(worker: _Worker | None, e: Exception) -> RuntimeError:

@@ -1,6 +1,7 @@
 """Dataset plumbing: CSV round-trips, the generator's ground truth, splits."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -556,6 +557,17 @@ print(json.dumps(counts))
         save_csv(ds, tmp_path / "new.csv")  # takes that worker again, owing an empty block
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert len(own[1:]) < 3 and held[0] in pool._idle and not held[0].owes  # it took a block
+
+    def test_a_failed_write_leaves_no_worker_busy(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(n=2 * ROW_BLOCK + 3, d=2), np.random.default_rng(8))
+        reference_save_csv(ds, tmp_path / "old.csv")
+        pooled(monkeypatch)
+        with pytest.raises(OSError) as err:
+            save_csv(ds, "/dev/full")
+        assert err.value.errno == errno.ENOSPC
+        assert not set(pool._live).difference(pool._idle)
+        save_csv(ds, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestGenerator:

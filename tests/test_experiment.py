@@ -714,16 +714,19 @@ class TestWorkerPool:
 
 
 def test_pool_and_distance_block_tests_pass_pinned_to_one_cpu():
-    # on one CPU there is one worker, so the loop waits for each reply before the
-    # next send, one k-NN span, so the calling thread computes every distance, no
+    # on one CPU a repetition takes one worker, so each waits for the one before
+    # it to reply, one k-NN span, so the calling thread computes every distance, no
     # CSV worker, so the calling process formats every block of a write, and one
-    # Monte Carlo span, drawn in the calling process with the same bits
+    # Monte Carlo span, drawn in the calling process with the same bits; the jobs
+    # of `pool.ordered`'s own tests share the CPU with the process that sends them
     tests = Path(__file__).resolve().parent
     cpu = min(os.sched_getaffinity(0))
+    names = ("experiment", "baselines", "data", "dcn", "pool")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(str(tests / f"test_{name}.py") for name in ("experiment", "baselines", "data", "dcn")),
-         "-k", "TestWorkerPool or TestKnnRowBlocks or TestCsvRowBlocks or TestPooledDraws"],
+         *(str(tests / f"test_{name}.py") for name in names),
+         "-k", "TestWorkerPool or TestKnnRowBlocks or TestCsvRowBlocks or TestPooledDraws"
+               " or TestOrdered"],
         cwd=tests.parent, env=script_env(), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
         capture_output=True, text=True, check=False, timeout=600,
     )

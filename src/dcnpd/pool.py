@@ -175,8 +175,6 @@ def ordered(jobs, k: int, here: bool = False):
                 ahead[turn:] = [e]
                 continue
             if wait or not free:
-                while wait and taken:  # code run here may take workers of its own
-                    _give(taken.pop())
                 ahead.append((getattr(importlib.import_module(module), name)(*args),))
             job = None
     finally:

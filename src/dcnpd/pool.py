@@ -153,6 +153,7 @@ def ordered(jobs, k: int, here: bool = False):
                     return
                 collect(held)
                 continue
+            # a worker holds one job: a job and a reply in flight could fill both pipes
             free = [w for w in taken if not w.owes and w not in held]
             turn = len(ahead)
             try:
